@@ -36,9 +36,9 @@ class CriterionResult:
 def _timed(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> CriterionResult:
-        start = time.time()
+        start = time.perf_counter()
         result = fn(*args, **kwargs)
-        result.seconds = time.time() - start
+        result.seconds = time.perf_counter() - start
         return result
 
     return wrapper
@@ -126,12 +126,12 @@ def check_energy_identity(q_max: int = 101) -> CriterionResult:
 
 
 @_timed
-def check_small_energy_bound(q_max: int = 499) -> CriterionResult:
+def check_small_energy_bound(**grid) -> CriterionResult:
     """Unweighted energy stays below the frozen multiple of N^6/q + N^2."""
     from .weights import small_energy_sweep, unweighted_energy
 
-    rows = small_energy_sweep(q_max)
-    worst = max(r["ratio"] for r in rows)
+    rows = small_energy_sweep(**grid)
+    worst = calibration.worst(rows, "small_energy")
     limit = calibration.frozen("small_energy")
     pinned = unweighted_energy(1, 5) == 6
     return CriterionResult(
@@ -142,19 +142,13 @@ def check_small_energy_bound(q_max: int = 499) -> CriterionResult:
 
 
 @_timed
-def check_weyl_envelopes() -> CriterionResult:
-    """|W| stays below both frozen envelope multiples over the full seeded grid."""
+def check_weyl_envelopes(**grid) -> CriterionResult:
+    """|W| stays below both frozen envelope multiples over the seeded grid."""
     from .bilinear import weyl_sweep
 
-    rows = weyl_sweep(
-        q_values=(101, 211, 499, 1009, 1999),
-        kinds=("indicator", "pm1", "phase"),
-        instances=20,
-        seed=calibration.DEFAULT_SEED,
-        slack_exponent=calibration.SLACK_EXPONENT,
-    )
-    worst1 = max(r["ratio1"] for r in rows)
-    worst2 = max(r["ratio2"] for r in rows)
+    rows = weyl_sweep(**grid)
+    worst1 = calibration.worst(rows, "weyl_envelope1")
+    worst2 = calibration.worst(rows, "weyl_envelope2")
     lim1 = calibration.frozen("weyl_envelope1")
     lim2 = calibration.frozen("weyl_envelope2")
     return CriterionResult(
@@ -176,8 +170,8 @@ def check_congruence_dichotomy() -> CriterionResult:
     and Minkowski's inequality holds on every instance."""
     from .lattice import dichotomy_sweep
 
-    rows = dichotomy_sweep(499, 1000, seed=11)
-    worst = max(r["needed"] for r in rows)
+    rows = dichotomy_sweep()
+    worst = calibration.worst(rows, "congruence_dichotomy")
     limit = calibration.frozen("congruence_dichotomy")
     minkowski_ok = all(r["minkowski_ok"] for r in rows)
     return CriterionResult(
@@ -197,9 +191,9 @@ def check_curve_sum_bound() -> CriterionResult:
     """Completed kernel sums stay O(q) and variety counts stay within C*sqrt(q) of A(c)*q."""
     from .bilinear import curve_sweep
 
-    rows = curve_sweep((31, 61, 101), 20, seed=9)
-    worst_sigma = max(r["max_sigma_over_q"] for r in rows)
-    worst_dev = max(max(r["dev_u"], r["dev_w"]) for r in rows)
+    rows = curve_sweep()
+    worst_sigma = calibration.worst(rows, "curve_sum")
+    worst_dev = calibration.worst(rows, "variety_deviation")
     lim_sigma = calibration.frozen("curve_sum")
     lim_dev = calibration.frozen("variety_deviation")
     return CriterionResult(
@@ -368,6 +362,7 @@ _QUICK_OVERRIDES = {
     check_gauss_identity: {"q_max": 101},
     check_energy_identity: {"q_max": 31},
     check_small_energy_bound: {"q_max": 101},
+    check_weyl_envelopes: {"q_values": (101, 211), "instances": 5},
     check_effective_split_count: {"q_max": 1000},
     check_class_numbers: {"q_max": 500, "truncation": 10**5},
     check_heegner_window: {"count": 5},
@@ -380,29 +375,13 @@ def run_all(quick: bool = False, echo: bool = True) -> list[CriterionResult]:
 
     Quick mode shrinks the grids for a fast smoke run; it exercises the same
     code paths but is not the acceptance gate.  The bound criteria compare
-    against the same frozen constants either way, so quick mode never
-    recalibrates anything.
+    against the same frozen constants either way: their ratios are grid
+    maxima, so a sub-grid stays below the limits frozen on the full grid.
     """
     results = []
     for check in ALL_CRITERIA:
         kwargs = _QUICK_OVERRIDES.get(check, {}) if quick else {}
-        if quick and check is check_weyl_envelopes:
-            # ratios are grid-maxima; a sub-grid stays below the frozen limits
-            from .bilinear import weyl_sweep
-
-            start = time.time()
-            rows = weyl_sweep(q_values=(101, 211), instances=5)
-            worst1 = max(r["ratio1"] for r in rows)
-            worst2 = max(r["ratio2"] for r in rows)
-            result = CriterionResult(
-                "bilinear weyl-sum envelopes (quick)",
-                worst1 <= calibration.frozen("weyl_envelope1")
-                and worst2 <= calibration.frozen("weyl_envelope2"),
-                {"cells": len(rows)},
-                time.time() - start,
-            )
-        else:
-            result = check(**kwargs)
+        result = check(**kwargs)
         results.append(result)
         if echo:
             print(result.line(), flush=True)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError
-from .expsums import exp_table, sqrt_phase_table
+from .expsums import sqrt_phase_table
 from .modular import eps_q, inv_mod, legendre_table
-from .reports import BoundCheckReport, slack_factor
+from .reports import slack_factor
 from .weights import WeightVector, unweighted_energy
 
 _CURVE_SUM_LIMIT = 2048
@@ -246,27 +246,26 @@ def _kernel_values(a: int, h: int, q: int) -> np.ndarray:
     return table[(a % q) * x % q]
 
 
+def _curve_rows(b: tuple[int, int, int, int], h: int, a: int, s: np.ndarray, q: int) -> np.ndarray:
+    """For each s in ``s``: the sum over r in F_q of the four kernel factors
+    K(s(r + b_1)) K(s(r + b_2)) conj(K(s(r + b_3)) K(s(r + b_4)))."""
+    kernel = _kernel_values(a, h, q)
+    r = np.arange(q, dtype=np.int64)
+    prod = np.ones((len(s), q), dtype=np.complex128)
+    for b_i, conjugate in zip(b, (False, False, True, True)):
+        idx = s[:, None] * ((r[None, :] + b_i) % q) % q
+        vals = kernel[idx]
+        prod *= np.conj(vals) if conjugate else vals
+    return prod.sum(axis=1)
+
+
 def curve_sum_sigma_t(b: tuple[int, int, int, int], t: int, h: int, a: int, q: int) -> complex:
     """Completed fourth-moment kernel sum over (r, s) in F_q^2 with phase e_q(s t).
 
     O(q^2) by construction; moduli above the guard are refused rather than
     ground through.
     """
-    if q > _CURVE_SUM_LIMIT:
-        raise SizeGuardError(f"completed curve sum refused for q={q} > {_CURVE_SUM_LIMIT}")
-    if a % q == 0 or h % q == 0:
-        raise ValueError("need gcd(ah, q) = 1")
-    kernel = _kernel_values(a, h, q)
-    r = np.arange(q, dtype=np.int64)
-    s = np.arange(q, dtype=np.int64)
-    prod = np.ones((q, q), dtype=np.complex128)
-    for b_i, conjugate in zip(b, (False, False, True, True)):
-        idx = s[:, None] * ((r[None, :] + b_i) % q) % q
-        vals = kernel[idx]
-        prod *= np.conj(vals) if conjugate else vals
-    row = prod.sum(axis=1)  # row[s] = sum over r
-    w = exp_table(q)
-    return complex(np.sum(w[s * (t % q) % q] * row))
+    return complex(curve_sum_sigma_all_t(b, h, a, q)[t % q])
 
 
 def curve_sum_sigma_all_t(b: tuple[int, int, int, int], h: int, a: int, q: int) -> np.ndarray:
@@ -275,15 +274,7 @@ def curve_sum_sigma_all_t(b: tuple[int, int, int, int], h: int, a: int, q: int) 
         raise SizeGuardError(f"completed curve sum refused for q={q} > {_CURVE_SUM_LIMIT}")
     if a % q == 0 or h % q == 0:
         raise ValueError("need gcd(ah, q) = 1")
-    kernel = _kernel_values(a, h, q)
-    r = np.arange(q, dtype=np.int64)
-    s = np.arange(q, dtype=np.int64)
-    prod = np.ones((q, q), dtype=np.complex128)
-    for b_i, conjugate in zip(b, (False, False, True, True)):
-        idx = s[:, None] * ((r[None, :] + b_i) % q) % q
-        vals = kernel[idx]
-        prod *= np.conj(vals) if conjugate else vals
-    row = prod.sum(axis=1)
+    row = _curve_rows(b, h, a, np.arange(q, dtype=np.int64), q)
     # Sigma(t) = sum_s row[s] e_q(s t) = conj(FFT(conj(row)))[t]
     return np.conj(np.fft.fft(np.conj(row)))
 
@@ -297,15 +288,7 @@ def curve_sum_sigma_incomplete(
     s_max = int(2 * a_param * m_start)
     if s_max >= q:
         raise ValueError("the incomplete range needs 2AM < q")
-    kernel = _kernel_values(a, h, q)
-    r = np.arange(q, dtype=np.int64)
-    s = np.arange(1, s_max + 1, dtype=np.int64)
-    prod = np.ones((len(s), q), dtype=np.complex128)
-    for b_i, conjugate in zip(b, (False, False, True, True)):
-        idx = s[:, None] * ((r[None, :] + b_i) % q) % q
-        vals = kernel[idx]
-        prod *= np.conj(vals) if conjugate else vals
-    return complex(prod.sum())
+    return complex(_curve_rows(b, h, a, np.arange(1, s_max + 1, dtype=np.int64), q).sum())
 
 
 def balanced_curve_parameters(m_start: int, n_start: int) -> tuple[float, float]:
@@ -399,38 +382,6 @@ def salie_correlation(a: int, m_start: int, n_start: int, q: int) -> float:
 # ---------------------------------------------------------------------------
 # Sweeps.
 # ---------------------------------------------------------------------------
-
-
-def weyl_bound_report(
-    inst: BilinearInstance,
-    which: int = 1,
-    slack_exponent: float = 2.0,
-    constant: float | None = None,
-) -> BoundCheckReport:
-    """Measure |W| against the selected envelope and the frozen constant."""
-    if constant is None:
-        from . import calibration
-
-        constant = calibration.frozen(f"weyl_envelope{which}")
-    measured = abs(bilinear_weyl_sum(inst))
-    envelope = weyl_envelope(
-        which,
-        inst.alpha.norm2,
-        inst.beta.norm_inf,
-        inst.beta.norm1,
-        inst.m_start,
-        inst.n_start,
-        inst.q,
-        slack_exponent,
-    )
-    return BoundCheckReport(
-        name=f"weyl_envelope{which}",
-        measured=measured,
-        envelope=envelope,
-        slack_exponent=slack_exponent,
-        constant=constant,
-        context={"q": inst.q, "M": inst.m_start, "N": inst.n_start, "a": inst.a, "h": inst.h},
-    )
 
 
 def _dyadic_starts(q: int) -> list[int]:

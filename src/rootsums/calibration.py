@@ -6,13 +6,16 @@ value (with 15% headroom) into ``calibration.json``, which ships with the
 package.  Tests then rerun the identical deterministic grid and assert the
 measured maximum never exceeds the frozen constant.
 
+Each family's grid is the default arguments of its sweep in ``FAMILIES``;
+nothing else restates it.
+
 The fixture is only ever rewritten explicitly, via
 ``rootsums verify --recalibrate`` or :func:`recalibrate`.
 """
 
 from __future__ import annotations
 
-import functools
+import importlib
 import json
 import math
 from importlib import resources
@@ -22,156 +25,41 @@ DEFAULT_SEED = 42
 SLACK_EXPONENT = 2.0
 HEADROOM = 1.15
 
+# Family name -> (sweep, ratio keys).  The sweep is named "module.function" and
+# imported only when it runs; its measured value is the largest of the named
+# keys over all of its rows.
+FAMILIES = {
+    "incomplete_sqrt": ("expsums.incomplete_sqrt_sweep", ("ratio",)),
+    "small_energy": ("weights.small_energy_sweep", ("ratio",)),
+    "fourth_moment": ("weights.fourth_moment_sweep", ("ratio",)),
+    "energy_short": ("weights.weighted_energy_sweep", ("ratio_short",)),
+    "energy_long": ("weights.weighted_energy_sweep", ("ratio_long",)),
+    "congruence_dichotomy": ("lattice.dichotomy_sweep", ("needed",)),
+    "weyl_envelope1": ("bilinear.weyl_sweep", ("ratio1",)),
+    "weyl_envelope2": ("bilinear.weyl_sweep", ("ratio2",)),
+    "a_fourth_moment": ("bilinear.a_fourth_moment_sweep", ("ratio",)),
+    "curve_sum": ("bilinear.curve_sweep", ("max_sigma_over_q",)),
+    "variety_deviation": ("bilinear.curve_sweep", ("dev_u", "dev_w")),
+    "type1_envelope": ("bilinear.type1_sweep", ("ratio",)),
+    "salie_correlation1": ("bilinear.salie_correlation_sweep", ("ratio1",)),
+    "salie_correlation2": ("bilinear.salie_correlation_sweep", ("ratio2",)),
+    "root_discrepancy": ("equidist.gamma_sweep", ("ratio",)),
+    "product_discrepancy": ("equidist.product_discrepancy_sweep", ("ratio",)),
+    "r_mean_power": ("quadforms.r_mean_sweep", ("ratio_power",)),
+}
+
 _cache: dict | None = None
 
 
-def _max_ratio(rows: list[dict], key: str) -> float:
-    return max(r[key] for r in rows)
+def worst(rows: list[dict], name: str) -> float:
+    """The measured value of family ``name`` over sweep rows: its worst ratio."""
+    keys = FAMILIES[name][1]
+    return max(r[k] for r in rows for k in keys)
 
 
-def _measure_incomplete_sqrt() -> float:
-    from .expsums import incomplete_sqrt_sweep
-
-    return _max_ratio(incomplete_sqrt_sweep(2003, pairs_per_q=3, seed=1), "ratio")
-
-
-def _measure_small_energy() -> float:
-    from .weights import small_energy_sweep
-
-    return _max_ratio(small_energy_sweep(499), "ratio")
-
-
-def _measure_fourth_moment() -> float:
-    from .weights import fourth_moment_sweep
-
-    return _max_ratio(fourth_moment_sweep(499, SLACK_EXPONENT), "ratio")
-
-
-def _measure_energy_short() -> float:
-    from .weights import weighted_energy_sweep
-
-    return _max_ratio(weighted_energy_sweep(slack_exponent=SLACK_EXPONENT), "ratio_short")
-
-
-def _measure_energy_long() -> float:
-    from .weights import weighted_energy_sweep
-
-    return _max_ratio(weighted_energy_sweep(slack_exponent=SLACK_EXPONENT), "ratio_long")
-
-
-def _measure_congruence_dichotomy() -> float:
-    from .lattice import dichotomy_sweep
-
-    return _max_ratio(dichotomy_sweep(499, 1000, seed=11), "needed")
-
-
-@functools.lru_cache(maxsize=1)
-def _weyl_rows() -> list[dict]:
-    from .bilinear import weyl_sweep
-
-    return weyl_sweep(
-        q_values=(101, 211, 499, 1009, 1999),
-        kinds=("indicator", "pm1", "phase"),
-        instances=20,
-        seed=DEFAULT_SEED,
-        slack_exponent=SLACK_EXPONENT,
-    )
-
-
-def _measure_weyl_envelope1() -> float:
-    return _max_ratio(_weyl_rows(), "ratio1")
-
-
-def _measure_weyl_envelope2() -> float:
-    return _max_ratio(_weyl_rows(), "ratio2")
-
-
-def _measure_a_fourth_moment() -> float:
-    from .bilinear import a_fourth_moment_sweep
-
-    return _max_ratio(a_fourth_moment_sweep(), "ratio")
-
-
-@functools.lru_cache(maxsize=1)
-def _curve_rows() -> list[dict]:
-    from .bilinear import curve_sweep
-
-    return curve_sweep((31, 61, 101), 20, seed=9)
-
-
-def _measure_curve_sum() -> float:
-    return _max_ratio(_curve_rows(), "max_sigma_over_q")
-
-
-def _measure_variety_deviation() -> float:
-    rows = _curve_rows()
-    return max(max(r["dev_u"], r["dev_w"]) for r in rows)
-
-
-def _measure_type1_envelope() -> float:
-    from .bilinear import type1_sweep
-
-    return _max_ratio(type1_sweep(slack_exponent=SLACK_EXPONENT), "ratio")
-
-
-@functools.lru_cache(maxsize=1)
-def _salie_corr_rows() -> list[dict]:
-    from .bilinear import salie_correlation_sweep
-
-    return salie_correlation_sweep(slack_exponent=SLACK_EXPONENT)
-
-
-def _measure_salie_correlation1() -> float:
-    return _max_ratio(_salie_corr_rows(), "ratio1")
-
-
-def _measure_salie_correlation2() -> float:
-    return _max_ratio(_salie_corr_rows(), "ratio2")
-
-
-def _measure_root_discrepancy() -> float:
-    from .equidist import gamma_sweep
-
-    return _max_ratio(gamma_sweep(slack_exponent=SLACK_EXPONENT), "ratio")
-
-
-def _measure_product_discrepancy() -> float:
-    from .equidist import delta_q
-
-    rows = []
-    for q in (211, 499, 1009):
-        for expo in (0.5, 0.7):
-            limit = int(round(q**expo))
-            report = delta_q(limit, limit, q, SLACK_EXPONENT)
-            rows.append({"ratio": report.ratio})
-    return _max_ratio(rows, "ratio")
-
-
-def _measure_r_mean_power() -> float:
-    from .quadforms import r_mean_sweep
-
-    return _max_ratio(r_mean_sweep(), "ratio_power")
-
-
-MEASUREMENTS = {
-    "incomplete_sqrt": _measure_incomplete_sqrt,
-    "small_energy": _measure_small_energy,
-    "fourth_moment": _measure_fourth_moment,
-    "energy_short": _measure_energy_short,
-    "energy_long": _measure_energy_long,
-    "congruence_dichotomy": _measure_congruence_dichotomy,
-    "weyl_envelope1": _measure_weyl_envelope1,
-    "weyl_envelope2": _measure_weyl_envelope2,
-    "a_fourth_moment": _measure_a_fourth_moment,
-    "curve_sum": _measure_curve_sum,
-    "variety_deviation": _measure_variety_deviation,
-    "type1_envelope": _measure_type1_envelope,
-    "salie_correlation1": _measure_salie_correlation1,
-    "salie_correlation2": _measure_salie_correlation2,
-    "root_discrepancy": _measure_root_discrepancy,
-    "product_discrepancy": _measure_product_discrepancy,
-    "r_mean_power": _measure_r_mean_power,
-}
+def _run_sweep(sweep: str) -> list[dict]:
+    module, function = sweep.split(".")
+    return getattr(importlib.import_module(f".{module}", __package__), function)()
 
 
 def _fixture_path() -> Path:
@@ -202,8 +90,8 @@ def _round_up(value: float, digits: int = 4) -> float:
     return math.ceil(value * scale) / scale
 
 
-def recalibrate(out_path: str | Path | None = None, names: list[str] | None = None) -> dict:
-    """Re-run every measurement and rewrite the fixture file.
+def recalibrate(out_path: str | Path | None = None) -> dict:
+    """Re-run every sweep once and rewrite the fixture file.
 
     Frozen values get 15% headroom over the measured maxima so that harmless
     floating-point jitter across platforms never flips a check.
@@ -215,14 +103,17 @@ def recalibrate(out_path: str | Path | None = None, names: list[str] | None = No
         with path.open() as fh:
             existing = json.load(fh).get("constants", {})
     constants = dict(existing)
-    for name, measure in MEASUREMENTS.items():
-        if names is not None and name not in names:
-            continue
-        measured = float(measure())
-        constants[name] = {
-            "frozen": _round_up(measured * HEADROOM),
-            "measured": measured,
-        }
+    by_sweep: dict[str, list[str]] = {}
+    for name, (sweep, _) in FAMILIES.items():
+        by_sweep.setdefault(sweep, []).append(name)
+    for sweep, names in by_sweep.items():
+        rows = _run_sweep(sweep)
+        for name in names:
+            measured = float(worst(rows, name))
+            constants[name] = {
+                "frozen": _round_up(measured * HEADROOM),
+                "measured": measured,
+            }
     payload = {
         "generated_by": "rootsums verify --recalibrate",
         "seed": DEFAULT_SEED,

@@ -368,3 +368,29 @@ def gamma_sweep(
                 }
             )
     return rows
+
+
+def product_discrepancy_sweep(
+    q_values: tuple[int, ...] = (211, 499, 1009),
+    exponents: tuple[float, ...] = (0.5, 0.7),
+    slack_exponent: float = 2.0,
+) -> list[dict]:
+    """Discrepancy of product-root sequences with P = R = q^e against the envelope."""
+    rows = []
+    for q in q_values:
+        for expo in exponents:
+            limit = int(round(q**expo))
+            report = delta_q(limit, limit, q, slack_exponent)
+            rows.append(
+                {
+                    "q": q,
+                    "P": limit,
+                    "R": limit,
+                    "exponent": expo,
+                    "n_points": report.n_points,
+                    "discrepancy": report.value,
+                    "envelope": report.envelope,
+                    "ratio": report.ratio,
+                }
+            )
+    return rows

@@ -194,7 +194,7 @@ def salie_all(q: int) -> tuple[np.ndarray, np.ndarray]:
     return direct, closed
 
 
-def incomplete_sqrt_sweep(q_max: int, pairs_per_q: int = 3, seed: int = 1) -> list[dict]:
+def incomplete_sqrt_sweep(q_max: int = 2003, pairs_per_q: int = 3, seed: int = 1) -> list[dict]:
     """Measure max_W |incomplete sum| against sqrt(q) * log(q) over a grid.
 
     One row per (q, a, h) cell with the measured/envelope ratio; the maximum

@@ -229,12 +229,6 @@ def successive_minima(lat: Lattice2D, box: Box2D) -> tuple[float, float]:
     return lam1, lam2
 
 
-def shortest_vector(lat: Lattice2D, box: Box2D) -> tuple[int, int]:
-    """A vector attaining lambda_1 (canonical sign, deterministic ties)."""
-    red1, red2 = _lagrange_reduce(lat, box)
-    return _minimize(red1, red2, box)[1]
-
-
 def minkowski_check(lat: Lattice2D, box: Box2D) -> dict:
     """Verify 1/(lambda_1*lambda_2) <= Vol(box) / (2 * det); returns both sides."""
     lam1, lam2 = successive_minima(lat, box)

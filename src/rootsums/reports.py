@@ -1,50 +1,10 @@
-"""Report containers shared across the bound-checking sweeps."""
+"""The slack factor shared by the asymptotic envelopes."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 def slack_factor(q: float, slack_exponent: float) -> float:
     """The (log q)^s factor standing in for q^{o(1)} in asymptotic envelopes."""
     return math.log(q) ** slack_exponent if slack_exponent else 1.0
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    """One measured-versus-envelope comparison.
-
-    ``constant`` is the frozen calibration constant this measurement is held
-    against; ``ratio`` is what a recalibration run would record.
-    """
-
-    name: str
-    measured: float
-    envelope: float
-    slack_exponent: float = 0.0
-    constant: float = math.inf
-    context: dict = field(default_factory=dict)
-
-    @property
-    def ratio(self) -> float:
-        if self.envelope == 0.0:
-            return 0.0 if self.measured == 0.0 else math.inf
-        return self.measured / self.envelope
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio <= self.constant
-
-    def as_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "measured": self.measured,
-            "envelope": self.envelope,
-            "ratio": self.ratio,
-            "slack_exponent": self.slack_exponent,
-            "constant": self.constant,
-            "passed": self.passed,
-        }
-        d.update(self.context)
-        return d

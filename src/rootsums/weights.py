@@ -13,7 +13,6 @@ reduced to the representative in [1, q].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,31 +231,6 @@ def q_fourth_moment_indicator(q: int, start: int, j: int = 1) -> int:
     """Exact integer fourth moment of the indicator Q table over lambda != 0."""
     table = q_table_indicator(q, start, j)
     return int(np.sum(table[1:].astype(object) ** 4))
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy plus the per-lambda correlation table and its fourth moment."""
-
-    q: int
-    j: int
-    energy: complex
-    q_by_lambda: np.ndarray
-    fourth_moment: float
-
-
-def energy_report(beta: WeightVector, j: int = 1) -> EnergyReport:
-    table = q_table(beta, j)
-    vals = np.abs(table) if not beta.is_real() else table.real
-    vals = vals.copy()
-    vals[0] = 0.0
-    return EnergyReport(
-        q=beta.q,
-        j=j,
-        energy=complex(np.sum(table * table)),
-        q_by_lambda=table,
-        fourth_moment=float(np.sum(vals**4)),
-    )
 
 
 # ---------------------------------------------------------------------------

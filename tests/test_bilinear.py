@@ -127,20 +127,6 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             type1_envelope(1.0, 1.0, 99, 2, 101)  # M > N^2
 
-    def test_bound_report(self, rng):
-        from rootsums.bilinear import weyl_bound_report
-
-        q = 211
-        inst = BilinearInstance(
-            q, 5, 9, WeightVector.random_pm1(q, 8, rng), WeightVector.random_pm1(q, 16, rng)
-        )
-        for which in (1, 2):
-            report = weyl_bound_report(inst, which)
-            assert report.passed and 0 < report.ratio <= report.constant
-            assert report.measured == pytest.approx(abs(bilinear_weyl_sum(inst)))
-            d = report.as_dict()
-            assert d["q"] == q and d["name"] == f"weyl_envelope{which}"
-
     def test_frozen_weyl_bound_subgrid(self, rng):
         lim1 = calibration.frozen("weyl_envelope1")
         lim2 = calibration.frozen("weyl_envelope2")

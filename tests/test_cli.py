@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rootsums
 from rootsums.cli import main
 
 
@@ -42,14 +47,6 @@ class TestBilinear:
         run(base + ["--seed", "1", "--out", str(a)])
         run(base + ["--seed", "2", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["bilinear", "sweep", "--qset", "101,211", "--weights", "indicator",
-                "--instances", "2", "--seed", "7"]
-        run(base + ["--threads", "1", "--out", str(a)])
-        run(base + ["--threads", "4", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_action(self, capsys):
         assert run(["bilinear", "frobnicate"]) == 2
@@ -155,7 +152,7 @@ class TestVerify:
 
         assert run(["verify", "--recalibrate", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert set(payload["constants"]) == set(calibration.MEASUREMENTS)
+        assert set(payload["constants"]) == set(calibration.FAMILIES)
         for entry in payload["constants"].values():
             assert entry["frozen"] >= entry["measured"]
         # the shipped fixture agrees with a fresh deterministic rerun
@@ -164,3 +161,22 @@ class TestVerify:
             assert entry["measured"] == pytest.approx(
                 shipped[name]["measured"], rel=1e-9
             )
+
+
+class TestSetup:
+    def test_setup_imports_no_sweep_modules(self):
+        """Importing the CLI and loading the fixture leaves the sweep modules unimported."""
+        code = (
+            "import sys\n"
+            "import rootsums.cli, rootsums.calibration\n"
+            "rootsums.calibration.load()\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(rootsums.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert "rootsums.calibration" in out
+        for name in ("bilinear", "lattice", "equidist", "quadforms", "expsums",
+                     "splitprimes", "acceptance"):
+            assert f"rootsums.{name}" not in out

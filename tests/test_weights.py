@@ -16,7 +16,6 @@ from rootsums.weights import (
     energy_envelope_short,
     energy_pair_histogram,
     energy_quadruple_loop,
-    energy_report,
     fourth_moment_envelope,
     q_fourth_moment,
     q_fourth_moment_indicator,
@@ -120,13 +119,6 @@ class TestEnergy:
         rng = np.random.default_rng(13)
         beta = WeightVector.random_pm1(13, 2, rng)
         assert energy(beta, 1) == pytest.approx(energy_pair_histogram(beta, 1), abs=1e-9)
-
-    def test_report_fields(self):
-        beta = WeightVector.indicator(5, 1)
-        rep = energy_report(beta, 1)
-        assert rep.energy == 6
-        assert rep.fourth_moment == 2
-        assert rep.q_by_lambda.shape == (5,)
 
 
 class TestUnweightedEnergy:
