@@ -1,7 +1,7 @@
 """Verification lab for exponential sums over prime fields and modular square roots.
 
 Submodules:
-    modular      arithmetic in F_q (symbols, inverses, square roots)
+    modular      arithmetic in F_q and its cached residue tables
     expsums      Gauss / Salie / incomplete square-root sums
     weights      weight vectors and the additive energy of squares
     lattice      2D lattices, successive minima, congruence counts
@@ -13,11 +13,10 @@ Submodules:
     acceptance   the runnable acceptance suite
 """
 
-from .modular import PrimeField, e_q, eps_q, inv_mod, kronecker, sqrt_mod
+from .modular import e_q, eps_q, inv_mod, kronecker, sqrt_mod
 from .weights import WeightVector
 
 __all__ = [
-    "PrimeField",
     "WeightVector",
     "e_q",
     "eps_q",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
-from .modular import eps_q, inv_mod, legendre_table
+from .modular import eps_q, inv_mod, legendre_table, residue_roots
 from .reports import slack_factor
 from .weights import WeightVector, unweighted_energy
 
@@ -109,17 +109,8 @@ def a_sum_all(h: int, a: int, m_start: int, q: int) -> np.ndarray:
     if a % q == 0:
         raise ValueError("need gcd(a, q) = 1")
     m = np.arange(m_start, 2 * m_start, dtype=np.int64)
-    residues = (a % q) * (m % q) % q
-    from .modular import root_table
-
-    rt = root_table(q)
-    counts = np.zeros(q, dtype=np.float64)
-    roots = rt[residues]
-    hit = roots >= 0
-    pos = roots[hit & (roots > 0)]
-    np.add.at(counts, pos, 1.0)
-    np.add.at(counts, (q - pos) % q, 1.0)
-    counts[0] += np.count_nonzero(hit & (roots == 0))
+    roots = residue_roots((a % q) * (m % q) % q, q)
+    counts = np.bincount(roots, minlength=q).astype(np.float64)
     spectrum = np.conj(np.fft.fft(counts))  # spectrum[k] = sum_t c_t e_q(k t)
     lam = np.arange(q, dtype=np.int64)
     return spectrum[(h % q) * lam % q]

@@ -21,7 +21,6 @@ import math
 from importlib import resources
 from pathlib import Path
 
-DEFAULT_SEED = 42
 SLACK_EXPONENT = 2.0
 HEADROOM = 1.15
 
@@ -116,7 +115,6 @@ def recalibrate(out_path: str | Path | None = None) -> dict:
             }
     payload = {
         "generated_by": "rootsums verify --recalibrate",
-        "seed": DEFAULT_SEED,
         "slack_exponent": SLACK_EXPONENT,
         "headroom": HEADROOM,
         "constants": dict(sorted(constants.items())),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
-from .modular import legendre_table
+from .modular import legendre_table, residue_roots
 from .primes import sieve_primes
 from .reports import slack_factor
 
@@ -133,28 +133,11 @@ def point_exponential_sums(points, h_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _roots_for_residues(residues: np.ndarray, q: int) -> np.ndarray:
-    """Both square roots x/q for every residue in the list (with multiplicity)."""
-    from .modular import root_table
-
-    rt = root_table(q)
-    r = rt[residues % q]
-    keep = r >= 0
-    r = r[keep]
-    res = residues[keep] % q
-    pos = r[res != 0]
-    pts = np.concatenate([pos, (q - pos) % q, r[res == 0]])
-    return np.sort(pts.astype(np.float64) / q)
-
-
 def prime_root_points(p_limit: float, q: int) -> PointMultiset:
     """Multiset {x/q : x^2 = p (mod q), p prime <= P, p a residue mod q}."""
-    primes = sieve_primes(int(p_limit))
-    if primes.size == 0:
-        return PointMultiset.from_values([])
-    leg = legendre_table(q)
-    residues = primes[leg[primes % q] == 1].astype(np.int64)
-    return PointMultiset.from_values(_roots_for_residues(residues % q, q))
+    residues = sieve_primes(int(p_limit)) % q
+    roots = residue_roots(residues[residues != 0], q)
+    return PointMultiset.from_values(roots / q)
 
 
 def product_root_points(p_limit: float, r_limit: float, q: int) -> PointMultiset:
@@ -163,28 +146,11 @@ def product_root_points(p_limit: float, r_limit: float, q: int) -> PointMultiset
     Multiplicity is preserved: distinct pairs with the same product residue
     contribute separate copies of both roots.
     """
-    ps = sieve_primes(int(p_limit))
-    rs = sieve_primes(int(r_limit))
-    if ps.size == 0 or rs.size == 0:
-        return PointMultiset.from_values([])
-    leg = legendre_table(q)
-    counts = np.zeros(q, dtype=np.int64)
-    r_res = rs % q
-    for p in ps:
-        np.add.at(counts, (int(p) % q) * r_res % q, 1)
-    from .modular import root_table
-
-    rt = root_table(q)
-    pts = []
-    for c in np.nonzero(counts)[0]:
-        c = int(c)
-        if c == 0 or leg[c] != 1:
-            continue
-        r = int(rt[c])
-        mult = int(counts[c])
-        pts.extend([r / q] * mult)
-        pts.extend([(q - r) / q] * mult)
-    return PointMultiset.from_values(pts)
+    ps = sieve_primes(int(p_limit)) % q
+    rs = sieve_primes(int(r_limit)) % q
+    residues = np.outer(ps, rs).ravel() % q
+    roots = residue_roots(residues[residues != 0], q)
+    return PointMultiset.from_values(roots / q)
 
 
 def root_discrepancy_envelope(p_limit: float, q: int, slack_exponent: float = 0.0) -> float:

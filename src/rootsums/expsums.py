@@ -18,13 +18,13 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .modular import (
-    PrimeField,
     e_q,
     eps_q,
     inv_mod,
     inverse_table,
     kronecker,
     legendre_table,
+    sqrt_mod,
 )
 
 # Direct summation is O(q) per call and O(q^2) memory for the all-pairs
@@ -109,8 +109,7 @@ def salie_closed_form(m: int, n: int, q: int) -> complex:
     c = m * n % q
     if kronecker(c, q) == -1:
         return 0.0 + 0.0j
-    field = PrimeField(q)
-    total = sum(e_q(2 * x, q) for x in field.sqrts(c))
+    total = sum(e_q(2 * x, q) for x in sqrt_mod(c, q))
     return math.sqrt(q) * eps_q(q) * kronecker(n, q) * total
 
 

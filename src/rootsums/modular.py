@@ -1,13 +1,13 @@
 """Exact arithmetic in the prime field F_q for an odd prime q.
 
 Scalar routines (kronecker, inv_mod, sqrt_mod, ...) use Python integers and
-stay exact for any odd prime modulus below 2**62.  A PrimeField carries
-cached residue tables (Legendre values, inverses, smallest square roots)
-when the modulus is below a configurable threshold; the table-backed and
-table-free paths are cross-checked against each other in the tests.
+stay exact for any odd prime modulus below 2**62.  Three cached tables
+(Legendre values, inverses, smallest square roots) cover q < 2**31 and are
+the one place where quadratic-residue structure is computed in bulk; the
+tests cross-check them against the scalar routines.
 
-Everything here is pure; a PrimeField is immutable after construction and
-safe to share between threads.
+Everything here is pure; the cached tables are read-only and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .primes import is_prime
-
-MAX_MODULUS = 1 << 62
-DEFAULT_TABLE_LIMIT = 1 << 22
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,7 +126,10 @@ def sqrt_mod(a: int, q: int) -> tuple[int, ...]:
     """All x in F_q with x^2 = a (mod q), sorted.
 
     Returns (0,) for a = 0, a pair (r, q-r) for residues, () for non-residues.
+    Raises ValueError unless q is an odd prime.
     """
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"modulus must be an odd prime, got {q}")
     a %= q
     if a == 0:
         return (0,)
@@ -186,64 +186,12 @@ def root_table(q: int) -> np.ndarray:
     return table
 
 
-class PrimeField:
-    """An odd prime modulus with optional cached residue tables.
+def residue_roots(residues: np.ndarray, q: int) -> np.ndarray:
+    """Every square root mod q of every residue, with multiplicity, from root_table.
 
-    Tables are built once at construction for q below ``table_limit`` and
-    never mutated afterwards, so instances are safe for concurrent reads.
-    Above the threshold every operation falls back to the scalar routines.
+    A nonzero quadratic residue contributes r and q - r, 0 contributes 0, and
+    a non-residue contributes nothing.  The roots come back unsorted.
     """
-
-    __slots__ = ("q", "legendre_map", "inverse_map", "root_map")
-
-    def __init__(self, q: int, table_limit: int = DEFAULT_TABLE_LIMIT):
-        if q % 2 == 0 or q >= MAX_MODULUS or not is_prime(q):
-            raise ValueError(f"modulus must be an odd prime below 2**62, got {q}")
-        self.q = q
-        if q <= table_limit:
-            self.legendre_map = legendre_table(q)
-            self.inverse_map = inverse_table(q)
-            self.root_map = root_table(q)
-        else:
-            self.legendre_map = None
-            self.inverse_map = None
-            self.root_map = None
-
-    def __repr__(self) -> str:
-        return f"PrimeField(q={self.q})"
-
-    @property
-    def has_tables(self) -> bool:
-        return self.legendre_map is not None
-
-    def legendre(self, a: int) -> int:
-        a %= self.q
-        if self.legendre_map is not None:
-            return int(self.legendre_map[a])
-        return kronecker(a, self.q)
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ValueError("0 is not invertible")
-        if self.inverse_map is not None:
-            return int(self.inverse_map[a])
-        return pow(a, -1, self.q)
-
-    def sqrts(self, a: int) -> tuple[int, ...]:
-        """Sorted tuple of square roots of a, via table lookup when cached."""
-        a %= self.q
-        if a == 0:
-            return (0,)
-        if self.root_map is not None:
-            r = int(self.root_map[a])
-            if r < 0:
-                return ()
-            return (r, self.q - r) if r <= self.q - r else (self.q - r, r)
-        return sqrt_mod(a, self.q)
-
-    def eps(self) -> complex:
-        return eps_q(self.q)
-
-    def e(self, x: int) -> complex:
-        return e_q(x, self.q)
+    roots = root_table(q)[np.asarray(residues, dtype=np.int64) % q]
+    roots = roots[roots >= 0]
+    return np.concatenate([roots, q - roots[roots > 0]])

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import kronecker
+from .modular import kronecker, legendre_table
 from .primes import divisors, factorize, is_prime, sieve_primes
 
 DUKE_LIMIT_FRACTION = 27.0 / (10.0 * math.pi)
@@ -125,42 +125,21 @@ def chi(n: int, q: int) -> int:
     return kronecker(-q, n)
 
 
-@lru_cache(maxsize=64)
-def _chi_period_table(q: int) -> np.ndarray:
-    """chi on a full period: chi[r] for r in [0, q) when q = 3 (mod 4)."""
-    table = np.array([0] + [kronecker(-q, r) for r in range(1, q)], dtype=np.int8)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=16)
-def _chi_odd_table(q: int) -> np.ndarray:
-    """chi on odd residues mod 4q, for q = 1 (mod 4) where chi is not periodic mod q."""
-    table = np.array([0] + [kronecker(-q, r) for r in range(1, 4 * q)], dtype=np.int8)
-    table.flags.writeable = False
-    return table
-
-
 def chi_values(q: int, limit: int) -> np.ndarray:
-    """int8 array of chi(n) for n = 0..limit.
+    """int8 array of chi(n) for n = 0..limit, read from legendre_table(q).
 
-    For q = 3 (mod 4), chi is periodic mod q.  Otherwise the odd part is
-    periodic mod 4q and powers of 2 contribute chi(2)^v2(n).
+    By quadratic reciprocity, for an odd prime q and n = 2^v * m with m odd,
+    chi(n) = (n/q) when q = 3 (mod 4) and chi(n) = (n/q) * (-1)^((m-1)/2)
+    when q = 1 (mod 4); chi(0) = (0/q) = 0.
     """
-    n = np.arange(limit + 1, dtype=np.int64)
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"chi_values needs an odd prime q, got {q}")
+    vals = np.resize(legendre_table(q), limit + 1)  # repeats the table: vals[n] = (n/q)
     if q % 4 == 3:
-        return _chi_period_table(q)[n % q]
-    low = n & (-n)
-    low[0] = 1
-    odd = n // low
-    vals = _chi_odd_table(q)[odd % (4 * q)].astype(np.int8)
-    chi2 = kronecker(-q, 2)
-    if chi2 == -1:
-        v2 = np.round(np.log2(low.astype(np.float64))).astype(np.int64)
-        vals = np.where(v2 % 2 == 1, -vals, vals).astype(np.int8)
-    out = vals
-    out[0] = 0
-    return out
+        return vals
+    n = np.arange(limit + 1, dtype=np.int64)
+    odd = n // (n & -n).clip(min=1)
+    return np.where(odd % 4 == 3, -vals, vals)
 
 
 def r_function(n: int, q: int) -> int:

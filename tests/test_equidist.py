@@ -126,6 +126,25 @@ class TestRootSequences:
         )
         assert pts.size == 2 * count
 
+    @pytest.mark.parametrize("q", [3, 5, 23, 29, 101])
+    def test_root_multisets_match_brute_force(self, q):
+        """Both multisets equal a loop over x in F_q collecting x/q for each prime (pair)."""
+        ps = [int(p) for p in sieve_primes(40)]
+        rs = [int(r) for r in sieve_primes(30)]
+        prime_expected = sorted(
+            x / q for p in ps if p % q for x in range(q) if x * x % q == p % q
+        )
+        product_expected = sorted(
+            x / q
+            for p in ps
+            for r in rs
+            if p * r % q
+            for x in range(q)
+            if x * x % q == p * r % q
+        )
+        assert prime_root_points(40, q).points.tolist() == prime_expected
+        assert product_root_points(40, 30, q).points.tolist() == product_expected
+
     def test_ramified_prime_excluded(self):
         pts = prime_root_points(23, 23)
         assert 0.0 not in pts.points

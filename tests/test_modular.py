@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rootsums.expsums import salie_closed_form
 from rootsums.modular import (
-    PrimeField,
     e_q,
     eps_q,
     inv_mod,
+    inverse_table,
     kronecker,
     legendre_table,
     reduced_residue,
+    residue_roots,
+    root_table,
     sqrt_mod,
     tonelli_shanks,
 )
@@ -95,11 +98,12 @@ class TestSqrt:
     @pytest.mark.parametrize("q", [int(p) for p in sieve_primes(1000) if p % 2 == 1])
     def test_exhaustive_against_table(self, q):
         """Tonelli-Shanks agrees with the exhaustive root table for every residue."""
-        field = PrimeField(q)
+        rt = root_table(q)
         leg = legendre_table(q)
         for a in range(q):
             roots = sqrt_mod(a, q)
-            assert roots == field.sqrts(a)
+            t = int(rt[a])
+            assert roots == (() if t < 0 else (0,) if t == 0 else (t, q - t))
             for r in roots:
                 assert r * r % q == a
             if a != 0:
@@ -114,13 +118,20 @@ class TestSqrt:
             assert r * r % q == a % q
 
     def test_large_modulus_path(self):
-        # above the table threshold everything still works
+        # beyond the range of the cached tables the scalar path still works
         q = (1 << 31) - 1  # Mersenne prime
-        field = PrimeField(q, table_limit=1 << 10)
-        assert not field.has_tables
         a = 123456789
-        roots = field.sqrts(a * a % q)
+        roots = sqrt_mod(a * a % q, q)
         assert a in roots or q - a in roots
+
+    def test_rejects_bad_moduli(self):
+        for bad in (1, 2, 9, 15, 21, 1 << 62):
+            with pytest.raises(ValueError):
+                sqrt_mod(1, bad)
+        with pytest.raises(ValueError):
+            sqrt_mod(2, 15)  # the scan would answer (1, 14)
+        with pytest.raises(ValueError):
+            salie_closed_form(1, 1, 9)
 
 
 class TestPhases:
@@ -150,27 +161,21 @@ class TestPhases:
         assert reduced_residue(9, 7) == 2
 
 
-class TestPrimeField:
-    def test_rejects_bad_moduli(self):
-        for bad in (1, 2, 9, 15, 21, 1 << 62):
-            with pytest.raises(ValueError):
-                PrimeField(bad)
-
+class TestTables:
     def test_tables_match_scalar_path(self):
         q = 211
-        with_tables = PrimeField(q)
-        without = PrimeField(q, table_limit=1)
+        leg = legendre_table(q)
+        inv = inverse_table(q)
         for a in range(1, q):
-            assert with_tables.legendre(a) == without.legendre(a) == kronecker(a, q)
-            assert with_tables.inv(a) == without.inv(a)
-            assert with_tables.sqrts(a) == without.sqrts(a)
+            assert leg[a] == kronecker(a, q)
+            assert inv[a] == inv_mod(a, q)
 
-    def test_two_roots_for_residues(self):
-        field = PrimeField(101)
-        for a in range(1, 101):
-            if field.legendre(a) == 1:
-                r1, r2 = field.sqrts(a)
-                assert r1 + r2 == 101 and r1 * r1 % 101 == a
+    @pytest.mark.parametrize("q", [3, 13, 23, 101])
+    def test_residue_roots_match_sqrt_mod(self, q):
+        """Every residue, with repeats, expands to exactly its sqrt_mod roots."""
+        residues = np.concatenate([np.arange(q), np.arange(q)[::3], [0, 0]])
+        expected = sorted(r for a in residues for r in sqrt_mod(int(a), q))
+        assert sorted(residue_roots(residues, q).tolist()) == expected
 
 
 class TestPrimes:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootsums import quadforms
 from rootsums.modular import kronecker
 from rootsums.primes import factorize, sieve_primes
 from rootsums.quadforms import (
@@ -104,12 +105,27 @@ class TestChi:
         assert chi(2, 7) == 1  # -7 = 1 (mod 8)
         assert chi(2, 67) == -1  # -67 = 5 (mod 8)
 
-    @pytest.mark.parametrize("q", [7, 23, 1009, 10007])
-    def test_table_matches_direct(self, q):
+    @pytest.mark.parametrize("q", [7, 11, 13, 23, 1009, 1013, 10007])
+    def test_table_matches_direct(self, q, monkeypatch):
+        # both classes of q mod 4 and both signs of chi(2)
+        calls = []
+
+        def counting_kronecker(a, n):
+            calls.append((a, n))
+            return kronecker(a, n)
+
+        monkeypatch.setattr(quadforms, "kronecker", counting_kronecker)
         vals = chi_values(q, 3000)
-        for n in (1, 2, 3, 16, 17, 100, 1024, 2999):
-            assert vals[n] == kronecker(-q, n)
+        assert len(calls) == 0
         assert vals[0] == 0
+        for n in range(1, 3001):
+            assert vals[n] == kronecker(-q, n)
+
+    def test_rejects_composite_modulus(self):
+        # reciprocity through the Legendre table holds only for an odd prime q
+        for bad in (2, 9, 15, 21):
+            with pytest.raises(ValueError):
+                chi_values(bad, 100)
 
     @pytest.mark.parametrize("q", [7, 23])
     def test_table_multiplicative(self, q):
