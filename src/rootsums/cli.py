@@ -1,8 +1,9 @@
 """Command-line surface: reproducible experiments with CSV/JSON reports.
 
 Every sweep is seeded and deterministic: identical flags and seed produce
-byte-identical output files at a fixed BLAS thread count (error columns
-computed through matrix products can move by ~1e-14 across thread counts).
+byte-identical output files at a fixed BLAS thread count.  The ``sums`` CSV
+is also byte-identical at 1 and at 2 BLAS threads, since no BLAS call
+computes it.
 Rows are emitted in sorted key order with a fixed column set, '.' decimals
 and no locale dependence.
 

@@ -87,7 +87,10 @@ def tonelli_shanks(a: int, q: int) -> int | None:
     """One square root of a mod q, or None when a is a non-residue.
 
     Deterministic: the auxiliary non-residue is found by scanning 2, 3, 5, ...
+    Raises ValueError unless q is an odd prime.
     """
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"modulus must be an odd prime, got {q}")
     a %= q
     if a == 0:
         return 0
@@ -128,14 +131,11 @@ def sqrt_mod(a: int, q: int) -> tuple[int, ...]:
     Returns (0,) for a = 0, a pair (r, q-r) for residues, () for non-residues.
     Raises ValueError unless q is an odd prime.
     """
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"modulus must be an odd prime, got {q}")
-    a %= q
-    if a == 0:
-        return (0,)
     r = tonelli_shanks(a, q)
     if r is None:
         return ()
+    if r == 0:
+        return (0,)
     return (r, q - r) if r < q - r else (q - r, r)
 
 

@@ -31,6 +31,21 @@ class TestSums:
         assert run(["sums", "--qmin", "4099", "--qmax", "4099"]) == 3
         assert "refused" in capsys.readouterr().err
 
+    def test_csv_identical_across_blas_thread_counts(self, tmp_path):
+        """No column of sums depends on how many threads BLAS runs."""
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sums_{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(rootsums.__file__).parents[1]))
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from rootsums.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "sums", "--qmax", "200", "--out", str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestBilinear:
     def test_deterministic_output(self, tmp_path):

@@ -149,3 +149,17 @@ def test_identity_matrices_match_scalar_functions(q, rng):
         assert closed_s[m - 1, n - 1] == pytest.approx(salie_closed_form(m, n, q), abs=1e-10)
         assert direct_g[m - 1, b] == pytest.approx(gauss_sum(m, b, q), abs=1e-10)
         assert closed_g[m - 1, b] == pytest.approx(gauss_closed_form(m, b, q), abs=1e-10)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 29])
+def test_identity_matrices_match_scalar_functions_exhaustively(q):
+    """Every cell of the FFT-built direct matrices equals the scalar direct sum."""
+    direct_s, _ = salie_all(q)
+    direct_g, _ = gauss_all(q)
+    assert direct_s.shape == (q - 1, q - 1)
+    assert direct_g.shape == (q - 1, q)
+    for m in range(1, q):
+        for n in range(1, q):
+            assert abs(direct_s[m - 1, n - 1] - salie_sum(m, n, q)) <= 1e-12
+        for b in range(q):
+            assert abs(direct_g[m - 1, b] - gauss_sum(m, b, q)) <= 1e-12

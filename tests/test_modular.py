@@ -132,6 +132,10 @@ class TestSqrt:
             sqrt_mod(2, 15)  # the scan would answer (1, 14)
         with pytest.raises(ValueError):
             salie_closed_form(1, 1, 9)
+        with pytest.raises(ValueError):
+            salie_closed_form(2, 1, 21)  # (2/21) = -1 would short-cut to 0
+        with pytest.raises(ValueError):
+            tonelli_shanks(2, 15)  # would answer 1, and 1 != 2 (mod 15)
 
 
 class TestPhases:
