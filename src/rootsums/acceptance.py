@@ -232,7 +232,8 @@ def check_effective_split_count(q_max: int = 10**4) -> CriterionResult:
 
 @_timed
 def check_class_numbers(q_max: int = 10**4, truncation: int = 10**6) -> CriterionResult:
-    """h(-7) = 1, h(-23) = 3, and enumeration matches the L-series for all q = 3 (mod 4)."""
+    """h(-7) = 1, h(-23) = 3, and for all q = 3 (mod 4) enumeration matches the
+    finite formula and the L-series, whose rounding its tail bound certifies."""
     from .quadforms import class_number, class_number_consistency_sweep
 
     pinned = class_number(7) == 1 and class_number(23) == 3

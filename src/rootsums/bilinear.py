@@ -2,11 +2,17 @@
 
 The main object is
     W = sum_{m ~ M} sum_{n ~ N} alpha_m beta_n sum_{x^2 = a m n} e_q(h x),
-evaluated by streaming over (m, n) against a precomputed root-phase table,
-never by per-term root extraction.  Around it sit the pieces the bound
-analysis decomposes W into: the character-restricted sums R_j, the root
-correlation sums A_{h,lambda,a}, one-sided (Type-I) sums, completed kernel
-fourth-moment sums along curves, and correlations of Salie sums.
+evaluated against a precomputed root-phase table, never by per-term root
+extraction.  The kernel depends on (m, n) only through amn, so in discrete-log
+coordinates (amn = g^(log am + log n), g a primitive root) it is a Hankel
+matrix: with u[k] = T_h(g^k), entry (m, n) is u[(log am + log n) mod (q-1)].
+The M x N kernel is gathered from a strided Hankel view of u repeated twice,
+indexed by the M + N logarithms alone; no M x N index matrix is built.
+
+Around W sit the pieces the bound analysis decomposes it into: the
+character-restricted sums R_j, the root correlation sums A_{h,lambda,a},
+one-sided (Type-I) sums, completed kernel fourth-moment sums along curves, and
+correlations of Salie sums.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
-from .modular import eps_q, inv_mod, legendre_table, residue_roots
+from .modular import eps_q, inv_mod, legendre_table, log_tables, residue_roots
 from .reports import slack_factor
 from .weights import WeightVector, unweighted_energy
 
@@ -40,6 +46,7 @@ class BilinearInstance:
             raise ValueError("need gcd(a, q) = gcd(h, q) = 1")
         if self.alpha.q != self.q or self.beta.q != self.q:
             raise ValueError("weight moduli must match the instance modulus")
+        # also keeps m, n off 0 mod q, so every kernel index has a discrete log
         if 2 * self.alpha.start > self.q or 2 * self.beta.start > self.q:
             raise ValueError("need M, N <= q/2 for the envelope regime")
 
@@ -52,19 +59,27 @@ class BilinearInstance:
         return self.beta.start
 
 
-def _index_matrix(a: int, m: np.ndarray, n: np.ndarray, q: int) -> np.ndarray:
-    outer = m[:, None] % q * (n[None, :] % q) % q
-    return (a % q) * outer % q
+def _kernel(inst: BilinearInstance, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The M x N matrix T_h(a m n) for nonzero m, n mod q, gathered from the Hankel view.
+
+    Each entry is the same root-phase table element as table[a*m*n % q], bit
+    for bit; only M + N logarithms are computed.
+    """
+    q = inst.q
+    pw, lg = log_tables(q)
+    u = sqrt_phase_table(q, inst.h)[pw]
+    uu = np.concatenate([u, u])
+    # hankel[i, j] = uu[i + j]: a bounds-checked strided view, built without
+    # sliding_window_view's per-call overhead, which the many small cells pay
+    hankel = np.ndarray((q, q - 1), uu.dtype, uu, 0, uu.strides * 2)
+    return hankel[lg[(inst.a % q) * (m % q) % q][:, None], lg[n % q]]
 
 
 def bilinear_weyl_sum(inst: BilinearInstance) -> complex:
     """W evaluated against the root-phase table; O(M*N) after an O(q) setup."""
-    q = inst.q
-    table = sqrt_phase_table(q, inst.h)
     m = np.arange(inst.m_start, 2 * inst.m_start, dtype=np.int64)
     n = np.arange(inst.n_start, 2 * inst.n_start, dtype=np.int64)
-    kernel = table[_index_matrix(inst.a, m, n, q)]
-    return complex(inst.alpha.coeffs @ kernel @ inst.beta.coeffs)
+    return complex(inst.alpha.coeffs @ _kernel(inst, m, n) @ inst.beta.coeffs)
 
 
 def rj_sum(j: int, inst: BilinearInstance) -> float:
@@ -78,7 +93,6 @@ def rj_sum(j: int, inst: BilinearInstance) -> float:
         raise ValueError("j must be +1 or -1")
     q = inst.q
     leg = legendre_table(q)
-    table = sqrt_phase_table(q, inst.h)
     m = np.arange(inst.m_start, 2 * inst.m_start, dtype=np.int64)
     n = np.arange(inst.n_start, 2 * inst.n_start, dtype=np.int64)
     m_sel = m[leg[(inst.a % q) * (m % q) % q] == j]
@@ -86,8 +100,7 @@ def rj_sum(j: int, inst: BilinearInstance) -> float:
     n_sel = n[n_mask]
     if m_sel.size == 0 or n_sel.size == 0:
         return 0.0
-    kernel = table[_index_matrix(inst.a, m_sel, n_sel, q)]
-    inner = kernel @ inst.beta.coeffs[n_mask]
+    inner = _kernel(inst, m_sel, n_sel) @ inst.beta.coeffs[n_mask]
     return float(np.sum(np.abs(inner) ** 2))
 
 
@@ -345,6 +358,15 @@ def variety_multiplicity(b: tuple[int, int, int, int], q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _index_matrix(an: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
+    """The residues an * m mod q as an N x M int64 matrix.
+
+    For the Salie correlation only: its m can be 0 mod q, which has no
+    discrete logarithm, so it cannot use the Hankel gather of ``_kernel``.
+    """
+    return an[:, None] * (m[None, :] % q) % q
+
+
 def salie_correlation(a: int, m_start: int, n_start: int, q: int) -> float:
     """sum over n1, n2 ~ N of |sum over m ~ M of S(m, a n1; q) S(m, a n2; q)|.
 
@@ -362,7 +384,7 @@ def salie_correlation(a: int, m_start: int, n_start: int, q: int) -> float:
     n = np.arange(n_start, 2 * n_start, dtype=np.int64)
     an = (a % q) * (n % q) % q
     smat = (
-        t2[an[:, None] * (m[None, :] % q) % q]
+        t2[_index_matrix(an, m, q)]
         * leg[an][:, None].astype(np.float64)
         * (eps * math.sqrt(q))
     )

@@ -183,6 +183,7 @@ def cmd_forms(args) -> int:
     from .primes import primes_between
     from .quadforms import (
         class_number,
+        class_number_tail_bound,
         heegner_fraction,
         l_value_direct,
         l_value_exact,
@@ -205,11 +206,12 @@ def cmd_forms(args) -> int:
             "h": class_number(q),
             "l_direct": l_value_direct(q, args.truncation),
             "l_exact": l_value_exact(q),
+            "tail_bound": class_number_tail_bound(q, args.truncation),
             "heegner_fraction": heegner_fraction(q),
         }
         for q in moduli
     ]
-    _write_rows(rows, ["q", "h", "l_direct", "l_exact", "heegner_fraction"], args.out)
+    _write_rows(rows, ["q", "h", "l_direct", "l_exact", "tail_bound", "heegner_fraction"], args.out)
     return 0
 
 

@@ -1,10 +1,11 @@
 """Exact arithmetic in the prime field F_q for an odd prime q.
 
 Scalar routines (kronecker, inv_mod, sqrt_mod, ...) use Python integers and
-stay exact for any odd prime modulus below 2**62.  Three cached tables
-(Legendre values, inverses, smallest square roots) cover q < 2**31 and are
-the one place where quadratic-residue structure is computed in bulk; the
-tests cross-check them against the scalar routines.
+stay exact for any odd prime modulus below 2**62.  Four cached tables
+(Legendre values, inverses, smallest square roots, and the powers and
+discrete logarithms of the least primitive root) cover q < 2**31 and are the
+one place where residue structure is computed in bulk; the tests
+cross-check them against the scalar routines.
 
 Everything here is pure; the cached tables are read-only and safe to share
 between threads.
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .primes import is_prime
+from .primes import factorize, is_prime
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,6 +185,42 @@ def root_table(q: int) -> np.ndarray:
     table[x * x % q] = x
     table.flags.writeable = False
     return table
+
+
+def primitive_root(q: int) -> int:
+    """The least primitive root g of the odd prime q: g^((q-1)/p) != 1 for every p | q-1."""
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"modulus must be an odd prime, got {q}")
+    cofactors = [(q - 1) // p for p in factorize(q - 1)]
+    g = 2
+    while any(pow(g, e, q) == 1 for e in cofactors):
+        g += 1
+    return g
+
+
+@lru_cache(maxsize=32)
+def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pw, lg): pw[k] = g^k mod q for k in [0, q-1) and its inverse lg[pw[k]] = k.
+
+    g is ``primitive_root(q)``, so pw is a permutation of [1, q-1] and every
+    nonzero residue has a discrete logarithm; lg[0] = -1 marks that 0 has
+    none.  pw is built in O(log q) doubling steps, pw[k:2k] = pw[:k] * g^k.
+    """
+    if q >= 1 << 31:
+        raise ValueError("log_tables supports q < 2**31")
+    g = primitive_root(q)
+    pw = np.empty(q - 1, dtype=np.int64)
+    pw[0] = 1
+    k, step = 1, g  # step = g^k mod q
+    while k < q - 1:
+        n = min(k, q - 1 - k)
+        pw[k : k + n] = pw[:n] * step % q
+        k, step = 2 * k, step * step % q
+    lg = np.full(q, -1, dtype=np.int64)
+    lg[pw] = np.arange(q - 1, dtype=np.int64)
+    pw.flags.writeable = False
+    lg.flags.writeable = False
+    return pw, lg
 
 
 def residue_roots(residues: np.ndarray, q: int) -> np.ndarray:

@@ -2,9 +2,15 @@
 
 For a prime q = 3 (mod 4) and q > 3 the discriminant -q is fundamental, the
 reduced forms are enumerated directly, and the class number is cross-checked
-against Dirichlet's formula h = sqrt(q) * L(1, chi) / pi with L evaluated as a
-truncated series.  Heegner points of the reduced forms feed the box-fraction
-statistic whose limit is 27/(10*pi).
+two more ways: by Dirichlet's finite formula h = -(1/q) * sum_{a<q} a (a/q),
+in integers, and by h = sqrt(q) * L(1, chi) / pi with L a series truncated at
+T.  The series is a certificate, not a rounding: by Abel summation its
+h-value is within q^{3/2} / (pi (T+1)) of h, so below 0.5 the rounding is
+provable.  Since chi(n) = (n/q) has period q there, L_T is summed as q
+residue-class totals of 1/n against the Legendre table.
+
+Heegner points of the reduced forms feed the box-fraction statistic whose
+limit is 27/(10*pi).
 """
 
 from __future__ import annotations
@@ -125,6 +131,11 @@ def chi(n: int, q: int) -> int:
     return kronecker(-q, n)
 
 
+def _require_odd_prime(q: int) -> None:
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"chi is read from the Legendre table only for an odd prime q, got {q}")
+
+
 def chi_values(q: int, limit: int) -> np.ndarray:
     """int8 array of chi(n) for n = 0..limit, read from legendre_table(q).
 
@@ -132,8 +143,7 @@ def chi_values(q: int, limit: int) -> np.ndarray:
     chi(n) = (n/q) when q = 3 (mod 4) and chi(n) = (n/q) * (-1)^((m-1)/2)
     when q = 1 (mod 4); chi(0) = (0/q) = 0.
     """
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"chi_values needs an odd prime q, got {q}")
+    _require_odd_prime(q)
     vals = np.resize(legendre_table(q), limit + 1)  # repeats the table: vals[n] = (n/q)
     if q % 4 == 3:
         return vals
@@ -231,12 +241,62 @@ def r_mean_value(x: float, q: int) -> int:
     return int(np.sum(vals * (cutoff // d)))
 
 
+@lru_cache(maxsize=4)
+def _reciprocals(truncation: int) -> np.ndarray:
+    """1/n for n = 0..T, with 0 at n = 0; shared by every modulus at one truncation."""
+    recips = np.arange(truncation + 1, dtype=np.float64)
+    recips[0] = np.inf
+    np.divide(1.0, recips, out=recips)  # in place: one T-sized array at the peak
+    recips.flags.writeable = False
+    return recips
+
+
+def _class_totals(x: np.ndarray, period: int) -> np.ndarray:
+    """totals[c] = sum of x[i] over i = c (mod period), through a reshaped view of x."""
+    full = len(x) // period * period
+    totals = x[:full].reshape(-1, period).sum(axis=0)
+    totals[: len(x) - full] += x[full:]
+    return totals
+
+
 def l_value_direct(q: int, truncation: int = 10**6) -> float:
-    """Truncated series sum_{n <= T} chi(n)/n."""
-    vals = chi_values(q, truncation).astype(np.float64)
-    n = np.arange(truncation + 1, dtype=np.float64)
-    n[0] = 1.0
-    return float(np.sum(vals / n))
+    """Truncated series sum_{n <= T} chi(n)/n, summed by residue class.
+
+    For q = 3 (mod 4) chi(n) = (n/q) has period q, so 1/n is summed into q
+    class totals and weighted by legendre_table(q) once.  For q = 1 (mod 4)
+    chi has no period; writing n = 2^v m with m odd, chi(n) = (2/q)^v psi(m)
+    where psi(m) = (m/q) (-1)^((m-1)/2) has period 4q on odd m, so each v
+    sums 1/m over odd m <= T/2^v into 2q class totals.  No BLAS call is made,
+    so the value does not depend on the thread count.
+    """
+    _require_odd_prime(q)
+    recips = _reciprocals(truncation)
+    leg = legendre_table(q)
+    if q % 4 == 3:
+        return float(np.sum(leg * _class_totals(recips, q)))
+    m = np.arange(1, 4 * q, 2, dtype=np.int64)  # odd m over one period of psi
+    psi = leg[m % q] * np.where(m % 4 == 1, 1, -1)
+    total, v = 0.0, 0
+    while truncation >> v:
+        inner = float(np.sum(psi * _class_totals(recips[1 : (truncation >> v) + 1 : 2], 2 * q)))
+        total += int(leg[2]) ** v * inner / 2**v
+        v += 1
+    return total
+
+
+def class_number_finite(q: int) -> int:
+    """h(-q) = -(1/q) * sum_{a<q} a (a/q), in integers (q = 3 mod 4, q > 3)."""
+    _require_form_modulus(q)
+    return -int(np.sum(np.arange(q, dtype=np.int64) * legendre_table(q))) // q
+
+
+def class_number_tail_bound(q: int, truncation: int) -> float:
+    """Bound on |sqrt(q) * L_T / pi - h(-q)| for the series truncated at T (q = 3 mod 4).
+
+    Abel summation with |sum_{n <= x} chi(n)| <= q/2 bounds the tail
+    |sum_{n > T} chi(n)/n| by q/(T+1).
+    """
+    return q**1.5 / (math.pi * (truncation + 1))
 
 
 def l_value_exact(q: int) -> float:
@@ -255,22 +315,30 @@ def l1_chi(q: int, truncation: int = 10**6) -> tuple[float, float]:
 
 
 def class_number_consistency_sweep(q_max: int = 10**4, truncation: int = 10**6) -> list[dict]:
-    """Compare enumeration h against round(sqrt(q) * L_direct / pi) for q = 3 (mod 4)."""
+    """Enumeration h against the finite formula and sqrt(q) * L_direct / pi for q = 3 (mod 4).
+
+    ``agrees`` holds only when all three give the same h and ``tail_bound``
+    < 0.5 makes the rounding of ``h_implied`` provable.
+    """
     rows = []
     for q in sieve_primes(q_max):
         q = int(q)
         if q % 4 != 3 or q <= 3:
             continue
         h = class_number(q)
+        h_finite = class_number_finite(q)
         direct = l_value_direct(q, truncation)
         implied = math.sqrt(q) * direct / math.pi
+        tail = class_number_tail_bound(q, truncation)
         rows.append(
             {
                 "q": q,
                 "h": h,
+                "h_finite": h_finite,
                 "l_direct": direct,
                 "h_implied": implied,
-                "agrees": round(implied) == h,
+                "tail_bound": tail,
+                "agrees": h_finite == h and round(implied) == h and tail < 0.5,
             }
         )
     return rows

@@ -1,9 +1,12 @@
 """The acceptance gate: every headline criterion at its stated tolerance.
 
-Each test runs one criterion on its full grid and prints the pass/fail
-line, so ``pytest tests/test_acceptance.py -v -s`` doubles as the
-acceptance report.  ``rootsums verify`` executes the same functions.
+Each test runs one criterion on its full grid, holds it to its stated
+runtime budget if it has one, and prints the pass/fail line, so
+``pytest tests/test_acceptance.py -v -s`` doubles as the acceptance report.
+``rootsums verify`` executes the same functions.
 """
+
+import math
 
 import pytest
 
@@ -11,17 +14,19 @@ from rootsums import acceptance
 
 CRITERIA = {check.__name__: check for check in acceptance.ALL_CRITERIA}
 
+# Stated runtime budgets (seconds) of the clock-bounded criteria.
+BUDGETS = {"check_salie_identity": 60.0, "check_weyl_envelopes": 600.0}
+
 
 @pytest.mark.parametrize("name", list(CRITERIA))
 def test_criterion(name):
     result = CRITERIA[name]()
     print(result.line())
     assert result.passed, result.line()
+    assert result.seconds < BUDGETS.get(name, math.inf), result.line()
 
 
-def test_stated_runtime_budgets():
-    """The clock-bounded criteria finish inside their stated budgets."""
-    salie = acceptance.check_salie_identity()
-    assert salie.passed and salie.seconds < 60.0
-    weyl = acceptance.check_weyl_envelopes()
-    assert weyl.passed and weyl.seconds < 600.0
+def test_class_numbers_need_a_certified_tail():
+    """At T = 10^5 the tail bound reaches 3.2 near q = 10^4, so the rounding is unproven."""
+    result = acceptance.check_class_numbers(q_max=10**4, truncation=10**5)
+    assert not result.passed and result.detail["disagreements"] > 0

@@ -18,6 +18,7 @@ from rootsums.bilinear import (
     curve_sum_sigma_all_t,
     curve_sum_sigma_incomplete,
     curve_sum_sigma_t,
+    _dyadic_starts,
     is_diagonal_quadruple,
     rj_sum,
     root_pair_count,
@@ -30,7 +31,8 @@ from rootsums.bilinear import (
     weyl_envelope,
 )
 from rootsums.errors import SizeGuardError
-from rootsums.modular import inv_mod, sqrt_mod
+from rootsums.expsums import sqrt_phase_table
+from rootsums.modular import inv_mod, legendre_table, sqrt_mod
 from rootsums.weights import WeightVector, unweighted_energy
 
 
@@ -96,6 +98,34 @@ class TestWeylSum:
             WeightVector.random_phase(q, 8, rng),
         )
         assert abs(bilinear_weyl_sum(inst)) <= 2 * inst.alpha.norm1 * inst.beta.norm1
+
+    @pytest.mark.parametrize("q", [11, 101, 1009, 4001])
+    def test_log_gather_is_the_direct_gather_bit_for_bit(self, q):
+        """W and R_j equal the same products over table[a*m*n % q] exactly, up to M = N at the top."""
+        top = _dyadic_starts(q)[-1]
+        cells = [(top, top)] + [
+            (int(s), int(t)) for s, t in np.random.default_rng([7, q]).choice(_dyadic_starts(q), (3, 2))
+        ]
+        leg = legendre_table(q)
+        for k, (m_start, n_start) in enumerate(cells):
+            rng = np.random.default_rng([q, k])
+            inst = BilinearInstance(
+                q,
+                int(rng.integers(1, q)),
+                int(rng.integers(1, q)),
+                WeightVector.random_phase(q, m_start, rng),
+                WeightVector.random_pm1(q, n_start, rng),
+            )
+            table = sqrt_phase_table(q, inst.h)
+            m = np.arange(m_start, 2 * m_start)
+            n = np.arange(n_start, 2 * n_start)
+            kernel = table[inst.a * np.outer(m, n) % q]
+            assert bilinear_weyl_sum(inst) == complex(inst.alpha.coeffs @ kernel @ inst.beta.coeffs)
+            for j in (1, -1):
+                rows, cols = leg[inst.a * m % q] == j, leg[n % q] == j
+                inner = kernel[np.ix_(rows, cols)] @ inst.beta.coeffs[cols]
+                expected = float(np.sum(np.abs(inner) ** 2)) if rows.any() and cols.any() else 0.0
+                assert rj_sum(j, inst) == expected
 
 
 class TestEnvelopes:

@@ -16,6 +16,8 @@ from rootsums.modular import (
     inverse_table,
     kronecker,
     legendre_table,
+    log_tables,
+    primitive_root,
     reduced_residue,
     residue_roots,
     root_table,
@@ -180,6 +182,23 @@ class TestTables:
         residues = np.concatenate([np.arange(q), np.arange(q)[::3], [0, 0]])
         expected = sorted(r for a in residues for r in sqrt_mod(int(a), q))
         assert sorted(residue_roots(residues, q).tolist()) == expected
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 17, 101, 4001, 8009])
+    def test_log_tables_are_inverse_permutations(self, q):
+        g = primitive_root(q)
+        pw, lg = log_tables(q)
+        assert pw.tolist() == [pow(g, k, q) for k in range(q - 1)]
+        assert sorted(pw.tolist()) == list(range(1, q))
+        x = np.arange(1, q)
+        assert np.array_equal(pw[lg[x]], x)
+        assert np.array_equal(lg[pw], np.arange(q - 1))
+        # g is the least generator: every smaller candidate has a smaller order
+        assert all(len({pow(c, k, q) for k in range(q - 1)}) < q - 1 for c in range(2, min(g, 50)))
+
+    def test_primitive_root_rejects_bad_moduli(self):
+        for bad in (2, 9, 15):
+            with pytest.raises(ValueError):
+                primitive_root(bad)
 
 
 class TestPrimes:

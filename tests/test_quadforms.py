@@ -15,6 +15,9 @@ from rootsums.quadforms import (
     chi,
     chi_values,
     class_number,
+    class_number_consistency_sweep,
+    class_number_finite,
+    class_number_tail_bound,
     enumerate_reduced_forms,
     forms_in_window,
     heegner_fraction,
@@ -126,6 +129,8 @@ class TestChi:
         for bad in (2, 9, 15, 21):
             with pytest.raises(ValueError):
                 chi_values(bad, 100)
+            with pytest.raises(ValueError):
+                l_value_direct(bad, 100)
 
     @pytest.mark.parametrize("q", [7, 23])
     def test_table_multiplicative(self, q):
@@ -190,6 +195,35 @@ class TestLValues:
         truncation = 10**5
         direct, exact = l1_chi(q, truncation)
         assert abs(direct - exact) <= 10.0 / truncation
+
+    @pytest.mark.parametrize("q", [7, 1009, 1013, 5003, 10007])
+    def test_residue_class_sum_matches_term_by_term(self, q):
+        truncation = 10**5
+        vals = chi_values(q, truncation)
+        explicit = math.fsum(int(vals[n]) / n for n in range(1, truncation + 1))
+        assert abs(l_value_direct(q, truncation) - explicit) <= 1e-12
+
+    @pytest.mark.parametrize("q", [1013, 10007])
+    def test_truncation_below_modulus(self, q):
+        vals = chi_values(q, 500)
+        assert l_value_direct(q, 500) == pytest.approx(
+            math.fsum(int(vals[n]) / n for n in range(1, 501)), abs=1e-14
+        )
+
+    def test_finite_formula_matches_enumeration(self):
+        for q in FORM_PRIMES:
+            assert class_number_finite(q) == class_number(q)
+        with pytest.raises(ValueError):
+            class_number_finite(13)
+
+    def test_tail_bound_covers_the_truncation_error(self):
+        truncation = 10**4
+        rows = class_number_consistency_sweep(2000, truncation)
+        for row in rows:
+            assert row["tail_bound"] == class_number_tail_bound(row["q"], truncation)
+            assert abs(row["h_implied"] - row["h"]) <= row["tail_bound"]
+            assert row["agrees"] == (row["tail_bound"] < 0.5)
+        assert any(r["agrees"] for r in rows) and not all(r["agrees"] for r in rows)
 
     def test_mean_value_against_direct_sum(self):
         q = 23
