@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calibration
-from .primes import primes_between, sieve_primes
+from .primes import sieve_primes
 
 
 @dataclass
@@ -210,11 +210,11 @@ def check_curve_sum_bound() -> CriterionResult:
 
 
 @_timed
-def check_effective_split_count(q_max: int = 10**4) -> CriterionResult:
+def check_effective_split_count(**grid) -> CriterionResult:
     """Every q = 3 (mod 16) in [67, q_max] beats the effective bound; all factors split."""
     from .splitprimes import effective_split_count, effective_sweep
 
-    reports = effective_sweep(67, q_max)  # raises on any non-split factor
+    reports = effective_sweep(**grid)  # raises on any non-split factor
     fails = [r.q for r in reports if not r.passed]
     first = effective_split_count(67)
     pinned = first.omega >= 6 and first.omega > first.bound and abs(first.bound - 0.4618) < 5e-4
@@ -231,13 +231,13 @@ def check_effective_split_count(q_max: int = 10**4) -> CriterionResult:
 
 
 @_timed
-def check_class_numbers(q_max: int = 10**4, truncation: int = 10**6) -> CriterionResult:
+def check_class_numbers(**grid) -> CriterionResult:
     """h(-7) = 1, h(-23) = 3, and for all q = 3 (mod 4) enumeration matches the
     finite formula and the L-series, whose rounding its tail bound certifies."""
     from .quadforms import class_number, class_number_consistency_sweep
 
     pinned = class_number(7) == 1 and class_number(23) == 3
-    rows = class_number_consistency_sweep(q_max, truncation)
+    rows = class_number_consistency_sweep(**grid)
     disagreements = sum(1 for r in rows if not r["agrees"])
     return CriterionResult(
         "class numbers",
@@ -249,18 +249,9 @@ def check_class_numbers(q_max: int = 10**4, truncation: int = 10**6) -> Criterio
 @_timed
 def check_heegner_window(count: int = 50) -> CriterionResult:
     """Mean window fraction near 27/(10 pi), and the coefficient bound exactly."""
-    from .quadforms import DUKE_LIMIT_FRACTION, forms_in_window, heegner_fraction
+    from .quadforms import DUKE_LIMIT_FRACTION, form_moduli, forms_in_window, heegner_fraction
 
-    moduli = []
-    lo = 10**5
-    while len(moduli) < count:
-        for q in primes_between(lo, lo + 10**4):
-            q = int(q)
-            if q % 4 == 3:
-                moduli.append(q)
-                if len(moduli) == count:
-                    break
-        lo += 10**4
+    moduli = form_moduli(10**5, count)
     fractions = [heegner_fraction(q) for q in moduli]
     mean = float(np.mean(fractions))
     coeff_ok = all(
@@ -327,14 +318,11 @@ def check_discrepancy_engine(multisets: int = 500, q_max: int = 2003, h_max: int
 
 
 @_timed
-def check_mean_value(q_values: tuple[int, ...] = (1009, 5003, 10007)) -> CriterionResult:
-    """|sum_{n<=q} r(n) - L(1,chi) q| / q <= 0.05 for the pinned moduli."""
-    from .quadforms import l_value_direct, r_mean_value
+def check_mean_value(**grid) -> CriterionResult:
+    """|sum_{n<=q} r(n) - L(1,chi) q| / q <= 0.05, read from the x = q rows of r_mean_sweep."""
+    from .quadforms import r_mean_sweep
 
-    devs = {}
-    for q in q_values:
-        l_val = l_value_direct(q)
-        devs[q] = abs(r_mean_value(q, q) - l_val * q) / q
+    devs = {r["q"]: r["ratio_linear"] for r in r_mean_sweep(**grid) if r["x"] == r["q"]}
     worst = max(devs.values())
     return CriterionResult(
         "representation mean value",

@@ -25,8 +25,7 @@ import numpy as np
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
 from .modular import eps_q, inv_mod, legendre_table, log_tables, residue_roots
-from .reports import slack_factor
-from .weights import WeightVector, unweighted_energy
+from .weights import WeightVector, slack_factor, unweighted_energy
 
 _CURVE_SUM_LIMIT = 2048
 

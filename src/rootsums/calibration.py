@@ -93,7 +93,10 @@ def recalibrate(out_path: str | Path | None = None) -> dict:
     """Re-run every sweep once and rewrite the fixture file.
 
     Frozen values get 15% headroom over the measured maxima so that harmless
-    floating-point jitter across platforms never flips a check.
+    floating-point jitter across platforms never flips a check.  ``measured``
+    is stored at 12 significant digits, as the CSV writes floats, so that a
+    rerun on another machine rewrites the same bytes; ``frozen`` is computed
+    from the unrounded value.
     """
     global _cache
     path = Path(out_path) if out_path else _fixture_path()
@@ -111,7 +114,7 @@ def recalibrate(out_path: str | Path | None = None) -> dict:
             measured = float(worst(rows, name))
             constants[name] = {
                 "frozen": _round_up(measured * HEADROOM),
-                "measured": measured,
+                "measured": float(f"{measured:.12g}"),
             }
     payload = {
         "generated_by": "rootsums verify --recalibrate",

@@ -5,7 +5,10 @@ byte-identical output files at a fixed BLAS thread count.  The ``sums`` CSV
 is also byte-identical at 1 and at 2 BLAS threads, since no BLAS call
 computes it.
 Rows are emitted in sorted key order with a fixed column set, '.' decimals
-and no locale dependence.
+and no locale dependence.  ``bilinear sweep``, ``split thm12`` and ``forms``
+also print a short summary of their rows (worst ratios, least margin, mean
+window fraction) to stderr, so stdout and the --out file hold the rows
+alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
 3 refused by a size guard.
@@ -56,8 +59,22 @@ def _write_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _summary(text: str) -> None:
+    """A sweep's one-line summary, on stderr so that stdout and --out stay the rows alone."""
+    print(text, file=sys.stderr)
+
+
 def _parse_qset(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
+
+
+def _odd_prime(text: str) -> int:
+    from .primes import is_prime
+
+    q = int(text)
+    if q % 2 == 0 or not is_prime(q):
+        raise argparse.ArgumentTypeError(f"{q} is not an odd prime")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +94,14 @@ def cmd_sums(args) -> int:
         if q < max(3, args.qmin):
             continue
         sd, sc = salie_all(q)
+        max_salie_err = float(np.max(np.abs(sd - sc)))
+        del sd, sc  # not held through gauss_all and the next salie_all: a lower peak RSS
         gd, gc = gauss_all(q)
         inc = incomplete_sqrt_max(1, 1, q)
         rows.append(
             {
                 "q": q,
-                "max_salie_err": float(np.max(np.abs(sd - sc))),
+                "max_salie_err": max_salie_err,
                 "max_gauss_err": float(np.max(np.abs(gd - gc))),
                 "max_gauss_modulus_err": float(np.max(np.abs(np.abs(gd) - math.sqrt(q)))),
                 "incomplete_max": inc,
@@ -169,36 +188,34 @@ def cmd_bilinear(args) -> int:
         rows = [r for r in rows if r["M"] == args.M]
     if args.N:
         rows = [r for r in rows if r["N"] == args.N]
+    cells: dict[tuple, list[dict]] = {}
     for row in rows:
         row["master_seed"] = args.seed
+        cells.setdefault((row["q"], row["kind"]), []).append(row)
     _write_rows(
         rows,
         ["q", "M", "N", "kind", "seed", "a", "h", "measured", "envelope1", "envelope2", "ratio1", "ratio2", "master_seed"],
         args.out,
     )
+    for (q, kind), group in sorted(cells.items()):
+        _summary(
+            f"q={q} kind={kind} cells={len(group)} "
+            f"max_ratio1={max(r['ratio1'] for r in group):.6g} "
+            f"max_ratio2={max(r['ratio2'] for r in group):.6g}"
+        )
     return 0
 
 
 def cmd_forms(args) -> int:
-    from .primes import primes_between
     from .quadforms import (
+        DUKE_LIMIT_FRACTION,
         class_number,
         class_number_tail_bound,
+        form_moduli,
         heegner_fraction,
         l_value_direct,
         l_value_exact,
     )
-
-    moduli = []
-    lo = args.qmin
-    while len(moduli) < args.count and lo < args.qmin * 10 + 10**6:
-        for q in primes_between(lo, lo + 10**4):
-            q = int(q)
-            if q % 4 == 3 and q > 3:
-                moduli.append(q)
-                if len(moduli) == args.count:
-                    break
-        lo += 10**4
 
     rows = [
         {
@@ -209,28 +226,30 @@ def cmd_forms(args) -> int:
             "tail_bound": class_number_tail_bound(q, args.truncation),
             "heegner_fraction": heegner_fraction(q),
         }
-        for q in moduli
+        for q in form_moduli(args.qmin, args.count)
     ]
     _write_rows(rows, ["q", "h", "l_direct", "l_exact", "tail_bound", "heegner_fraction"], args.out)
+    if rows:
+        mean = sum(r["heegner_fraction"] for r in rows) / len(rows)
+        _summary(
+            f"mean heegner_fraction {mean:.5f} over {len(rows)} moduli, "
+            f"target 27/(10 pi) = {DUKE_LIMIT_FRACTION:.5f}, "
+            f"deviation {abs(mean - DUKE_LIMIT_FRACTION):.5f}"
+        )
     return 0
 
 
 def cmd_split(args) -> int:
-    if args.action in ("thm12", "construction"):
+    if args.action == "thm12":
         from .splitprimes import effective_sweep
 
         reports = effective_sweep(max(67, args.qmin), args.qmax)
-        rows = [
-            {
-                "q": r.q,
-                "t": r.t,
-                "omega": r.omega,
-                "bound": r.bound,
-                "pass": r.passed,
-            }
-            for r in reports
-        ]
+        rows = [{**vars(r), "pass": r.passed} for r in reports]
         _write_rows(rows, ["q", "t", "omega", "bound", "pass"], args.out)
+        if reports:
+            worst = min(reports, key=lambda r: r.omega - r.bound)
+            margin = worst.omega - worst.bound
+            _summary(f"{len(reports)} moduli, min margin {margin:.3f} at q={worst.q}")
         return 0
     if args.action == "count":
         from .splitprimes import count_split, least_nonresidue, least_split_prime
@@ -281,31 +300,21 @@ def cmd_discrepancy(args) -> int:
     for q in _parse_qset(args.qset):
         p_values = [args.P] if args.P else [int(round(q**e)) for e in args.p_exponents]
         for p_limit in p_values:
-            report = gamma_q(p_limit, q, args.slack_exponent)
-            rows.append(
+            reports = [("", gamma_q(p_limit, q, args.slack_exponent))]
+            if args.R:
+                reports.append((args.R, delta_q(p_limit, args.R, q, args.slack_exponent)))
+            rows += [
                 {
                     "q": q,
                     "P": p_limit,
-                    "R": "",
+                    "R": r,
                     "n_points": report.n_points,
                     "D": report.value,
                     "envelope": report.envelope,
                     "ratio": report.ratio,
                 }
-            )
-            if args.R:
-                product = delta_q(p_limit, args.R, q, args.slack_exponent)
-                rows.append(
-                    {
-                        "q": q,
-                        "P": p_limit,
-                        "R": args.R,
-                        "n_points": product.n_points,
-                        "D": product.value,
-                        "envelope": product.envelope,
-                        "ratio": product.ratio,
-                    }
-                )
+                for r, report in reports
+            ]
     _write_rows(rows, ["q", "P", "R", "n_points", "D", "envelope", "ratio"], args.out)
     return 0
 
@@ -383,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="split-prime counting and the effective construction")
     p.add_argument("action", nargs="?", default="thm12")
-    p.add_argument("--q", type=int, default=67)
+    p.add_argument("--q", type=_odd_prime, default=67)
     p.add_argument("--P", type=float, default=100.0)
     p.add_argument("--qmin", type=int, default=67)
     p.add_argument("--qmax", type=int, default=10**4)

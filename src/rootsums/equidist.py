@@ -19,7 +19,7 @@ from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
 from .modular import legendre_table, residue_roots
 from .primes import sieve_primes
-from .reports import slack_factor
+from .weights import slack_factor
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modular import kronecker, legendre_table
-from .primes import divisors, factorize, is_prime, sieve_primes
+from .primes import divisors, factorize, is_prime, primes_between, sieve_primes
 
 DUKE_LIMIT_FRACTION = 27.0 / (10.0 * math.pi)
 
@@ -107,9 +107,22 @@ def heegner_fraction(
     For reduced forms the x coordinate -B/(2A) always lies in [-1/2, 1/2], so
     only the height sqrt(q)/(2A) is tested.
     """
-    forms = enumerate_reduced_forms(q)
-    hits = sum(1 for f in forms if y_min <= math.sqrt(q) / (2 * f.a) <= y_max)
-    return hits / len(forms)
+    return len(forms_in_window(q, y_min, y_max)) / len(enumerate_reduced_forms(q))
+
+
+def form_moduli(q_min: int, count: int) -> list[int]:
+    """The first ``count`` primes q = 3 (mod 4) with q > 3 and q >= q_min, increasing.
+
+    Primes are sieved in disjoint windows [lo, lo + 10^4), so none repeats
+    and the search runs until ``count`` moduli are found.
+    """
+    moduli: list[int] = []
+    lo = max(q_min, 5)
+    while len(moduli) < count:
+        window = primes_between(lo, lo + 10**4 - 1)
+        moduli += [int(q) for q in window[window % 4 == 3][: count - len(moduli)]]
+        lo += 10**4
+    return moduli
 
 
 def forms_in_window(q: int, y_min: float = 1.0, y_max: float = 10.0) -> list[BinaryQuadraticForm]:
@@ -136,20 +149,25 @@ def _require_odd_prime(q: int) -> None:
         raise ValueError(f"chi is read from the Legendre table only for an odd prime q, got {q}")
 
 
-def chi_values(q: int, limit: int) -> np.ndarray:
-    """int8 array of chi(n) for n = 0..limit, read from legendre_table(q).
+def chi_at(q: int, n: np.ndarray) -> np.ndarray:
+    """int8 array of chi(n) = (-q/n) for an int64 array of n >= 0, read from legendre_table(q).
 
     By quadratic reciprocity, for an odd prime q and n = 2^v * m with m odd,
     chi(n) = (n/q) when q = 3 (mod 4) and chi(n) = (n/q) * (-1)^((m-1)/2)
-    when q = 1 (mod 4); chi(0) = (0/q) = 0.
+    when q = 1 (mod 4); chi(0) = (0/q) = 0.  This is the one place the rule
+    is written down.
     """
     _require_odd_prime(q)
-    vals = np.resize(legendre_table(q), limit + 1)  # repeats the table: vals[n] = (n/q)
+    vals = legendre_table(q)[n % q]
     if q % 4 == 3:
         return vals
-    n = np.arange(limit + 1, dtype=np.int64)
     odd = n // (n & -n).clip(min=1)
     return np.where(odd % 4 == 3, -vals, vals)
+
+
+def chi_values(q: int, limit: int) -> np.ndarray:
+    """int8 array of chi(n) for n = 0..limit, read from legendre_table(q)."""
+    return chi_at(q, np.arange(limit + 1, dtype=np.int64))
 
 
 def r_function(n: int, q: int) -> int:
@@ -263,23 +281,21 @@ def l_value_direct(q: int, truncation: int = 10**6) -> float:
     """Truncated series sum_{n <= T} chi(n)/n, summed by residue class.
 
     For q = 3 (mod 4) chi(n) = (n/q) has period q, so 1/n is summed into q
-    class totals and weighted by legendre_table(q) once.  For q = 1 (mod 4)
-    chi has no period; writing n = 2^v m with m odd, chi(n) = (2/q)^v psi(m)
-    where psi(m) = (m/q) (-1)^((m-1)/2) has period 4q on odd m, so each v
-    sums 1/m over odd m <= T/2^v into 2q class totals.  No BLAS call is made,
-    so the value does not depend on the thread count.
+    class totals and weighted by one period of chi once.  For q = 1 (mod 4)
+    chi has no period; writing n = 2^v m with m odd, chi(n) = chi(2)^v psi(m)
+    where psi, chi on odd m, has period 4q, so each v sums 1/m over odd
+    m <= T/2^v into 2q class totals.  No BLAS call is made, so the value does
+    not depend on the thread count.
     """
-    _require_odd_prime(q)
     recips = _reciprocals(truncation)
-    leg = legendre_table(q)
     if q % 4 == 3:
-        return float(np.sum(leg * _class_totals(recips, q)))
-    m = np.arange(1, 4 * q, 2, dtype=np.int64)  # odd m over one period of psi
-    psi = leg[m % q] * np.where(m % 4 == 1, 1, -1)
+        return float(np.sum(chi_at(q, np.arange(q, dtype=np.int64)) * _class_totals(recips, q)))
+    chi = chi_at(q, np.arange(4 * q, dtype=np.int64))
+    psi = chi[1::2]  # odd m over one period
     total, v = 0.0, 0
     while truncation >> v:
         inner = float(np.sum(psi * _class_totals(recips[1 : (truncation >> v) + 1 : 2], 2 * q)))
-        total += int(leg[2]) ** v * inner / 2**v
+        total += int(chi[2]) ** v * inner / 2**v
         v += 1
     return total
 
@@ -302,11 +318,6 @@ def class_number_tail_bound(q: int, truncation: int) -> float:
 def l_value_exact(q: int) -> float:
     """pi * h(-q) / sqrt(q), from the class number formula (q = 3 mod 4, q > 3)."""
     return math.pi * class_number(q) / math.sqrt(q)
-
-
-def l1_chi(q: int, truncation: int = 10**6) -> tuple[float, float]:
-    """(direct, exact) values of L(1, chi); the exact side needs q = 3 (mod 4)."""
-    return l_value_direct(q, truncation), l_value_exact(q)
 
 
 # ---------------------------------------------------------------------------

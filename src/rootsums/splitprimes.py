@@ -7,6 +7,14 @@ split; P(n) is odd outright, so p = 2 never appears.  Counting the distinct
 prime factors p <= q over n <= floor(sqrt(3q)/2) yields an effective lower
 bound on the number of split primes below q.
 
+Splitting is read as one character: for an odd prime p != q, p splits
+exactly when (-q/p) = 1, and ``splitting_types`` reads that value for a
+whole block of primes from the Legendre table through reciprocity
+(``quadforms.chi_at``).  p = q ramifies, and so does p = 2 when
+q = 1 (mod 4), since the discriminant is then -4q; for q = 3 (mod 4), 2
+splits iff q = 7 (mod 8).  ``is_split`` decides one prime through the
+Kronecker symbol instead, as an independent check of the table path.
+
 Note the quadratic here carries the cross term n^2 + n + (q+1)/4, which is
 what discriminant -q forces; the cross-term-free variant n^2 + (q+1)/4 has
 discriminant -(q+1) and genuinely produces non-split factors (q = 67:
@@ -18,8 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .modular import inv_mod, kronecker, sqrt_mod
+import numpy as np
+
+from .modular import inv_mod, kronecker, legendre_table, sqrt_mod
 from .primes import factorize, is_prime, iter_prime_blocks, sieve_primes, valuation
+from .quadforms import chi_at
 
 # (2 - log(3*sqrt(2))) / 2, the per-step constant in the effective lower bound
 EFFECTIVE_CONSTANT = (2.0 - math.log(3.0 * math.sqrt(2.0))) / 2.0
@@ -28,58 +39,66 @@ EFFECTIVE_CONSTANT = (2.0 - math.log(3.0 * math.sqrt(2.0))) / 2.0
 def is_split(p: int, q: int) -> str:
     """Splitting type of the rational prime p in Q(sqrt(-q)): 'split', 'inert' or 'ramified'.
 
-    Decided by the Kronecker symbol (-q/p); at p = 2 that convention reads
-    split iff -q = 1 (mod 8), which matches the field for q = 3 (mod 4).
+    Decided by the Kronecker symbol (-q/p), independently of the table path
+    of ``splitting_types``.  p = 2 ramifies when q = 1 (mod 4), where the
+    discriminant is -4q; otherwise (-q/2) reads split iff q = 7 (mod 8).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == q:
+    if p == q or (p == 2 and q % 4 == 1):
         return "ramified"
     return "split" if kronecker(-q, p) == 1 else "inert"
 
 
+def splitting_types(primes: np.ndarray, q: int) -> np.ndarray:
+    """int8 per prime p: 1 if p splits in Q(sqrt(-q)), -1 if inert, 0 if ramified.
+
+    q must be an odd prime.  For p != 2 the value is chi(p) = (-q/p), read
+    through ``quadforms.chi_at``, which is 0 at p = q; p = 2 ramifies when
+    q = 1 (mod 4) and otherwise is chi(2).
+    """
+    p = np.asarray(primes, dtype=np.int64)
+    types = chi_at(q, p)
+    if q % 4 == 1:
+        types[p == 2] = 0
+    return types
+
+
 def count_split(limit: float, q: int) -> int:
     """N_q(P): the number of split primes p <= P, by segmented enumeration."""
-    n = int(limit)
-    if n < 2:
-        return 0
-    total = 0
-    for block in iter_prime_blocks(n):
-        for p in block:
-            p = int(p)
-            if p != q and kronecker(-q, p) == 1:
-                total += 1
-    return total
+    return split_census(limit, q)["split"]
 
 
 def split_census(limit: float, q: int) -> dict[str, int]:
     """Counts of split / inert / ramified primes up to the limit."""
-    n = int(limit)
     census = {"split": 0, "inert": 0, "ramified": 0}
-    if n < 2:
-        return census
-    for block in iter_prime_blocks(n):
-        for p in block:
-            census[is_split(int(p), q)] += 1
+    for block in iter_prime_blocks(int(limit)):
+        types = splitting_types(block, q)
+        for name, value in (("split", 1), ("inert", -1), ("ramified", 0)):
+            census[name] += int(np.count_nonzero(types == value))
     return census
 
 
+def _first_prime(limit: int, hit) -> int:
+    """The least prime p <= limit at which the boolean array hit(block) holds."""
+    for block in iter_prime_blocks(limit):
+        where = np.flatnonzero(hit(block))
+        if where.size:
+            return int(block[where[0]])
+    raise RuntimeError(f"no such prime below {limit}")
+
+
 def least_split_prime(q: int) -> int:
-    """Smallest split prime."""
-    for block in iter_prime_blocks(4 * q * q):
-        for p in block:
-            if is_split(int(p), q) == "split":
-                return int(p)
-    raise RuntimeError("no split prime found below 4q^2")
+    """Smallest prime that splits in Q(sqrt(-q)), q an odd prime."""
+    return _first_prime(4 * q * q, lambda block: splitting_types(block, q) == 1)
 
 
 def least_nonresidue(q: int) -> int:
-    """Smallest prime quadratic non-residue modulo q (prime by multiplicativity)."""
-    for block in iter_prime_blocks(4 * q * q):
-        for p in block:
-            if kronecker(int(p), q) == -1:
-                return int(p)
-    raise RuntimeError("no non-residue found below 4q^2")
+    """Smallest prime quadratic non-residue modulo the odd prime q (prime by multiplicativity)."""
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"need an odd prime q, got {q}")
+    leg = legendre_table(q)
+    return _first_prime(4 * q * q, lambda block: leg[block % q] == -1)
 
 
 def principal_form_value(n: int, q: int) -> int:

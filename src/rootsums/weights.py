@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from .errors import SizeGuardError
-from .reports import slack_factor
 
 _PAIR_LIMIT = 1 << 26  # largest support^2 handled by exact pair accumulation
 
@@ -239,6 +238,11 @@ def q_fourth_moment_indicator(q: int, start: int, j: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
+def slack_factor(q: float, slack_exponent: float) -> float:
+    """The (log q)^s factor standing in for q^{o(1)} in asymptotic envelopes."""
+    return math.log(q) ** slack_exponent if slack_exponent else 1.0
+
+
 def small_interval_energy_envelope(start: int, q: int, slack_exponent: float = 0.0) -> float:
     """Envelope N^6/q + N^2 for the unweighted energy with N <= sqrt(q)."""
     return (start**6 / q + start**2) * slack_factor(q, slack_exponent)
@@ -270,8 +274,8 @@ def energy_envelope_long(
 # ---------------------------------------------------------------------------
 
 
-def small_energy_sweep(q_max: int = 499) -> list[dict]:
-    """Unweighted energy against N^6/q + N^2 for primes q <= q_max, N <= sqrt(q)."""
+def _window_sweep(q_max: int, measure, envelope) -> list[dict]:
+    """measure(q, N) against envelope(N, q) for primes 5 <= q <= q_max and every N <= sqrt(q)."""
     from .primes import sieve_primes
 
     rows = []
@@ -280,42 +284,34 @@ def small_energy_sweep(q_max: int = 499) -> list[dict]:
         if q < 5:
             continue
         for start in range(1, math.isqrt(q) + 1):
-            measured = unweighted_energy(start, q)
-            envelope = small_interval_energy_envelope(start, q)
+            measured = measure(q, start)
+            env = envelope(start, q)
             rows.append(
                 {
                     "q": q,
                     "N": start,
                     "measured": float(measured),
-                    "envelope": envelope,
-                    "ratio": measured / envelope,
+                    "envelope": env,
+                    "ratio": measured / env,
                 }
             )
     return rows
+
+
+def small_energy_sweep(q_max: int = 499) -> list[dict]:
+    """Unweighted energy against N^6/q + N^2 for primes q <= q_max, N <= sqrt(q)."""
+    return _window_sweep(
+        q_max, lambda q, n: unweighted_energy(n, q), small_interval_energy_envelope
+    )
 
 
 def fourth_moment_sweep(q_max: int = 499, slack_exponent: float = 2.0) -> list[dict]:
     """Indicator fourth moment against its envelope with (log q)^s slack."""
-    from .primes import sieve_primes
-
-    rows = []
-    for q in sieve_primes(q_max):
-        q = int(q)
-        if q < 5:
-            continue
-        for start in range(1, math.isqrt(q) + 1):
-            measured = q_fourth_moment_indicator(q, start)
-            envelope = fourth_moment_envelope(start, q, slack_exponent)
-            rows.append(
-                {
-                    "q": q,
-                    "N": start,
-                    "measured": float(measured),
-                    "envelope": envelope,
-                    "ratio": measured / envelope,
-                }
-            )
-    return rows
+    return _window_sweep(
+        q_max,
+        q_fourth_moment_indicator,
+        lambda n, q: fourth_moment_envelope(n, q, slack_exponent),
+    )
 
 
 def weighted_energy_sweep(

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import rootsums
-from rootsums.cli import main
+from rootsums.cli import build_parser, main
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run(argv):
@@ -66,6 +70,20 @@ class TestBilinear:
     def test_unknown_action(self, capsys):
         assert run(["bilinear", "frobnicate"]) == 2
 
+    def test_summary_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        argv = ["bilinear", "sweep", "--qset", "101", "--weights", "pm1,phase", "--instances", "2"]
+        assert run(argv + ["--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        lines = captured.err.splitlines()
+        assert [line.split(" cells=")[0] for line in lines] == ["q=101 kind=phase", "q=101 kind=pm1"]
+        pm1 = [r for r in rows if r["kind"] == "pm1"]
+        assert f"cells={len(pm1)} " in lines[1]
+        assert f"max_ratio1={max(float(r['ratio1']) for r in pm1):.6g} " in lines[1]
+        assert "kind=" not in captured.out
+
 
 class TestSplit:
     def test_thm12_csv(self, tmp_path):
@@ -76,6 +94,24 @@ class TestSplit:
         assert [r["q"] for r in rows][:3] == ["67", "83", "131"]
         assert all(r["pass"] == "True" for r in rows)
         assert list(rows[0]) == ["q", "t", "omega", "bound", "pass"]
+
+    def test_thm12_summary_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "split.csv"
+        assert run(["split", "thm12", "--qmax", "300", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        worst = min(rows, key=lambda r: int(r["omega"]) - float(r["bound"]))
+        margin = int(worst["omega"]) - float(worst["bound"])
+        assert captured.err.strip() == f"{len(rows)} moduli, min margin {margin:.3f} at q={worst['q']}"
+        assert "margin" not in captured.out
+
+    @pytest.mark.parametrize("q", ["15", "2", "9"])
+    def test_count_needs_an_odd_prime(self, q, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["split", "count", "--q", q])
+        assert exc.value.code == 2
+        assert "not an odd prime" in capsys.readouterr().err
 
     def test_count_json(self, tmp_path):
         out = tmp_path / "count.json"
@@ -146,6 +182,18 @@ class TestOthers:
         for r in rows:
             assert abs(float(r["l_direct"]) - float(r["l_exact"])) < 1e-3
 
+    def test_forms_summary_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "forms.csv"
+        assert run(["forms", "--qmin", "1000", "--count", "3", "--truncation", "1000",
+                    "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        with out.open() as fh:
+            fractions = [float(r["heegner_fraction"]) for r in csv.DictReader(fh)]
+        mean = sum(fractions) / 3
+        assert captured.err.startswith(f"mean heegner_fraction {mean:.5f} over 3 moduli, ")
+        assert "target 27/(10 pi) = 0.85944" in captured.err
+        assert "heegner" not in captured.out
+
     def test_usage_error_exit(self):
         with pytest.raises(SystemExit) as exc:
             run(["no-such-command"])
@@ -170,12 +218,30 @@ class TestVerify:
         assert set(payload["constants"]) == set(calibration.FAMILIES)
         for entry in payload["constants"].values():
             assert entry["frozen"] >= entry["measured"]
-        # the shipped fixture agrees with a fresh deterministic rerun
-        shipped = calibration.load()["constants"]
-        for name, entry in payload["constants"].items():
-            assert entry["measured"] == pytest.approx(
-                shipped[name]["measured"], rel=1e-9
-            )
+        # the shipped fixture is exactly what a fresh deterministic rerun writes
+        assert out.read_bytes() == calibration._fixture_path().read_bytes()
+
+
+def readme_commands() -> list[str]:
+    """Every ``rootsums ...`` line of the README's code blocks, comments stripped."""
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    return [
+        line.split("#")[0].strip()
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("rootsums ")
+    ]
+
+
+def test_readme_commands_parse():
+    """The README's examples are the runnable list; each must still parse (nothing runs)."""
+    commands = readme_commands()
+    assert len(commands) >= 13
+    parser = build_parser()
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        args = parser.parse_args(argv)
+        assert callable(args.func), command
 
 
 class TestSetup:

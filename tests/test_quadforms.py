@@ -19,12 +19,12 @@ from rootsums.quadforms import (
     class_number_finite,
     class_number_tail_bound,
     enumerate_reduced_forms,
+    form_moduli,
     forms_in_window,
     heegner_fraction,
     is_represented,
     l_value_direct,
     l_value_exact,
-    l1_chi,
     r_function,
     r_mean_value,
     representation_count,
@@ -101,6 +101,28 @@ class TestHeegner:
     def test_limit_constant(self):
         assert DUKE_LIMIT_FRACTION == pytest.approx(27.0 / (10.0 * math.pi))
         assert DUKE_LIMIT_FRACTION == pytest.approx(0.85944, abs=1e-5)
+
+
+class TestFormModuli:
+    def test_default_list(self):
+        """The 50 moduli that ``forms`` and the Heegner-window criterion read."""
+        primes = sieve_primes(102000)
+        oracle = [int(q) for q in primes if q >= 10**5 and q % 4 == 3][:50]
+        assert form_moduli(10**5, 50) == form_moduli(100003, 50) == oracle
+        assert oracle[0] == 100003 and oracle[-1] == 101207
+
+    @pytest.mark.parametrize("q_min, count", [(1003, 700), (3, 50000)])
+    def test_exact_count_strictly_increasing(self, q_min, count):
+        moduli = form_moduli(q_min, count)
+        assert len(moduli) == count
+        assert all(a < b for a, b in zip(moduli, moduli[1:]))
+        assert moduli[0] > 3 and moduli[0] >= q_min
+        assert all(q % 4 == 3 for q in moduli)
+
+    def test_no_modulus_skipped_across_windows(self):
+        oracle = [int(q) for q in sieve_primes(10**5) if q > 3 and q % 4 == 3]
+        assert oracle[1999] > 3 * 10**4  # the first 2000 span several sieve windows
+        assert form_moduli(3, 2000) == oracle[:2000]
 
 
 class TestChi:
@@ -193,7 +215,7 @@ class TestLValues:
     @pytest.mark.parametrize("q", [7, 11, 19, 23, 31, 43, 67])
     def test_direct_close_to_exact(self, q):
         truncation = 10**5
-        direct, exact = l1_chi(q, truncation)
+        direct, exact = l_value_direct(q, truncation), l_value_exact(q)
         assert abs(direct - exact) <= 10.0 / truncation
 
     @pytest.mark.parametrize("q", [7, 1009, 1013, 5003, 10007])

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootsums import modular, quadforms, splitprimes
 from rootsums.modular import kronecker
 from rootsums.primes import sieve_primes, valuation
 from rootsums.splitprimes import (
@@ -21,11 +23,25 @@ from rootsums.splitprimes import (
     ordp_identity_check,
     principal_form_value,
     split_census,
+    splitting_types,
     stirling_step_holds,
     asymptotic_probe_rows,
 )
 
 Q3MOD16 = [int(q) for q in sieve_primes(1000) if q % 16 == 3 and q >= 67]
+TYPE_NAMES = {1: "split", -1: "inert", 0: "ramified"}
+
+
+def dedekind_type(p: int, q: int) -> str:
+    """Splitting of p in Q(sqrt(-q)) from the roots mod p of the ring's minimal polynomial.
+
+    The ring of integers is Z[(1 + sqrt(-q))/2] for q = 3 (mod 4), with
+    polynomial x^2 - x + (q+1)/4, and Z[sqrt(-q)] for q = 1 (mod 4), with
+    x^2 + q; two roots mean split, a double root ramified, none inert.
+    """
+    x = np.arange(p, dtype=np.int64)
+    f = x * x - x + (q + 1) // 4 if q % 4 == 3 else x * x + q
+    return {2: "split", 1: "ramified", 0: "inert"}[int(np.count_nonzero(f % p == 0))]
 
 
 class TestSplitting:
@@ -64,6 +80,51 @@ class TestSplitting:
         n_q = least_nonresidue(q)
         first = next(n for n in range(2, q) if kronecker(n, q) == -1)
         assert n_q == first
+
+
+    @pytest.mark.parametrize("q", [int(q) for q in sieve_primes(200) if q > 2])
+    def test_dedekind_criterion(self, q):
+        primes = sieve_primes(500)
+        expected = [dedekind_type(int(p), q) for p in primes]
+        assert [is_split(int(p), q) for p in primes] == expected
+        assert [TYPE_NAMES[int(t)] for t in splitting_types(primes, q)] == expected
+
+    def test_two_ramifies_for_q_1_mod_4(self):
+        assert is_split(2, 17) == "ramified"
+        assert least_split_prime(17) == 3
+        assert count_split(2, 17) == 0
+        assert split_census(10, 5) == {"split": 2, "inert": 0, "ramified": 2}
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 13, 17, 23, 41, 73, 1009, 1013, 99991])
+    def test_table_path_matches_oracle_without_kronecker(self, q, monkeypatch):
+        limit = 3000
+        primes = [int(p) for p in sieve_primes(10**4)]
+        types = [is_split(p, q) for p in primes if p <= limit]
+        census = {name: types.count(name) for name in ("split", "inert", "ramified")}
+        first_split = next(p for p in primes if is_split(p, q) == "split")
+        first_nonresidue = next(p for p in primes if kronecker(p, q) == -1)
+        calls = []
+
+        def counting_kronecker(a, n):
+            calls.append((a, n))
+            return kronecker(a, n)
+
+        for module in (modular, quadforms, splitprimes):
+            monkeypatch.setattr(module, "kronecker", counting_kronecker)
+        assert split_census(limit, q) == census
+        assert count_split(limit, q) == census["split"]
+        assert least_split_prime(q) == first_split
+        assert least_nonresidue(q) == first_nonresidue
+        assert calls == []
+
+    def test_table_path_needs_an_odd_prime(self):
+        for bad in (2, 9, 15):
+            with pytest.raises(ValueError):
+                count_split(100, bad)
+            with pytest.raises(ValueError):
+                least_split_prime(bad)
+            with pytest.raises(ValueError):
+                least_nonresidue(bad)
 
 
 class TestPrincipalForm:
