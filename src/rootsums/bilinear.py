@@ -5,7 +5,9 @@ The main object is
 evaluated against a precomputed root-phase table, never by per-term root
 extraction.  The kernel depends on (m, n) only through amn, so in discrete-log
 coordinates (amn = g^(log am + log n), g a primitive root) it is a Hankel
-matrix: with u[k] = T_h(g^k), entry (m, n) is u[(log am + log n) mod (q-1)].
+matrix.  The twist folds into the row multiplier, since T_h(amn) = T(h^2 amn)
+for the one root-phase table T of the modulus; with u[k] = T(g^k), entry
+(m, n) is u[(log (a h^2 m) + log n) mod (q-1)].
 The M x N kernel is gathered from a strided Hankel view of u repeated twice,
 indexed by the M + N logarithms alone; no M x N index matrix is built.
 
@@ -59,19 +61,19 @@ class BilinearInstance:
 
 
 def _kernel(inst: BilinearInstance, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The M x N matrix T_h(a m n) for nonzero m, n mod q, gathered from the Hankel view.
+    """The M x N matrix T_h(amn) = T(a h^2 mn) for nonzero m, n mod q, from the Hankel view.
 
-    Each entry is the same root-phase table element as table[a*m*n % q], bit
+    Each entry is the same root-phase table element as T[a*h^2*m*n % q], bit
     for bit; only M + N logarithms are computed.
     """
     q = inst.q
     pw, lg = log_tables(q)
-    u = sqrt_phase_table(q, inst.h)[pw]
+    u = sqrt_phase_table(q)[pw]
     uu = np.concatenate([u, u])
     # hankel[i, j] = uu[i + j]: a bounds-checked strided view, built without
     # sliding_window_view's per-call overhead, which the many small cells pay
     hankel = np.ndarray((q, q - 1), uu.dtype, uu, 0, uu.strides * 2)
-    return hankel[lg[(inst.a % q) * (m % q) % q][:, None], lg[n % q]]
+    return hankel[lg[inst.a * inst.h % q * inst.h % q * (m % q) % q][:, None], lg[n % q]]
 
 
 def bilinear_weyl_sum(inst: BilinearInstance) -> complex:
@@ -104,12 +106,14 @@ def rj_sum(j: int, inst: BilinearInstance) -> float:
 
 
 def a_sum(h: int, lam: int, a: int, m_start: int, q: int) -> complex:
-    """A_{h,lambda,a} = sum_{m ~ M} sum_{t^2 = a m} e_q(h t lambda)."""
+    """A_{h,lambda,a} = sum_{m ~ M} sum_{t^2 = a m} e_q(h t lambda) = sum_m T[a (h lambda)^2 m]."""
     if a % q == 0:
         raise ValueError("need gcd(a, q) = 1")
-    table = sqrt_phase_table(q, h % q * (lam % q) % q)
+    twist = h * lam % q
+    if twist == 0:  # T_0(c) = 1 + (c/q) is not a read of T
+        return complex(root_pair_count(a, m_start, q))
     m = np.arange(m_start, 2 * m_start, dtype=np.int64)
-    return complex(np.sum(table[(a % q) * (m % q) % q]))
+    return complex(np.sum(sqrt_phase_table(q)[a * twist % q * twist % q * (m % q) % q]))
 
 
 def a_sum_all(h: int, a: int, m_start: int, q: int) -> np.ndarray:
@@ -242,22 +246,20 @@ def type1_sum(alpha: WeightVector, a: int, h: int, n_start: int, q: int) -> comp
     return bilinear_weyl_sum(inst)
 
 
-def _kernel_values(a: int, h: int, q: int) -> np.ndarray:
-    """K(x) = sum_{u^2 = a x} e_q(h u) for every residue x."""
-    table = sqrt_phase_table(q, h)
-    x = np.arange(q, dtype=np.int64)
-    return table[(a % q) * x % q]
-
-
 def _curve_rows(b: tuple[int, int, int, int], h: int, a: int, s: np.ndarray, q: int) -> np.ndarray:
     """For each s in ``s``: the sum over r in F_q of the four kernel factors
-    K(s(r + b_1)) K(s(r + b_2)) conj(K(s(r + b_3)) K(s(r + b_4)))."""
-    kernel = _kernel_values(a, h, q)
+    K(s(r + b_1)) K(s(r + b_2)) conj(K(s(r + b_3)) K(s(r + b_4))),
+    where K(x) = sum_{u^2 = a x} e_q(h u) = T[a h^2 x]."""
+    if q > _CURVE_SUM_LIMIT:
+        raise SizeGuardError(f"curve sum refused for q={q} > {_CURVE_SUM_LIMIT}")
+    if a % q == 0 or h % q == 0:
+        raise ValueError("need gcd(ah, q) = 1")
+    table = sqrt_phase_table(q)
+    scale = (a * h % q * h % q) * s % q
     r = np.arange(q, dtype=np.int64)
     prod = np.ones((len(s), q), dtype=np.complex128)
     for b_i, conjugate in zip(b, (False, False, True, True)):
-        idx = s[:, None] * ((r[None, :] + b_i) % q) % q
-        vals = kernel[idx]
+        vals = table[scale[:, None] * ((r[None, :] + b_i) % q) % q]
         prod *= np.conj(vals) if conjugate else vals
     return prod.sum(axis=1)
 
@@ -273,10 +275,6 @@ def curve_sum_sigma_t(b: tuple[int, int, int, int], t: int, h: int, a: int, q: i
 
 def curve_sum_sigma_all_t(b: tuple[int, int, int, int], h: int, a: int, q: int) -> np.ndarray:
     """Sigma(K, b, t) for every t at once: one O(q^2) pass plus a transform."""
-    if q > _CURVE_SUM_LIMIT:
-        raise SizeGuardError(f"completed curve sum refused for q={q} > {_CURVE_SUM_LIMIT}")
-    if a % q == 0 or h % q == 0:
-        raise ValueError("need gcd(ah, q) = 1")
     row = _curve_rows(b, h, a, np.arange(q, dtype=np.int64), q)
     # Sigma(t) = sum_s row[s] e_q(s t) = conj(FFT(conj(row)))[t]
     return np.conj(np.fft.fft(np.conj(row)))
@@ -286,8 +284,6 @@ def curve_sum_sigma_incomplete(
     b: tuple[int, int, int, int], h: int, a: int, a_param: float, m_start: int, q: int
 ) -> complex:
     """The incomplete-s version: s runs over 1 <= s <= 2*A*M (needs 2AM < q)."""
-    if q > _CURVE_SUM_LIMIT:
-        raise SizeGuardError(f"incomplete curve sum refused for q={q} > {_CURVE_SUM_LIMIT}")
     s_max = int(2 * a_param * m_start)
     if s_max >= q:
         raise ValueError("the incomplete range needs 2AM < q")
@@ -376,14 +372,14 @@ def salie_correlation(a: int, m_start: int, n_start: int, q: int) -> float:
         raise ValueError("need gcd(a, q) = 1")
     if m_start * n_start * n_start > 1 << 28:
         raise SizeGuardError("correlation grid too large")
-    t2 = sqrt_phase_table(q, 2)
+    table = sqrt_phase_table(q)
     leg = legendre_table(q)
     eps = eps_q(q)
     m = np.arange(m_start, 2 * m_start, dtype=np.int64)
     n = np.arange(n_start, 2 * n_start, dtype=np.int64)
     an = (a % q) * (n % q) % q
     smat = (
-        t2[_index_matrix(an, m, q)]
+        table[_index_matrix(4 * an % q, m, q)]  # T_2(a n m) = T(4 a n m)
         * leg[an][:, None].astype(np.float64)
         * (eps * math.sqrt(q))
     )

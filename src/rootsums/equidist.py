@@ -204,7 +204,7 @@ def delta_q(p_limit: float, r_limit: float, q: int, slack_exponent: float = 2.0)
 
 
 def s_q_sum(h: int, p_limit: float, q: int) -> complex:
-    """S_q(h, P) = sum over residue primes p <= P of sum_{x^2 = p} e_q(h x)."""
+    """S_q(h, P) = sum over residue primes p <= P of sum_{x^2 = p} e_q(h x) = T[h^2 p]."""
     if h % q == 0:
         raise ValueError("need gcd(h, q) = 1")
     primes = sieve_primes(int(p_limit))
@@ -212,25 +212,34 @@ def s_q_sum(h: int, p_limit: float, q: int) -> complex:
         return 0.0 + 0.0j
     leg = legendre_table(q)
     residues = primes[leg[primes % q] == 1] % q
-    table = sqrt_phase_table(q, h)
-    return complex(np.sum(table[residues]))
+    return complex(np.sum(sqrt_phase_table(q)[h * h % q * residues % q]))
+
+
+def _lambda_terms(h: int, n: int, q: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Lambda(k) T[h^2 k] at every k <= n, and the prime powers (p^j, j) with j >= 2."""
+    if h % q == 0:
+        raise ValueError("need gcd(h, q) = 1")
+    table = sqrt_phase_table(q)
+    twist = h * h % q
+    terms = np.zeros(max(n, 0) + 1, dtype=np.complex128)
+    prime_powers: list[tuple[int, int]] = []
+    for p in sieve_primes(n):
+        p = int(p)
+        logp = math.log(p)
+        pk, j = p, 1
+        while pk <= n:
+            terms[pk] = logp * table[twist * pk % q]
+            if j >= 2:
+                prime_powers.append((pk, j))
+            pk *= p
+            j += 1
+    return terms, prime_powers
 
 
 def lambda_weighted_sum(h: int, p_limit: float, q: int) -> complex:
     """The von Mangoldt weighted version: sum_{k <= P} Lambda(k) sum_{x^2 = k} e_q(h x)."""
-    if h % q == 0:
-        raise ValueError("need gcd(h, q) = 1")
-    n = int(p_limit)
-    table = sqrt_phase_table(q, h)
-    total = 0.0 + 0.0j
-    for p in sieve_primes(n):
-        p = int(p)
-        logp = math.log(p)
-        pk = p
-        while pk <= n:
-            total += logp * table[pk % q]
-            pk *= p
-    return complex(total)
+    terms, _ = _lambda_terms(h, int(p_limit), q)
+    return complex(np.sum(terms))
 
 
 def prime_sum_from_weighted(h: int, p_limit: float, q: int) -> complex:
@@ -241,27 +250,17 @@ def prime_sum_from_weighted(h: int, p_limit: float, q: int) -> complex:
     are subtracted explicitly.
     """
     n = int(p_limit)
+    terms, prime_powers = _lambda_terms(h, n, q)
     if n < 2:
         return 0.0 + 0.0j
-    table = sqrt_phase_table(q, h)
-    terms = np.zeros(n + 1, dtype=np.complex128)
-    prime_powers: list[tuple[int, int]] = []
-    for p in sieve_primes(n):
-        p = int(p)
-        logp = math.log(p)
-        pk, j = p, 1
-        while pk <= n:
-            terms[pk] = logp * table[pk % q]
-            if j >= 2:
-                prime_powers.append((pk, j))
-            pk *= p
-            j += 1
+    table = sqrt_phase_table(q)
+    twist = h * h % q
     partial = np.cumsum(terms)  # partial[k] = weighted sum up to k
     k = np.arange(2, n, dtype=np.float64)
     weights = 1.0 / np.log(k) - 1.0 / np.log(k + 1.0)
     total = partial[n] / math.log(n) + np.sum(partial[2:n] * weights)
     for pk, j in prime_powers:
-        total -= table[pk % q] / j
+        total -= table[twist * pk % q] / j
     if q <= n:
         total -= table[0]  # p = q is ramified and not part of S_q
     return complex(total)

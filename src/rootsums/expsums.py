@@ -48,19 +48,20 @@ def exp_table(q: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=64)
-def sqrt_phase_table(q: int, h: int) -> np.ndarray:
-    """T[c] = sum over x with x^2 = c (mod q) of e_q(h*x), for every residue c.
+@lru_cache(maxsize=32)
+def sqrt_phase_table(q: int) -> np.ndarray:
+    """T[c] = sum over x with x^2 = c (mod q) of e_q(x), for every residue c.
 
-    This is the kernel every Weyl-sum computation indexes into; building it
-    costs one pass over F_q.
+    The one root-phase table per modulus.  Every twist reads it: substituting
+    y = h*x gives T_h(c) = sum_{x^2 = c} e_q(h*x) = T[h^2 * c] for h != 0
+    (mod q).  The read is bit for bit the table built for h directly, since
+    each entry is 0 plus at most two unit roots from ``exp_table`` and IEEE
+    addition commutes, so the order of the two roots does not matter.
     """
     _check_direct(q)
-    h %= q
-    w = exp_table(q)
     x = np.arange(q, dtype=np.int64)
     table = np.zeros(q, dtype=np.complex128)
-    np.add.at(table, x * x % q, w[h * x % q])
+    np.add.at(table, x * x % q, exp_table(q))
     table.flags.writeable = False
     return table
 
@@ -120,9 +121,8 @@ def incomplete_sqrt_sum(a: int, h: int, w_limit: int, q: int) -> complex:
         raise ValueError("incomplete square-root sum needs gcd(ah, q) = 1")
     if not 1 <= w_limit <= q:
         raise ValueError("need 1 <= W <= q")
-    table = sqrt_phase_table(q, h)
     w = np.arange(1, w_limit + 1, dtype=np.int64)
-    return complex(np.sum(table[a * w % q]))
+    return complex(np.sum(sqrt_phase_table(q)[a * h % q * h % q * w % q]))
 
 
 def incomplete_sqrt_max(a: int, h: int, q: int) -> float:
@@ -131,9 +131,8 @@ def incomplete_sqrt_max(a: int, h: int, q: int) -> float:
     h %= q
     if a == 0 or h == 0:
         raise ValueError("incomplete square-root sum needs gcd(ah, q) = 1")
-    table = sqrt_phase_table(q, h)
     w = np.arange(1, q + 1, dtype=np.int64)
-    partial = np.cumsum(table[a * w % q])
+    partial = np.cumsum(sqrt_phase_table(q)[a * h % q * h % q * w % q])
     return float(np.max(np.abs(partial)))
 
 
@@ -178,9 +177,12 @@ def salie_all(q: int) -> tuple[np.ndarray, np.ndarray]:
     Substituting y = xbar, row m of ``direct`` is the DFT of
     y -> (y/q) e_q(m*ybar) read at n = 1..q-1; y = 0 contributes 0 because
     the inverse and Legendre tables both hold 0 there.  As in gauss_all, one
-    inverse FFT with norm="forward" sums every row in O(q^2 log q).
+    inverse FFT with norm="forward" sums every row in O(q^2 log q).  The
+    closed form reads T_2(mn) = T[4mn].
     """
     _check_all_pairs(q)
+    # read before the q x q temporaries, which sets the peak heap of `sums`
+    table = sqrt_phase_table(q)
     w = exp_table(q)
     chi = legendre_table(q)
     m = np.arange(1, q, dtype=np.int64)
@@ -188,8 +190,7 @@ def salie_all(q: int) -> tuple[np.ndarray, np.ndarray]:
     rows = w[m[:, None] * inverse_table(q)[None, :] % q] * chi[None, :].astype(np.float64)
     direct = np.fft.ifft(rows, axis=1, norm="forward")[:, 1:]
 
-    t2 = sqrt_phase_table(q, 2)
-    closed = t2[m[:, None] * n[None, :] % q] * chi[n][None, :].astype(np.float64)
+    closed = table[(4 * m)[:, None] * n[None, :] % q] * chi[n][None, :].astype(np.float64)
     closed = closed * (eps_q(q) * math.sqrt(q))
     return direct, closed
 

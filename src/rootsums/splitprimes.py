@@ -39,12 +39,14 @@ EFFECTIVE_CONSTANT = (2.0 - math.log(3.0 * math.sqrt(2.0))) / 2.0
 def is_split(p: int, q: int) -> str:
     """Splitting type of the rational prime p in Q(sqrt(-q)): 'split', 'inert' or 'ramified'.
 
-    Decided by the Kronecker symbol (-q/p), independently of the table path
-    of ``splitting_types``.  p = 2 ramifies when q = 1 (mod 4), where the
-    discriminant is -4q; otherwise (-q/2) reads split iff q = 7 (mod 8).
+    For an odd prime q, decided by ``kronecker(-q, p)``, independently of the
+    table path of ``splitting_types``.  p = 2 ramifies when q = 1 (mod 4),
+    where the discriminant is -4q; otherwise it splits iff q = 7 (mod 8).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"need an odd prime q, got {q}")
     if p == q or (p == 2 and q % 4 == 1):
         return "ramified"
     return "split" if kronecker(-q, p) == 1 else "inert"

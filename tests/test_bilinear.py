@@ -31,7 +31,6 @@ from rootsums.bilinear import (
     weyl_envelope,
 )
 from rootsums.errors import SizeGuardError
-from rootsums.expsums import sqrt_phase_table
 from rootsums.modular import inv_mod, legendre_table, sqrt_mod
 from rootsums.weights import WeightVector, unweighted_energy
 
@@ -100,7 +99,7 @@ class TestWeylSum:
         assert abs(bilinear_weyl_sum(inst)) <= 2 * inst.alpha.norm1 * inst.beta.norm1
 
     @pytest.mark.parametrize("q", [11, 101, 1009, 4001])
-    def test_log_gather_is_the_direct_gather_bit_for_bit(self, q):
+    def test_log_gather_is_the_direct_gather_bit_for_bit(self, q, phase_table_oracle):
         """W and R_j equal the same products over table[a*m*n % q] exactly, up to M = N at the top."""
         top = _dyadic_starts(q)[-1]
         cells = [(top, top)] + [
@@ -116,7 +115,7 @@ class TestWeylSum:
                 WeightVector.random_phase(q, m_start, rng),
                 WeightVector.random_pm1(q, n_start, rng),
             )
-            table = sqrt_phase_table(q, inst.h)
+            table = phase_table_oracle(q, inst.h)
             m = np.arange(m_start, 2 * m_start)
             n = np.arange(n_start, 2 * n_start)
             kernel = table[inst.a * np.outer(m, n) % q]
@@ -196,15 +195,13 @@ class TestRjDecomposition:
                 w = abs(bilinear_weyl_sum(inst)) ** 2
                 assert w <= inst.alpha.norm2**2 * (r_plus + r_minus) * (1 + 1e-9) + 1e-9
 
-    def test_chain_is_exact_cauchy_schwarz_rhs(self, rng):
+    def test_chain_is_exact_cauchy_schwarz_rhs(self, rng, phase_table_oracle):
         """R_1 + R_{-1} equals sum over m of |sum_n beta_n K(amn)|^2."""
-        from rootsums.expsums import sqrt_phase_table
-
         q = 61
         inst = BilinearInstance(
             q, 7, 5, WeightVector.indicator(q, 8), WeightVector.random_phase(q, 8, rng)
         )
-        table = sqrt_phase_table(q, inst.h)
+        table = phase_table_oracle(q, inst.h)
         m = np.arange(8, 16)
         n = np.arange(8, 16)
         kernel = table[(inst.a * np.outer(m, n)) % q]
@@ -292,6 +289,14 @@ class TestCurveSums:
                 brute_sigma(b, t, 1, 1, q), abs=1e-8
             )
 
+    @pytest.mark.parametrize("h,a", [(3, 2), (10, 7)])
+    def test_twisted_against_quadruple_loop(self, h, a):
+        q, b = 11, (1, 2, 3, 5)
+        for t in (0, 4):
+            assert curve_sum_sigma_t(b, t, h, a, q) == pytest.approx(
+                brute_sigma(b, t, h, a, q), abs=1e-8
+            )
+
     def test_all_t_consistent(self):
         q, b = 13, (1, 2, 5, 7)
         vals = curve_sum_sigma_all_t(b, 2, 3, q)
@@ -323,6 +328,11 @@ class TestCurveSums:
     def test_incomplete_needs_room(self):
         with pytest.raises(ValueError):
             curve_sum_sigma_incomplete((1, 2, 3, 4), 1, 1, 10.0, 10, 31)
+
+    @pytest.mark.parametrize("h,a", [(0, 1), (31, 1), (1, 0), (1, 62)])
+    def test_incomplete_needs_gcd(self, h, a):
+        with pytest.raises(ValueError):
+            curve_sum_sigma_incomplete((1, 2, 3, 5), h, a, 0.5, 4, 31)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):

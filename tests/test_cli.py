@@ -261,3 +261,13 @@ class TestSetup:
         for name in ("bilinear", "lattice", "equidist", "quadforms", "expsums",
                      "splitprimes", "acceptance"):
             assert f"rootsums.{name}" not in out
+
+    def test_benchmark_selftest_passes(self):
+        """The benchmark's own checks, so that renaming or un-caching a traced function fails here."""
+        root = Path(rootsums.__file__).parents[2]
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/selftest.py"],
+            cwd=root, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert re.search(r"\b7 passed\b", result.stdout), result.stdout

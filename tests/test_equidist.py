@@ -186,6 +186,11 @@ class TestPrimeSums:
         with pytest.raises(ValueError):
             lambda_weighted_sum(0, 100, 23)
 
+    @pytest.mark.parametrize("p_limit", [200, 1])
+    def test_partial_summation_needs_gcd(self, p_limit):
+        with pytest.raises(ValueError):
+            prime_sum_from_weighted(31, p_limit, 31)
+
     @pytest.mark.parametrize("q,p_limit", [(23, 500), (101, 2000), (211, 1500)])
     def test_partial_summation_recovery(self, q, p_limit):
         for h in (1, 2, 5):
@@ -193,11 +198,9 @@ class TestPrimeSums:
             recovered = prime_sum_from_weighted(h, p_limit, q)
             assert abs(recovered - direct) <= 1e-6 * max(1.0, abs(direct))
 
-    def test_weighted_sum_matches_plain_loop(self):
-        from rootsums.expsums import sqrt_phase_table
-
+    def test_weighted_sum_matches_plain_loop(self, phase_table_oracle):
         q, limit, h = 23, 300, 3
-        table = sqrt_phase_table(q, h)
+        table = phase_table_oracle(q, h)
         total = 0.0 + 0.0j
         for k in range(2, limit + 1):
             factors = {}

@@ -18,6 +18,7 @@ from rootsums.expsums import (
     salie_all,
     salie_closed_form,
     salie_sum,
+    sqrt_phase_table,
 )
 from rootsums.modular import kronecker
 from rootsums.primes import sieve_primes
@@ -106,6 +107,23 @@ class TestSalie:
             salie_all(4099)
 
 
+class TestPhaseTable:
+    def test_twist_read_is_the_per_h_table_bit_for_bit(self, phase_table_oracle):
+        """T[h^2 c] is the np.add.at table built for h, at every c (0 and non-residues too).
+
+        Every h for q < 200, and 5 seeded h per prime 200 <= q <= 4001: 6,705 tables.
+        """
+        compared = 0
+        for q in (int(p) for p in sieve_primes(4001) if p > 2):
+            hs = range(1, q) if q < 200 else np.random.default_rng(q).integers(1, q, 5)
+            c = np.arange(q, dtype=np.int64)
+            for h in (int(h) for h in hs):
+                folded = sqrt_phase_table(q)[h * h % q * c % q]
+                assert np.array_equal(folded.view(np.int64), phase_table_oracle(q, h).view(np.int64))
+                compared += 1
+        assert compared == 6705
+
+
 class TestIncomplete:
     def test_complete_sum_vanishes(self):
         for q in (7, 23, 101):
@@ -128,6 +146,14 @@ class TestIncomplete:
         for q in (101, 499, 1009, 2003):
             measured = incomplete_sqrt_max(1, 1, q)
             assert measured <= limit * math.sqrt(q) * math.log(q)
+
+    @pytest.mark.parametrize("q,a,h", [(7, 3, 2), (101, 5, 3), (1009, 17, 500)])
+    def test_twisted_sum_reads_the_per_h_table(self, q, a, h, phase_table_oracle):
+        """Every prefix sum equals the sum over the np.add.at table built for h, bit for bit."""
+        terms = phase_table_oracle(q, h)[a * np.arange(1, q + 1) % q]
+        for w in (1, 2, q // 2, q):
+            assert incomplete_sqrt_sum(a, h, w, q) == complex(np.sum(terms[:w]))
+        assert incomplete_sqrt_max(a, h, q) == float(np.max(np.abs(np.cumsum(terms))))
 
     def test_max_dominates_each_prefix(self):
         q = 101

@@ -54,6 +54,11 @@ class TestSplitting:
         with pytest.raises(ValueError):
             is_split(6, 7)
 
+    @pytest.mark.parametrize("p,q", [(3, 15), (5, 15), (2, 9), (3, 2)])
+    def test_needs_an_odd_prime_modulus(self, p, q):
+        with pytest.raises(ValueError):
+            is_split(p, q)
+
     def test_count_examples(self):
         assert count_split(5, 23) == 2  # p = 2 and p = 3 split, 5 is inert
         assert count_split(1, 23) == 0
