@@ -299,10 +299,7 @@ def check_discrepancy_engine(multisets: int = 500, q_max: int = 2003, h_max: int
             continue
         sequences += 1
         d_val = discrepancy(pts).value
-        sums = point_exponential_sums(pts, h_max)
-        h = np.arange(1, h_max + 1, dtype=np.float64)
-        partial = np.cumsum(sums / h)
-        bounds = 3.0 * (pts.size / (h + 1.0) + partial)
+        bounds = erdos_turan_bound(point_exponential_sums(pts, h_max), pts.size)
         if np.any(d_val > bounds * (1 + 1e-12) + 1e-9):
             et_violations += 1
     passed = worst_gap <= 1e-12 and et_violations == 0

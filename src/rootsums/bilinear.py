@@ -27,7 +27,7 @@ import numpy as np
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
 from .modular import eps_q, inv_mod, legendre_table, log_tables, residue_roots
-from .weights import WeightVector, slack_factor, unweighted_energy
+from .weights import WeightVector, dyadic_starts, slack_factor
 
 _CURVE_SUM_LIMIT = 2048
 
@@ -392,15 +392,6 @@ def salie_correlation(a: int, m_start: int, n_start: int, q: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_starts(q: int) -> list[int]:
-    starts = []
-    start = 1
-    while 2 * start <= q:
-        starts.append(start)
-        start *= 2
-    return starts
-
-
 def weyl_sweep(
     q_values: tuple[int, ...] = (101, 211, 499, 1009, 1999),
     kinds: tuple[str, ...] = ("indicator", "pm1", "phase"),
@@ -411,7 +402,7 @@ def weyl_sweep(
     """|W| against both envelopes over dyadic (M, N) grids and seeded weights."""
     rows = []
     for q in q_values:
-        starts = _dyadic_starts(q)
+        starts = dyadic_starts(q)
         for m_start in starts:
             for n_start in starts:
                 for kind_idx, kind in enumerate(kinds):
@@ -449,43 +440,6 @@ def weyl_sweep(
                                 "ratio2": measured / env2,
                             }
                         )
-    return rows
-
-
-def a_fourth_moment_sweep(
-    q_values: tuple[int, ...] = (101, 211, 499),
-    cells_per_q: int = 6,
-    seed: int = 5,
-) -> list[dict]:
-    """sum_lambda |A|^4 against q * E_{q,b}(indicator on [M, 2M)) with b = inv(a)."""
-    rows = []
-    for q in q_values:
-        starts = [s for s in _dyadic_starts(q) if s >= 2]
-        rng = np.random.default_rng([seed, q])
-        for _ in range(cells_per_q):
-            m_start = starts[int(rng.integers(0, len(starts)))]
-            a = int(rng.integers(1, q))
-            h = int(rng.integers(1, q))
-            vals = a_sum_all(h, a, m_start, q)
-            measured = float(np.sum(np.abs(vals) ** 4))
-            b = inv_mod(a, q)
-            envelope = q * float(unweighted_energy(m_start, q, j=b))
-            if envelope:
-                ratio = measured / envelope
-            else:
-                # empty admissible window forces A = 0 identically
-                ratio = 0.0 if measured < 1e-9 else math.inf
-            rows.append(
-                {
-                    "q": q,
-                    "M": m_start,
-                    "a": a,
-                    "h": h,
-                    "measured": measured,
-                    "envelope": envelope,
-                    "ratio": ratio,
-                }
-            )
     return rows
 
 
@@ -538,7 +492,7 @@ def salie_correlation_sweep(
     rows = []
     for q in q_values:
         cap = int(q ** (2.0 / 3.0))
-        starts = [s for s in _dyadic_starts(q) if 2 * s <= cap]
+        starts = [s for s in dyadic_starts(q) if 2 * s <= cap]
         if not starts:
             continue
         rng = np.random.default_rng([seed, q])
@@ -575,7 +529,7 @@ def type1_sweep(
     """Type-I sums against their envelope wherever the side conditions hold."""
     rows = []
     for q in q_values:
-        starts = _dyadic_starts(q)
+        starts = dyadic_starts(q)
         rng = np.random.default_rng([seed, q])
         drawn = 0
         while drawn < cells_per_q:

@@ -36,7 +36,6 @@ FAMILIES = {
     "congruence_dichotomy": ("lattice.dichotomy_sweep", ("needed",)),
     "weyl_envelope1": ("bilinear.weyl_sweep", ("ratio1",)),
     "weyl_envelope2": ("bilinear.weyl_sweep", ("ratio2",)),
-    "a_fourth_moment": ("bilinear.a_fourth_moment_sweep", ("ratio",)),
     "curve_sum": ("bilinear.curve_sweep", ("max_sigma_over_q",)),
     "variety_deviation": ("bilinear.curve_sweep", ("dev_u", "dev_w")),
     "type1_envelope": ("bilinear.type1_sweep", ("ratio",)),
@@ -90,7 +89,8 @@ def _round_up(value: float, digits: int = 4) -> float:
 
 
 def recalibrate(out_path: str | Path | None = None) -> dict:
-    """Re-run every sweep once and rewrite the fixture file.
+    """Re-run every sweep once and rewrite the fixture file with exactly the
+    ``FAMILIES`` constants; a family no longer listed there is dropped.
 
     Frozen values get 15% headroom over the measured maxima so that harmless
     floating-point jitter across platforms never flips a check.  ``measured``
@@ -100,11 +100,7 @@ def recalibrate(out_path: str | Path | None = None) -> dict:
     """
     global _cache
     path = Path(out_path) if out_path else _fixture_path()
-    existing = {}
-    if path.exists():
-        with path.open() as fh:
-            existing = json.load(fh).get("constants", {})
-    constants = dict(existing)
+    constants = {}
     by_sweep: dict[str, list[str]] = {}
     for name, (sweep, _) in FAMILIES.items():
         by_sweep.setdefault(sweep, []).append(name)

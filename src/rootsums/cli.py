@@ -121,6 +121,7 @@ def cmd_energy(args) -> int:
 
     from .weights import (
         WeightVector,
+        dyadic_starts,
         energy,
         energy_envelope_short,
         q_fourth_moment,
@@ -130,8 +131,7 @@ def cmd_energy(args) -> int:
     for q in _parse_qset(args.qset):
         rng_master = np.random.default_rng([args.seed, q])
         j_values = [1] + [int(rng_master.integers(1, q)) for _ in range(max(0, args.jcount - 1))]
-        start = 1
-        while 2 * start <= q:
+        for start in dyadic_starts(q):
             for j in j_values:
                 rng = np.random.default_rng([args.seed, q, start, j])
                 beta = WeightVector.make(args.weights, q, start, rng)
@@ -152,7 +152,6 @@ def cmd_energy(args) -> int:
                         "seed": args.seed,
                     }
                 )
-            start *= 2
     _write_rows(rows, ["q", "j", "N", "energy", "fourth_moment", "envelope", "ratio", "seed"], args.out)
     return 0
 

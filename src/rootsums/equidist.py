@@ -108,15 +108,17 @@ def discrepancy_oracle(points) -> float:
     return float(np.max(dev) - np.min(dev))
 
 
-def erdos_turan_bound(abs_sums, n_points: int, h_max: int | None = None) -> float:
-    """3 * (N/(H+1) + sum_{h<=H} |S_h| / h) for |S_h| = |sum_n e(h x_n)|."""
+def erdos_turan_bound(abs_sums, n_points: int) -> np.ndarray:
+    """3 * (N/(H+1) + sum_{h<=H} |S_h| / h) at every H = 1..len(abs_sums).
+
+    ``abs_sums[h - 1]`` is |S_h| = |sum_n e(h x_n)|; entry H - 1 of the result
+    is the bound at H, all from one cumulative sum.
+    """
     sums = np.asarray(abs_sums, dtype=np.float64)
-    if h_max is None:
-        h_max = sums.size
-    if h_max < 1:
+    if sums.size < 1:
         raise ValueError("need H >= 1")
-    h = np.arange(1, h_max + 1, dtype=np.float64)
-    return 3.0 * (n_points / (h_max + 1.0) + float(np.sum(sums[:h_max] / h)))
+    h = np.arange(1, sums.size + 1, dtype=np.float64)
+    return 3.0 * (n_points / (h + 1.0) + np.cumsum(sums / h))
 
 
 def point_exponential_sums(points, h_max: int) -> np.ndarray:

@@ -11,6 +11,8 @@ import numpy as np
 # which comfortably covers the 2**62 modulus ceiling used elsewhere.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_BLOCK = 1 << 20  # integers per segment of iter_prime_blocks
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 3.3e24."""
@@ -49,26 +51,14 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def iter_prime_blocks(limit: int, block: int = 1 << 20) -> Iterator[np.ndarray]:
-    """Yield primes <= limit in consecutive segments.
-
-    A classic segmented sieve: base primes up to sqrt(limit) are sieved once,
-    then each window [lo, hi) is cleared against them.  Memory stays O(block)
-    regardless of limit.
-    """
-    if limit < 2:
-        return
-    base = sieve_primes(math.isqrt(limit))
-    yield base[base <= limit]
-    lo = math.isqrt(limit) + 1
+def iter_prime_blocks(limit: int) -> Iterator[np.ndarray]:
+    """Yield primes <= limit in consecutive ``primes_between`` windows of
+    ``_BLOCK`` integers, so memory stays O(_BLOCK) regardless of limit."""
+    lo = 2
     while lo <= limit:
-        hi = min(lo + block, limit + 1)
-        mask = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            start = (-lo) % p
-            mask[start :: p] = False
-        yield (np.nonzero(mask)[0] + lo).astype(np.int64)
-        lo = hi
+        hi = min(lo + _BLOCK - 1, limit)
+        yield primes_between(lo, hi)
+        lo = hi + 1
 
 
 def primes_between(lo: int, hi: int) -> np.ndarray:
@@ -82,10 +72,7 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start <= hi:
             mask[start - lo :: p] = False
-    if lo <= 1:
-        mask[: 2 - lo] = False
-    out = np.nonzero(mask)[0] + lo
-    return out[out >= 2].astype(np.int64)
+    return (np.nonzero(mask)[0] + lo).astype(np.int64)
 
 
 def factorize(n: int, base_primes: np.ndarray | None = None) -> dict[int, int]:

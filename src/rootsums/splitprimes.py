@@ -208,23 +208,14 @@ def hensel_sqrt(a: int, p: int, k: int) -> tuple[int, int]:
 
 
 def _lift_form_roots(q: int, p: int, k: int) -> tuple[int, int]:
-    """Roots of X^2 + X + (q+1)/4 modulo p^k, lifted from the simple roots mod p."""
-    c = (q + 1) // 4
-    disc_roots = sqrt_mod((-q) % p, p)
-    if not disc_roots:
-        raise ValueError(f"-{q} is not a square mod {p}; {p} is not split")
+    """Roots of X^2 + X + (q+1)/4 modulo p^k: (r - 1)/2 for the lifted roots r of -q.
+
+    The discriminant is 1 - (q + 1) = -q, so the roots come from ``hensel_sqrt``.
+    """
+    roots = hensel_sqrt(-q, p, k)
     target = p**k
-    lifted = []
-    for r in disc_roots:
-        x = (r - 1) * inv_mod(2, p) % p
-        modulus = p
-        while modulus < target:
-            modulus = min(modulus * modulus, target)
-            fx = (x * x + x + c) % modulus
-            dfx = (2 * x + 1) % modulus
-            x = (x - fx * inv_mod(dfx, modulus)) % modulus
-        lifted.append(x % target)
-    a, b = sorted(lifted)
+    half = inv_mod(2, target)
+    a, b = sorted((r - 1) * half % target for r in roots)
     return a, b
 
 

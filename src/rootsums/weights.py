@@ -77,9 +77,6 @@ class WeightVector:
             return complex(self.coeffs[residue - self.start])
         return 0.0 + 0.0j
 
-    def is_real(self) -> bool:
-        return bool(np.all(self.coeffs.imag == 0.0))
-
 
 def square_residues(q: int, j: int) -> np.ndarray:
     """Array s with s[u] = representative of j*u^2 (mod q) in [1, q]."""
@@ -87,6 +84,11 @@ def square_residues(q: int, j: int) -> np.ndarray:
     s = (j % q) * (u * u % q) % q
     s[s == 0] = q
     return s
+
+
+def dyadic_starts(q: int) -> list[int]:
+    """The starts N = 1, 2, 4, ... of the dyadic windows [N, 2N) with 2N <= q."""
+    return [1 << k for k in range((q // 2).bit_length())]
 
 
 def weights_on_squares(beta: WeightVector, j: int) -> np.ndarray:
@@ -105,25 +107,24 @@ def admissible_square_members(q: int, start: int, j: int = 1) -> np.ndarray:
     return np.nonzero((s >= start) & (s < 2 * start))[0].astype(np.int64)
 
 
-def _pair_accumulate(idx: np.ndarray, vals: np.ndarray, q: int, mode: str) -> np.ndarray:
-    """Accumulate sum of w_i * conj(w_j) over pairs into residue classes.
+def _pair_histogram(
+    members: np.ndarray, q: int, sign: int, vals: np.ndarray | None = None
+) -> np.ndarray:
+    """Histogram of the pair keys (u_i + sign * u_j) mod q over all ordered pairs of members.
 
-    mode 'diff' buckets (u_i - u_j) mod q, mode 'sum' buckets (u_i + u_j) mod q.
+    With ``vals`` None each pair counts 1, exactly in int64; otherwise pair
+    (i, j) carries vals_i * conj(vals_j) and the histogram is complex.  This is
+    the one place pairs are formed, so the size guard lives here.
     """
-    if len(idx) ** 2 > _PAIR_LIMIT:
-        raise SizeGuardError("weight support too large for exact pair accumulation")
-    if len(idx) == 0:
-        return np.zeros(q, dtype=np.complex128)
-    if mode == "diff":
-        keys = (idx[:, None] - idx[None, :]) % q
-    else:
-        keys = (idx[:, None] + idx[None, :]) % q
-    prods = vals[:, None] * np.conj(vals)[None, :]
-    out = np.bincount(keys.ravel(), weights=prods.real.ravel(), minlength=q).astype(
-        np.complex128
-    )
+    if len(members) ** 2 > _PAIR_LIMIT:
+        raise SizeGuardError("support too large for exact pair accumulation")
+    keys = ((members[:, None] + sign * members) % q).ravel()
+    if vals is None:
+        return np.bincount(keys, minlength=q)
+    prods = (vals[:, None] * np.conj(vals)).ravel()
+    out = np.bincount(keys, weights=prods.real, minlength=q).astype(np.complex128)
     if np.any(prods.imag):
-        out += 1j * np.bincount(keys.ravel(), weights=prods.imag.ravel(), minlength=q)
+        out += 1j * np.bincount(keys, weights=prods.imag, minlength=q)
     return out
 
 
@@ -132,8 +133,8 @@ def q_table(beta: WeightVector, j: int) -> np.ndarray:
     if j % beta.q == 0:
         raise ValueError("j must be invertible mod q")
     w = weights_on_squares(beta, j)
-    idx = np.nonzero(w)[0]
-    return _pair_accumulate(idx, w[idx], beta.q, "diff")
+    members = np.nonzero(w)[0]
+    return _pair_histogram(members, beta.q, -1, w[members])
 
 
 def q_lambda(beta: WeightVector, lam: int, j: int, q: int | None = None) -> complex:
@@ -151,13 +152,7 @@ def q_table_indicator(q: int, start: int, j: int = 1) -> np.ndarray:
     """Exact integer Q_lambda table for the indicator weight on [start, 2*start)."""
     if j % q == 0:
         raise ValueError("j must be invertible mod q")
-    idx = admissible_square_members(q, start, j)
-    if len(idx) ** 2 > _PAIR_LIMIT:
-        raise SizeGuardError("indicator support too large for exact pair counting")
-    if len(idx) == 0:
-        return np.zeros(q, dtype=np.int64)
-    keys = (idx[:, None] - idx[None, :]) % q
-    return np.bincount(keys.ravel(), minlength=q).astype(np.int64)
+    return _pair_histogram(admissible_square_members(q, start, j), q, -1)
 
 
 def energy(beta: WeightVector, j: int = 1) -> complex:
@@ -174,8 +169,8 @@ def energy(beta: WeightVector, j: int = 1) -> complex:
 def energy_pair_histogram(beta: WeightVector, j: int = 1) -> complex:
     """Oracle energy via the pair-sum histogram A(w) = sum_{u+y=w} b_{ju^2} conj(b_{jy^2})."""
     w = weights_on_squares(beta, j)
-    idx = np.nonzero(w)[0]
-    hist = _pair_accumulate(idx, w[idx], beta.q, "sum")
+    members = np.nonzero(w)[0]
+    hist = _pair_histogram(members, beta.q, 1, w[members])
     return complex(np.sum(hist * hist))
 
 
@@ -197,37 +192,34 @@ def energy_quadruple_loop(beta: WeightVector, j: int = 1) -> complex:
 def unweighted_energy(start: int, q: int, j: int = 1) -> int:
     """Exact count of quadruples u + v = x + y with all four reduced squares in [N, 2N).
 
-    Production path: histogram of pair sums over the admissible set.
+    Production path: histogram of pair sums over the admissible set S.  The
+    int64 sum is exact: each (u, v, x) fixes y, so E <= |S|^3, and the pair
+    guard |S|^2 <= 2^26 gives E <= 2^39.
     """
     if 2 * start > q:
         raise ValueError("need 2N <= q")
-    idx = admissible_square_members(q, start, j)
-    if len(idx) == 0:
-        return 0
-    if len(idx) ** 2 > _PAIR_LIMIT:
-        raise SizeGuardError("interval too large for exact pair counting")
-    keys = (idx[:, None] + idx[None, :]) % q
-    hist = np.bincount(keys.ravel(), minlength=q)
-    return int(np.sum(hist.astype(object) ** 2))
+    hist = _pair_histogram(admissible_square_members(q, start, j), q, 1)
+    return int(hist @ hist)
 
 
 def unweighted_energy_oracle(start: int, q: int, j: int = 1) -> int:
-    """Independent recount via the difference histogram (sum of Q_lambda^2)."""
+    """Independent recount via the difference histogram (sum of Q_lambda^2), exact in int64."""
     table = q_table_indicator(q, start, j)
-    return int(np.sum(table.astype(object) ** 2))
+    return int(table @ table)
 
 
 def q_fourth_moment(beta: WeightVector, j: int = 1) -> float:
-    """sum over lambda != 0 of Q_lambda^4 (|Q_lambda|^4 for complex weights)."""
-    table = q_table(beta, j)
-    vals = np.abs(table) if not beta.is_real() else table.real
-    vals = vals.copy()
+    """sum over lambda != 0 of |Q_lambda|^4 (for real weights, bit for bit Q_lambda^4)."""
+    vals = np.abs(q_table(beta, j))
     vals[0] = 0.0
     return float(np.sum(vals**4))
 
 
 def q_fourth_moment_indicator(q: int, start: int, j: int = 1) -> int:
-    """Exact integer fourth moment of the indicator Q table over lambda != 0."""
+    """Exact integer fourth moment of the indicator Q table over lambda != 0.
+
+    Python ints, since the sum reaches |S|^5 <= 2^65, past int64.
+    """
     table = q_table_indicator(q, start, j)
     return int(np.sum(table[1:].astype(object) ** 4))
 
@@ -324,8 +316,7 @@ def weighted_energy_sweep(
     """Random-weight energies against both envelopes over a dyadic (q, N) grid."""
     rows = []
     for q in q_values:
-        start = 1
-        while 2 * start <= q:
+        for start in dyadic_starts(q):
             for kind in kinds:
                 for k in range(seeds_per_cell):
                     rng = np.random.default_rng([seed, q, start, kinds.index(kind), k])
@@ -352,5 +343,4 @@ def weighted_energy_sweep(
                             "ratio_long": measured / env_long,
                         }
                     )
-            start *= 2
     return rows

@@ -18,7 +18,6 @@ from rootsums.bilinear import (
     curve_sum_sigma_all_t,
     curve_sum_sigma_incomplete,
     curve_sum_sigma_t,
-    _dyadic_starts,
     is_diagonal_quadruple,
     rj_sum,
     root_pair_count,
@@ -31,8 +30,13 @@ from rootsums.bilinear import (
     weyl_envelope,
 )
 from rootsums.errors import SizeGuardError
-from rootsums.modular import inv_mod, legendre_table, sqrt_mod
-from rootsums.weights import WeightVector, unweighted_energy
+from rootsums.modular import inv_mod, legendre_table, residue_roots, sqrt_mod
+from rootsums.weights import (
+    WeightVector,
+    admissible_square_members,
+    dyadic_starts,
+    unweighted_energy,
+)
 
 
 def brute_weyl(inst: BilinearInstance) -> complex:
@@ -101,9 +105,9 @@ class TestWeylSum:
     @pytest.mark.parametrize("q", [11, 101, 1009, 4001])
     def test_log_gather_is_the_direct_gather_bit_for_bit(self, q, phase_table_oracle):
         """W and R_j equal the same products over table[a*m*n % q] exactly, up to M = N at the top."""
-        top = _dyadic_starts(q)[-1]
+        top = dyadic_starts(q)[-1]
         cells = [(top, top)] + [
-            (int(s), int(t)) for s, t in np.random.default_rng([7, q]).choice(_dyadic_starts(q), (3, 2))
+            (int(s), int(t)) for s, t in np.random.default_rng([7, q]).choice(dyadic_starts(q), (3, 2))
         ]
         leg = legendre_table(q)
         for k, (m_start, n_start) in enumerate(cells):
@@ -229,14 +233,25 @@ class TestASums:
         rhs = q * root_pair_count(a, m_start, q)
         assert abs(lhs - rhs) <= 1e-6 * q
 
-    def test_fourth_moment_vs_energy(self):
-        limit = calibration.frozen("a_fourth_moment")
-        q, m_start = 101, 8
-        for a in (2, 3, 11):
-            vals = a_sum_all(1, a, m_start, q)
-            measured = float(np.sum(np.abs(vals) ** 4))
-            envelope = q * unweighted_energy(m_start, q, j=inv_mod(a, q))
-            assert measured <= limit * envelope + 1e-9
+    def test_fourth_moment_is_parseval_energy(self):
+        """sum_lambda |A|^4 = q E(M, q, inv(a)), since the root counts c_t are the
+        indicator of the u whose reduced inv(a) u^2 lies in [M, 2M)."""
+        for q in (101, 211, 499):
+            starts = [s for s in dyadic_starts(q) if s >= 2]
+            rng = np.random.default_rng([5, q])
+            for _ in range(6):
+                m_start = starts[int(rng.integers(0, len(starts)))]
+                a = int(rng.integers(1, q))
+                h = int(rng.integers(1, q))
+                b = inv_mod(a, q)
+                m = np.arange(m_start, 2 * m_start, dtype=np.int64)
+                counts = np.bincount(residue_roots(a * m % q, q), minlength=q)
+                indicator = np.zeros(q, dtype=np.int64)
+                indicator[admissible_square_members(q, m_start, b)] = 1
+                assert np.array_equal(counts, indicator)
+                measured = float(np.sum(np.abs(a_sum_all(h, a, m_start, q)) ** 4))
+                energy = unweighted_energy(m_start, q, j=b)
+                assert measured == pytest.approx(q * energy, rel=1e-9)
 
 
 class TestTypeOne:

@@ -12,7 +12,6 @@ UNGATED = [
     "type1_envelope",
     "salie_correlation1",
     "salie_correlation2",
-    "a_fourth_moment",
     "root_discrepancy",
     "product_discrepancy",
     "r_mean_power",
@@ -23,3 +22,7 @@ UNGATED = [
 def test_worst_ratio_within_frozen(name):
     rows = calibration._run_sweep(calibration.FAMILIES[name][0])
     assert calibration.worst(rows, name) <= calibration.frozen(name)
+
+
+def test_fixture_holds_exactly_the_families():
+    assert set(calibration.load()["constants"]) == set(calibration.FAMILIES)

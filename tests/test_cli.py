@@ -213,6 +213,9 @@ class TestVerify:
         out = tmp_path / "calib.json"
         from rootsums import calibration
 
+        # a constant of a family no longer in FAMILIES must not survive
+        stale = {"frozen": 1.0, "measured": 1.0}
+        out.write_text(json.dumps({"constants": {"retired_family": stale}}))
         assert run(["verify", "--recalibrate", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert set(payload["constants"]) == set(calibration.FAMILIES)

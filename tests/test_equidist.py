@@ -84,21 +84,36 @@ class TestDiscrepancy:
 
 class TestErdosTuran:
     def test_arithmetic(self):
-        assert erdos_turan_bound([0.0], 10, 1) == pytest.approx(15.0)
+        assert erdos_turan_bound([0.0], 10).tolist() == pytest.approx([15.0])
+        # |S_1| = 1 enters once per H, not once per h <= H
+        assert erdos_turan_bound([1.0, 0.0, 0.0], 10).tolist() == pytest.approx(
+            [3 * (10 / 2 + 1), 3 * (10 / 3 + 1), 3 * (10 / 4 + 1)]
+        )
+
+    def test_every_h_matches_the_formula(self, rng):
+        sums = rng.random(30) * 5
+        bounds = erdos_turan_bound(sums, 40)
+        assert bounds.shape == (30,)
+        for big_h in range(1, 31):
+            direct = 3.0 * (40 / (big_h + 1) + sum(sums[h - 1] / h for h in range(1, big_h + 1)))
+            assert bounds[big_h - 1] == pytest.approx(direct, rel=1e-12)
+
+    def test_needs_one_sum(self):
+        with pytest.raises(ValueError):
+            erdos_turan_bound([], 10)
 
     def test_bound_holds_for_random_points(self, rng):
         for _ in range(15):
             pts = rng.random(int(rng.integers(2, 80)))
             sums = point_exponential_sums(pts, 60)
             d_val = discrepancy(pts).value
-            for h_max in (1, 5, 20, 60):
-                assert d_val <= erdos_turan_bound(sums, len(pts), h_max) + 1e-9
+            assert np.all(d_val <= erdos_turan_bound(sums, len(pts)) + 1e-9)
 
     def test_stabilises_for_large_h(self):
         pts = np.linspace(0, 0.999, 50)
         sums = point_exponential_sums(pts, 400)
-        b1 = erdos_turan_bound(sums, 50, 399)
-        b2 = erdos_turan_bound(sums, 50, 400)
+        bounds = erdos_turan_bound(sums, 50)
+        b1, b2 = bounds[398], bounds[399]
         tail = 3.0 * float(np.sum(sums / np.arange(1, 401)))
         assert abs(b2 - tail) <= 3.0 * 50 / 401 + 1e-9
         assert abs(b1 - b2) < 1.0

@@ -24,7 +24,8 @@ from rootsums.modular import (
     sqrt_mod,
     tonelli_shanks,
 )
-from rootsums.primes import is_prime, sieve_primes
+from rootsums import primes
+from rootsums.primes import is_prime, iter_prime_blocks, primes_between, sieve_primes
 
 SMALL_PRIMES = [int(q) for q in sieve_primes(500) if q % 2 == 1]
 
@@ -209,3 +210,16 @@ class TestPrimes:
     def test_sieve_matches_mr(self):
         sieved = set(int(p) for p in sieve_primes(2000))
         assert sieved == {n for n in range(2001) if is_prime(n)}
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 97, 12345])
+    def test_prime_blocks_concatenate_to_the_sieve(self, limit, monkeypatch):
+        monkeypatch.setattr(primes, "_BLOCK", 7)
+        blocks = list(iter_prime_blocks(limit))
+        assert all(len(b) <= 7 for b in blocks)
+        joined = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+        assert np.array_equal(joined, sieve_primes(limit))
+
+    def test_primes_between(self):
+        assert primes_between(0, 20).tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert primes_between(14, 16).size == 0
+        assert primes_between(5, 3).size == 0

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootsums import calibration
+from rootsums import calibration, weights
+from rootsums.errors import SizeGuardError
 from rootsums.weights import (
     WeightVector,
+    _pair_histogram,
     admissible_square_members,
+    dyadic_starts,
     energy,
     energy_envelope_long,
     energy_envelope_short,
@@ -56,6 +59,57 @@ class TestWeightVector:
         kind = ["indicator", "pm1", "phase", "indicator"][kind_idx]
         beta = WeightVector.make(kind, q, start, rng)
         assert beta.norm2**2 <= beta.norm_inf * beta.norm1 * (1 + 1e-9) + 1e-12
+
+
+class TestPairHistogram:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_counts_match_double_loop(self, sign):
+        q = 23
+        members = np.array([0, 3, 4, 11, 19], dtype=np.int64)
+        hist = _pair_histogram(members, q, sign)
+        expected = [0] * q
+        for u in members:
+            for v in members:
+                expected[(u + sign * v) % q] += 1
+        assert hist.dtype == np.int64
+        assert hist.tolist() == expected
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_weights_match_double_loop(self, sign, rng):
+        q = 19
+        members = np.array([1, 2, 7, 12], dtype=np.int64)
+        vals = np.exp(2j * np.pi * rng.random(len(members)))
+        hist = _pair_histogram(members, q, sign, vals)
+        expected = np.zeros(q, dtype=np.complex128)
+        for u, x in zip(members, vals):
+            for v, y in zip(members, vals):
+                expected[(u + sign * v) % q] += x * np.conj(y)
+        assert np.allclose(hist, expected, atol=1e-12)
+
+    def test_empty_support(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert _pair_histogram(empty, 11, 1).tolist() == [0] * 11
+        weighted = _pair_histogram(empty, 11, -1, np.empty(0, dtype=np.complex128))
+        assert weighted.dtype == np.complex128 and not weighted.any()
+
+    def test_guard_refuses_every_entry_point(self, monkeypatch):
+        """A support of 2 or more members exceeds a pair limit of 3."""
+        monkeypatch.setattr(weights, "_PAIR_LIMIT", 3)
+        beta = WeightVector.indicator(101, 8)
+        for call in (
+            lambda: q_table(beta, 1),
+            lambda: q_table_indicator(101, 8),
+            lambda: energy_pair_histogram(beta, 1),
+            lambda: unweighted_energy(8, 101),
+        ):
+            with pytest.raises(SizeGuardError):
+                call()
+
+    def test_dyadic_starts(self):
+        assert dyadic_starts(1) == []
+        assert dyadic_starts(2) == dyadic_starts(3) == [1]
+        assert dyadic_starts(101) == [1, 2, 4, 8, 16, 32]
+        assert dyadic_starts(128) == [1, 2, 4, 8, 16, 32, 64]
 
 
 class TestQLambda:
@@ -156,6 +210,16 @@ class TestFourthMoment:
 
     def test_zero_support(self):
         assert q_fourth_moment_indicator(7, 1, 3) == 0
+
+    def test_real_weights_read_as_fourth_powers(self, rng):
+        """|x|^4 = x^4 bit for bit, so real weights need no separate branch."""
+        for kind in ("indicator", "pm1"):
+            beta = WeightVector.make(kind, 101, 16, rng)
+            table = q_table(beta, 3)
+            assert table.imag.tolist() == [0.0] * 101
+            vals = table.real.copy()
+            vals[0] = 0.0
+            assert q_fourth_moment(beta, 3) == float(np.sum(vals**4))
 
     def test_direct_recomputation(self):
         q, start, j = 211, 13, 1
