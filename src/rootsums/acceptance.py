@@ -99,12 +99,12 @@ def check_gauss_identity(q_max: int = 200) -> CriterionResult:
 
 @_timed
 def check_energy_identity(q_max: int = 101) -> CriterionResult:
-    """Sum-histogram energy equals sum of Q_lambda^2, exhaustively, with the pinned instance."""
-    from .weights import (
-        q_fourth_moment_indicator,
-        unweighted_energy,
-        unweighted_energy_oracle,
-    )
+    """Sum-histogram energy equals sum of Q_lambda^2, exhaustively, with the pinned instance.
+
+    Both groupings are computed separately for every window of each (q, j),
+    each from one pass over the pairs of F_q.
+    """
+    from .weights import q_fourth_moment_indicator, unweighted_energy, window_energies
 
     mismatches = 0
     cells = 0
@@ -113,10 +113,10 @@ def check_energy_identity(q_max: int = 101) -> CriterionResult:
         if q < 3:
             continue
         for j in range(1, q):
-            for start in range(1, q // 2 + 1):
-                cells += 1
-                if unweighted_energy(start, q, j) != unweighted_energy_oracle(start, q, j):
-                    mismatches += 1
+            sums = window_energies(q, j, 1)
+            diffs = window_energies(q, j, -1)
+            cells += sums.size
+            mismatches += int(np.count_nonzero(sums != diffs))
     pinned = unweighted_energy(1, 5, 1) == 6 and q_fourth_moment_indicator(5, 1, 1) == 2
     return CriterionResult(
         "energy identity",
@@ -269,12 +269,17 @@ def check_heegner_window(count: int = 50) -> CriterionResult:
 
 @_timed
 def check_discrepancy_engine(multisets: int = 500, q_max: int = 2003, h_max: int = 200) -> CriterionResult:
-    """Sweep formula equals the endpoint oracle; Erdos-Turan holds for every root sequence."""
+    """Sweep formula equals the endpoint oracle; Erdos-Turan holds for every root sequence.
+
+    A root sequence's points are t/q, so its |S_h| come from one FFT of its
+    integer root counts.
+    """
     from .equidist import (
         discrepancy,
         discrepancy_oracle,
         erdos_turan_bound,
-        point_exponential_sums,
+        grid_exponential_sums,
+        prime_root_counts,
         prime_root_points,
     )
 
@@ -299,7 +304,8 @@ def check_discrepancy_engine(multisets: int = 500, q_max: int = 2003, h_max: int
             continue
         sequences += 1
         d_val = discrepancy(pts).value
-        bounds = erdos_turan_bound(point_exponential_sums(pts, h_max), pts.size)
+        sums = grid_exponential_sums(prime_root_counts(q, q), h_max)
+        bounds = erdos_turan_bound(sums, pts.size)
         if np.any(d_val > bounds * (1 + 1e-12) + 1e-9):
             et_violations += 1
     passed = worst_gap <= 1e-12 and et_violations == 0

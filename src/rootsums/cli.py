@@ -122,9 +122,10 @@ def cmd_energy(args) -> int:
     from .weights import (
         WeightVector,
         dyadic_starts,
-        energy,
         energy_envelope_short,
-        q_fourth_moment,
+        q_table,
+        table_energy,
+        table_fourth_moment,
     )
 
     rows = []
@@ -135,8 +136,9 @@ def cmd_energy(args) -> int:
             for j in j_values:
                 rng = np.random.default_rng([args.seed, q, start, j])
                 beta = WeightVector.make(args.weights, q, start, rng)
-                e_val = energy(beta, j)
-                fourth = q_fourth_moment(beta, j)
+                table = q_table(beta, j)
+                e_val = table_energy(table)
+                fourth = table_fourth_moment(table)
                 env = energy_envelope_short(
                     beta.norm_inf, beta.norm1, start, q, args.slack_exponent
                 )

@@ -122,7 +122,12 @@ def erdos_turan_bound(abs_sums, n_points: int) -> np.ndarray:
 
 
 def point_exponential_sums(points, h_max: int) -> np.ndarray:
-    """|S_h| for h = 1..H, S_h = sum_n e(h x_n)."""
+    """|S_h| for h = 1..H, S_h = sum_n e(h x_n), one exponential per h.
+
+    The direct path for an arbitrary multiset of floats, and the oracle of
+    ``grid_exponential_sums``, which reads the same sums for points t/q off
+    one FFT.
+    """
     xs = _as_sorted(points)
     out = np.empty(h_max, dtype=np.float64)
     for h in range(1, h_max + 1):
@@ -130,16 +135,34 @@ def point_exponential_sums(points, h_max: int) -> np.ndarray:
     return out
 
 
+def grid_exponential_sums(counts, h_max: int) -> np.ndarray:
+    """|S_h| for h = 1..H of the points t/q taken counts[t] times, q = len(counts).
+
+    S_h = sum_t counts[t] e(h t/q) is the conjugate of entry h mod q of the
+    FFT of the real counts, so one FFT gives every |S_h|; h wraps mod q when
+    H >= q.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    mags = np.abs(np.fft.fft(counts))
+    return mags[np.arange(1, h_max + 1) % counts.size]
+
+
 # ---------------------------------------------------------------------------
 # Root sequences.
 # ---------------------------------------------------------------------------
 
 
-def prime_root_points(p_limit: float, q: int) -> PointMultiset:
-    """Multiset {x/q : x^2 = p (mod q), p prime <= P, p a residue mod q}."""
+def prime_root_counts(p_limit: float, q: int) -> np.ndarray:
+    """c[t] = number of primes p <= P, p a nonzero residue mod q, with t^2 = p (mod q), as int64."""
     residues = sieve_primes(int(p_limit)) % q
     roots = residue_roots(residues[residues != 0], q)
-    return PointMultiset.from_values(roots / q)
+    return np.bincount(roots, minlength=q)
+
+
+def prime_root_points(p_limit: float, q: int) -> PointMultiset:
+    """Multiset {x/q : x^2 = p (mod q), p prime <= P, p a residue mod q}."""
+    counts = prime_root_counts(p_limit, q)
+    return PointMultiset.from_values(np.repeat(np.arange(q), counts) / q)
 
 
 def product_root_points(p_limit: float, r_limit: float, q: int) -> PointMultiset:

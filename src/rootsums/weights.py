@@ -102,7 +102,13 @@ def weights_on_squares(beta: WeightVector, j: int) -> np.ndarray:
 
 
 def admissible_square_members(q: int, start: int, j: int = 1) -> np.ndarray:
-    """All u in [0, q) whose reduced j*u^2 lies in [start, 2*start)."""
+    """All u in [0, q) whose reduced j*u^2 lies in [start, 2*start).
+
+    The window must satisfy 2N <= q: a wider one contains q, the
+    representative of 0, and would let u = 0 join the set.
+    """
+    if 2 * start > q:
+        raise ValueError("need 2N <= q")
     s = square_residues(q, j)
     return np.nonzero((s >= start) & (s < 2 * start))[0].astype(np.int64)
 
@@ -162,7 +168,11 @@ def energy(beta: WeightVector, j: int = 1) -> complex:
     sum-histogram oracle below takes the other grouping of the same quadruple
     sum, so agreement between the two is a real consistency check.
     """
-    table = q_table(beta, j)
+    return table_energy(q_table(beta, j))
+
+
+def table_energy(table: np.ndarray) -> complex:
+    """Energy read off a Q table: the sum over lambda of Q_lambda^2."""
     return complex(np.sum(table * table))
 
 
@@ -196,10 +206,47 @@ def unweighted_energy(start: int, q: int, j: int = 1) -> int:
     int64 sum is exact: each (u, v, x) fixes y, so E <= |S|^3, and the pair
     guard |S|^2 <= 2^26 gives E <= 2^39.
     """
-    if 2 * start > q:
-        raise ValueError("need 2N <= q")
     hist = _pair_histogram(admissible_square_members(q, start, j), q, 1)
     return int(hist @ hist)
+
+
+def window_energies(q: int, j: int, sign: int) -> np.ndarray:
+    """Exact unweighted energies of every window [N, 2N), N = 1..q//2, of one (q, j).
+
+    Entry N - 1 is the sum over w of hist_N(w)^2, where hist_N counts the
+    ordered pairs (u, v) with both reduced squares s_u, s_v in [N, 2N) by the
+    key u + sign * v (mod q): sign +1 is the pair-sum grouping of
+    ``unweighted_energy``, sign -1 the difference grouping of
+    ``unweighted_energy_oracle``.  A pair lies in the window exactly when
+    max(s_u, s_v)/2 < N <= min(s_u, s_v), a contiguous range of N, so every
+    pair of F_q is formed once: it is added at the first N of its range and
+    subtracted one past the last, and one cumulative sum over N yields every
+    window's histogram.  The int64 sums are exact (each is at most q^3).
+
+    Guarded by ``_PAIR_LIMIT`` on q^2.  The peak heap is about 32 q^2 bytes,
+    four q x q int64 arrays at once (tracemalloc reads 32.0 q^2 at q = 2003),
+    so 2 GiB at the guard's q = 8192.
+    """
+    if q * q > _PAIR_LIMIT:
+        raise SizeGuardError("modulus too large for exact pair accumulation")
+    if j % q == 0:
+        raise ValueError("j must be invertible mod q")
+    half = q // 2
+    s = square_residues(q, j)
+    # flat histogram indices N * q + key of each pair's first and stop N;
+    # an empty range gets stop = first, so its two entries cancel
+    first = (s // 2 + 1) * q
+    stop = (np.minimum(s, half) + 1) * q
+    lo = np.maximum.outer(first, first)
+    hi = np.maximum(np.minimum.outer(stop, stop), lo)
+    u = np.arange(q, dtype=np.int64)
+    keys = np.add.outer(u, sign * u) % q
+    lo += keys
+    hi += keys
+    size = (half + 2) * q
+    diff = np.bincount(lo.ravel(), minlength=size) - np.bincount(hi.ravel(), minlength=size)
+    hist = np.cumsum(diff.reshape(half + 2, q), axis=0)[1 : half + 1]
+    return np.einsum("ij,ij->i", hist, hist)
 
 
 def unweighted_energy_oracle(start: int, q: int, j: int = 1) -> int:
@@ -210,7 +257,12 @@ def unweighted_energy_oracle(start: int, q: int, j: int = 1) -> int:
 
 def q_fourth_moment(beta: WeightVector, j: int = 1) -> float:
     """sum over lambda != 0 of |Q_lambda|^4 (for real weights, bit for bit Q_lambda^4)."""
-    vals = np.abs(q_table(beta, j))
+    return table_fourth_moment(q_table(beta, j))
+
+
+def table_fourth_moment(table: np.ndarray) -> float:
+    """Fourth moment read off a Q table: the sum over lambda != 0 of |Q_lambda|^4."""
+    vals = np.abs(table)
     vals[0] = 0.0
     return float(np.sum(vals**4))
 

@@ -6,13 +6,20 @@ runtime budget if it has one, and prints the pass/fail line, so
 ``rootsums verify`` executes the same functions.
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from rootsums import acceptance
 
 CRITERIA = {check.__name__: check for check in acceptance.ALL_CRITERIA}
+
+# The benchmark's reference output; its keys are the detail contract of ``verify``.
+VERIFY_REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify.json").read_text()
+)
 
 # Stated runtime budgets (seconds) of the clock-bounded criteria.
 BUDGETS = {"check_salie_identity": 60.0, "check_weyl_envelopes": 600.0}
@@ -24,6 +31,7 @@ def test_criterion(name):
     print(result.line())
     assert result.passed, result.line()
     assert result.seconds < BUDGETS.get(name, math.inf), result.line()
+    assert set(result.detail) | {"passed"} == VERIFY_REFERENCE[result.name].keys(), result.line()
 
 
 def test_class_numbers_need_a_certified_tail():

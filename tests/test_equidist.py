@@ -15,8 +15,10 @@ from rootsums.equidist import (
     eos_coverage,
     erdos_turan_bound,
     gamma_q,
+    grid_exponential_sums,
     lambda_weighted_sum,
     point_exponential_sums,
+    prime_root_counts,
     prime_root_points,
     prime_sum_from_weighted,
     product_discrepancy_envelope,
@@ -24,7 +26,7 @@ from rootsums.equidist import (
     root_discrepancy_envelope,
     s_q_sum,
 )
-from rootsums.modular import legendre_table
+from rootsums.modular import legendre_table, residue_roots
 from rootsums.primes import sieve_primes
 
 point_lists = st.lists(
@@ -119,7 +121,41 @@ class TestErdosTuran:
         assert abs(b1 - b2) < 1.0
 
 
+class TestGridExponentialSums:
+    def test_fft_matches_direct_sums_on_every_root_sequence(self):
+        """The discrepancy criterion's grid: q <= 2003 and H = 200, so h wraps mod q below 200."""
+        for q in sieve_primes(2003):
+            q = int(q)
+            if q < 5:
+                continue
+            counts = prime_root_counts(q, q)
+            direct = point_exponential_sums(prime_root_points(q, q), 200)
+            assert np.max(np.abs(grid_exponential_sums(counts, 200) - direct)) <= 1e-9
+
+    def test_h_wraps_mod_q(self):
+        counts = np.array([0, 2, 0, 1, 1])
+        sums = grid_exponential_sums(counts, 12)
+        assert sums[4] == pytest.approx(float(counts.sum()), abs=1e-12)  # h = 5 = 0 mod q
+        assert sums[5:10].tolist() == sums[0:5].tolist()
+
+    def test_single_point(self):
+        assert grid_exponential_sums([0, 0, 3], 4) == pytest.approx([3.0] * 4)
+
+
 class TestRootSequences:
+    @pytest.mark.parametrize("q", [5, 23, 1009, 2003])
+    def test_points_are_the_sorted_roots(self, q):
+        residues = sieve_primes(q) % q
+        expected = np.sort(residue_roots(residues[residues != 0], q) / q)
+        assert prime_root_points(q, q).points.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("q", [5, 23, 101])
+    def test_counts_are_root_multiplicities(self, q):
+        counts = prime_root_counts(40, q)
+        assert counts.dtype == np.int64 and counts.shape == (q,)
+        for t in range(q):
+            assert counts[t] == sum(1 for p in sieve_primes(40) if p % q and t * t % q == p % q)
+
     def test_small_example(self):
         pts = prime_root_points(5, 23)
         assert np.allclose(np.sort(pts.points * 23), [5, 7, 16, 18])

@@ -28,7 +28,9 @@ from rootsums.weights import (
     small_interval_energy_envelope,
     unweighted_energy,
     unweighted_energy_oracle,
+    window_energies,
 )
+from rootsums.modular import legendre_table
 
 
 class TestWeightVector:
@@ -101,6 +103,7 @@ class TestPairHistogram:
             lambda: q_table_indicator(101, 8),
             lambda: energy_pair_histogram(beta, 1),
             lambda: unweighted_energy(8, 101),
+            lambda: window_energies(101, 1, 1),
         ):
             with pytest.raises(SizeGuardError):
                 call()
@@ -200,6 +203,53 @@ class TestUnweightedEnergy:
         start = data.draw(st.integers(min_value=1, max_value=q // 2))
         j = data.draw(st.integers(min_value=1, max_value=q - 1))
         assert unweighted_energy(start, q, j) == unweighted_energy_oracle(start, q, j)
+
+
+class TestWindowGuard:
+    """For 2N > q the window [N, 2N) holds q, the representative of 0; every
+    indicator path refuses it, and the last window 2N <= q still passes."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: admissible_square_members(101, 51),
+            lambda: unweighted_energy_oracle(51, 101),
+            lambda: q_table_indicator(101, 51),
+            lambda: q_fourth_moment_indicator(101, 60),
+        ],
+    )
+    def test_window_past_q_raises(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_last_window_fits(self):
+        assert unweighted_energy(50, 101) == unweighted_energy_oracle(50, 101)
+
+
+class TestWindowEnergies:
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_every_cell_matches_both_scalar_paths(self, q):
+        for j in range(1, q):
+            sums = window_energies(q, j, 1)
+            diffs = window_energies(q, j, -1)
+            assert sums.dtype == np.int64 and sums.shape == (q // 2,)
+            for start in range(1, q // 2 + 1):
+                assert sums[start - 1] == unweighted_energy(start, q, j)
+                assert diffs[start - 1] == unweighted_energy_oracle(start, q, j)
+
+    @pytest.mark.parametrize("q", [31, 61, 101])
+    def test_quadratic_class_invariance(self, q):
+        """E(N, q, j c^2) = E(N, q, j): one energy row per quadratic class of j."""
+        leg = legendre_table(q)
+        rows = {1: window_energies(q, 1, 1)}
+        rows[-1] = window_energies(q, int(np.nonzero(leg == -1)[0][0]), 1)
+        assert rows[1].tolist() != rows[-1].tolist()
+        for j in range(1, q):
+            assert window_energies(q, j, 1).tolist() == rows[int(leg[j])].tolist()
+
+    def test_j_must_be_invertible(self):
+        with pytest.raises(ValueError):
+            window_energies(7, 14, 1)
 
 
 class TestFourthMoment:
