@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calibration
-from .primes import sieve_primes
+from .primes import primes_between
 
 
 @dataclass
@@ -52,10 +52,7 @@ def check_salie_identity(q_max: int = 200) -> CriterionResult:
 
     worst = 0.0
     worst_vanish = 0.0
-    for q in sieve_primes(q_max):
-        q = int(q)
-        if q < 3:
-            continue
+    for q in primes_between(3, q_max).tolist():
         direct, closed = salie_all(q)
         worst = max(worst, float(np.max(np.abs(direct - closed))) / math.sqrt(q))
         leg = legendre_table(q)
@@ -80,10 +77,7 @@ def check_gauss_identity(q_max: int = 200) -> CriterionResult:
 
     worst = 0.0
     worst_mod = 0.0
-    for q in sieve_primes(q_max):
-        q = int(q)
-        if q < 3:
-            continue
+    for q in primes_between(3, q_max).tolist():
         direct, closed = gauss_all(q)
         worst = max(worst, float(np.max(np.abs(direct - closed))) / math.sqrt(q))
         worst_mod = max(
@@ -108,10 +102,7 @@ def check_energy_identity(q_max: int = 101) -> CriterionResult:
 
     mismatches = 0
     cells = 0
-    for q in sieve_primes(q_max):
-        q = int(q)
-        if q < 3:
-            continue
+    for q in primes_between(3, q_max).tolist():
         for j in range(1, q):
             sums = window_energies(q, j, 1)
             diffs = window_energies(q, j, -1)
@@ -295,10 +286,7 @@ def check_discrepancy_engine(multisets: int = 500, q_max: int = 2003, h_max: int
 
     et_violations = 0
     sequences = 0
-    for q in sieve_primes(q_max):
-        q = int(q)
-        if q < 5:
-            continue
+    for q in primes_between(5, q_max).tolist():
         pts = prime_root_points(q, q)
         if pts.size == 0:
             continue

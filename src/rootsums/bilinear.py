@@ -47,9 +47,6 @@ class BilinearInstance:
             raise ValueError("need gcd(a, q) = gcd(h, q) = 1")
         if self.alpha.q != self.q or self.beta.q != self.q:
             raise ValueError("weight moduli must match the instance modulus")
-        # also keeps m, n off 0 mod q, so every kernel index has a discrete log
-        if 2 * self.alpha.start > self.q or 2 * self.beta.start > self.q:
-            raise ValueError("need M, N <= q/2 for the envelope regime")
 
     @property
     def m_start(self) -> int:

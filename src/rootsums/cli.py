@@ -86,13 +86,10 @@ def cmd_sums(args) -> int:
     import numpy as np
 
     from .expsums import gauss_all, incomplete_sqrt_max, salie_all
-    from .primes import sieve_primes
+    from .primes import primes_between
 
     rows = []
-    for q in sieve_primes(args.qmax):
-        q = int(q)
-        if q < max(3, args.qmin):
-            continue
+    for q in primes_between(max(3, args.qmin), args.qmax).tolist():
         sd, sc = salie_all(q)
         max_salie_err = float(np.max(np.abs(sd - sc)))
         del sd, sc  # not held through gauss_all and the next salie_all: a lower peak RSS
@@ -175,9 +172,6 @@ def cmd_lattice(args) -> int:
 def cmd_bilinear(args) -> int:
     from .bilinear import weyl_sweep
 
-    if args.action != "sweep":
-        print(f"unknown bilinear action {args.action!r}", file=sys.stderr)
-        return 2
     rows = weyl_sweep(
         q_values=_parse_qset(args.qset),
         kinds=tuple(args.weights.split(",")),
@@ -264,15 +258,12 @@ def cmd_split(args) -> int:
         }
         _write_json(payload, args.out)
         return 0
-    if args.action == "probe":
-        # report-only: the asymptotic lower bound has an ineffective constant
-        from .splitprimes import asymptotic_probe_rows
+    # probe, report-only: the asymptotic lower bound has an ineffective constant
+    from .splitprimes import asymptotic_probe_rows
 
-        rows = asymptotic_probe_rows(max(args.qmin, 10**3), args.qmax)
-        _write_rows(rows, ["q", "P", "split_count", "envelope", "ratio"], args.out)
-        return 0
-    print(f"unknown split action {args.action!r}", file=sys.stderr)
-    return 2
+    rows = asymptotic_probe_rows(max(args.qmin, 10**3), args.qmax)
+    _write_rows(rows, ["q", "P", "split_count", "envelope", "ratio"], args.out)
+    return 0
 
 
 def cmd_discrepancy(args) -> int:
@@ -294,9 +285,6 @@ def cmd_discrepancy(args) -> int:
             args.out,
         )
         return 0
-    if args.action != "gamma":
-        print(f"unknown discrepancy action {args.action!r}", file=sys.stderr)
-        return 2
     rows = []
     for q in _parse_qset(args.qset):
         p_values = [args.P] if args.P else [int(round(q**e)) for e in args.p_exponents]
@@ -375,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("bilinear", help="bilinear Weyl-sum envelope sweeps")
-    p.add_argument("action", nargs="?", default="sweep")
+    p.add_argument("action", nargs="?", default="sweep", choices=["sweep"])
     p.add_argument("--qset", default="101,211,499")
     p.add_argument("--weights", default="indicator,pm1,phase")
     p.add_argument("--instances", type=int, default=20)
@@ -392,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forms)
 
     p = sub.add_parser("split", help="split-prime counting and the effective construction")
-    p.add_argument("action", nargs="?", default="thm12")
+    p.add_argument("action", nargs="?", default="thm12", choices=["thm12", "count", "probe"])
     p.add_argument("--q", type=_odd_prime, default=67)
     p.add_argument("--P", type=float, default=100.0)
     p.add_argument("--qmin", type=int, default=67)
@@ -401,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("discrepancy", help="discrepancy of root sequences vs envelopes")
-    p.add_argument("action", nargs="?", default="gamma", help="gamma or coverage")
+    p.add_argument("action", nargs="?", default="gamma", choices=["gamma", "coverage"])
     p.add_argument("--qset", default="503,1009")
     p.add_argument(
         "--p-exponents",

@@ -201,13 +201,10 @@ def incomplete_sqrt_sweep(q_max: int = 2003, pairs_per_q: int = 3, seed: int = 1
     One row per (q, a, h) cell with the measured/envelope ratio; the maximum
     ratio over the grid is what the calibration fixture freezes.
     """
-    from .primes import sieve_primes
+    from .primes import primes_between
 
     rows = []
-    for q in sieve_primes(q_max):
-        q = int(q)
-        if q < 5:
-            continue
+    for q in primes_between(5, q_max).tolist():
         rng = np.random.default_rng([seed, q])
         for _ in range(pairs_per_q):
             a = int(rng.integers(1, q))

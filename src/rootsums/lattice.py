@@ -1,12 +1,9 @@
 """Two-dimensional lattices, successive minima against boxes, and congruence counts.
 
 The lattice of interest is {(x, y) in Z^2 : x = y*s (mod q)} together with a
-symmetric box |x| <= h, |y| <= H.  Successive minima are computed exactly by
-layered enumeration: for each coefficient layer n the box-gauge is a convex
-piecewise-linear function of the remaining coefficient, so its integer
-minimum sits next to one of O(1) breakpoints, and a per-layer lower bound
-certifies when no further layer can improve the answer.  No floating-point
-reduction is trusted for the final result.
+symmetric box |x| <= h, |y| <= H.  Successive minima are the box gauges of a
+basis reduced by the generalized Gauss reduction, run in exact integer
+arithmetic: no float is compared and no scan is capped.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from fractions import Fraction
 from .errors import EnumerationOverflowError
 from .modular import inv_mod
 
-_LAYER_CAP = 2_000_000
 _ENUM_CAP = 4_000_000
 
 
@@ -30,8 +26,8 @@ class Box2D:
     H: float
 
     def __post_init__(self):
-        if self.h <= 0 or self.H <= 0:
-            raise ValueError("box half-widths must be positive")
+        if not (0 < self.h < math.inf and 0 < self.H < math.inf):
+            raise ValueError("box half-widths must be positive and finite")
 
     @property
     def volume(self) -> float:
@@ -73,160 +69,46 @@ class Lattice2D:
         )
 
 
-def _lagrange_reduce(lat: Lattice2D, box: Box2D) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Lagrange/Gauss reduction of the integer basis in box-scaled coordinates.
+def _reduce(lat: Lattice2D, box: Box2D) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A basis b1, b2 of the lattice with |b1| <= |b2| <= |b2 + k*b1| for every integer k.
 
-    Only improves the layer geometry; exactness of the minima does not rely
-    on the reduction being perfect.
+    |.| is the box gauge, compared exactly through the integer key
+    max(|x|*wx, |y|*wy), a positive multiple of the gauge (floats are exact
+    Fractions).  Each step replaces b2 by b2 - mu*b1 for the integer mu of
+    least gauge: that gauge is convex and piecewise linear in mu, so mu is
+    the floor or the ceiling of a zero of one piece or of a crossing of the
+    two.  If the new b2 is shorter than b1 the two are swapped and the step
+    repeats; each swap strictly lowers the positive integer key of b1, so the
+    loop ends.  Such a basis realises both successive minima for any norm
+    (Kaib and Schnorr, the generalized Gauss reduction, J. Algorithms 21, 1996).
     """
-    sx, sy = 1.0 / box.h, 1.0 / box.H
-    u, v = lat.b1, lat.b2
+    h, H = Fraction(box.h), Fraction(box.H)
+    wx, wy = h.denominator * H.numerator, H.denominator * h.numerator
 
-    def dot(p, r):
-        return (p[0] * sx) * (r[0] * sx) + (p[1] * sy) * (r[1] * sy)
+    def key(v: tuple[int, int]) -> int:
+        return max(abs(v[0]) * wx, abs(v[1]) * wy)
 
-    for _ in range(256):
-        if dot(u, u) > dot(v, v):
-            u, v = v, u
-        denom = dot(u, u)
-        if denom == 0:
-            break
-        mu = round(dot(u, v) / denom)
-        if mu == 0:
-            break
-        v = (v[0] - mu * u[0], v[1] - mu * u[1])
-    return u, v
-
-
-def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _canonical(v: tuple[int, int]) -> tuple[int, int]:
-    """Pick one of {v, -v} deterministically."""
-    return v if v > (-v[0], -v[1]) else (-v[0], -v[1])
-
-
-def _layer_minimum(
-    b1: tuple[int, int],
-    b2: tuple[int, int],
-    n: int,
-    box: Box2D,
-    forbid: tuple[int, int] | None,
-) -> tuple[float, tuple[int, int]] | None:
-    """Exact min of the box gauge over {m*b1 + n*b2 : m in Z}, nonzero vectors only.
-
-    With ``forbid`` set, vectors parallel to it are excluded.  The gauge is a
-    max of two absolute linear functions of m, so the continuous minimum sits
-    at a zero or a crossing; the integer minimum is adjacent to one of them.
-    """
-    a, b_ = b1
-    c, d = b2
-
-    candidates: set[int] = set()
-
-    def add(value: float) -> None:
-        candidates.add(math.floor(value))
-        candidates.add(math.ceil(value))
-
-    if a != 0:
-        add(-c * n / a)
-    if b_ != 0:
-        add(-d * n / b_)
-    # crossings of the two linear pieces: a*m + c*n = +-(h/H)(b*m + d*n)
-    ratio = box.h / box.H
-    for sign in (1.0, -1.0):
-        denom = a - sign * ratio * b_
-        if abs(denom) > 1e-15:
-            add((sign * ratio * d * n - c * n) / denom)
-
-    skip_m: Fraction | None = None
-    if forbid is not None:
-        cr1 = _cross(b1, forbid)
-        cr2 = _cross(b2, forbid)
-        if cr1 == 0:
-            if n * cr2 == 0:
-                return None  # the whole layer is parallel to the forbidden direction
-        else:
-            skip_m = Fraction(-n * cr2, cr1)
-
-    # When the unconstrained integer minimiser is excluded (zero vector or a
-    # forbidden direction), the constrained one is adjacent; cover both sides.
-    for m in list(candidates):
-        candidates.add(m - 1)
-        candidates.add(m + 1)
-
-    best: tuple[float, tuple[int, int]] | None = None
-    for m in sorted(candidates):
-        x = m * a + n * c
-        y = m * b_ + n * d
-        if x == 0 and y == 0:
-            continue
-        if skip_m is not None and skip_m == m:
-            continue
-        if forbid is not None and _cross((x, y), forbid) == 0:
-            continue
-        norm = box.norm((x, y))
-        vec = _canonical((x, y))
-        key = (norm, abs(vec[0]), abs(vec[1]), vec)
-        if best is None or key < (best[0], abs(best[1][0]), abs(best[1][1]), best[1]):
-            best = (norm, vec)
-    return best
-
-
-def _minimize(
-    b1: tuple[int, int],
-    b2: tuple[int, int],
-    box: Box2D,
-    forbid: tuple[int, int] | None = None,
-    layer_ok=None,
-) -> tuple[float, tuple[int, int]]:
-    """Exact lattice minimum of the box gauge (excluding 0 and optional directions).
-
-    Scans layers n = 0, 1, 2, ...; stops once the per-layer lower bound
-    |n| * ||b2 orthogonal part|| / sqrt(2) exceeds the best gauge found.
-    """
-    sx, sy = 1.0 / box.h, 1.0 / box.H
-    u = (b1[0] * sx, b1[1] * sy)
-    v = (b2[0] * sx, b2[1] * sy)
-    uu = u[0] * u[0] + u[1] * u[1]
-    mu = (u[0] * v[0] + u[1] * v[1]) / uu
-    w = (v[0] - mu * u[0], v[1] - mu * u[1])
-    orth = math.hypot(*w)
-    if orth <= 0:
-        raise EnumerationOverflowError("degenerate basis")
-
-    best: tuple[float, tuple[int, int]] | None = None
-    n = 0
+    b1, b2 = lat.b1, lat.b2
     while True:
-        if n > _LAYER_CAP:
-            raise EnumerationOverflowError("layer scan exceeded its cap")
-        if best is not None and n > 0 and n * orth / math.sqrt(2.0) > best[0] * (1 + 1e-12):
-            break
-        if layer_ok is None or layer_ok(n):
-            found = _layer_minimum(b1, b2, n, box, forbid)
-            if found is not None:
-                key = (found[0], abs(found[1][0]), abs(found[1][1]), found[1])
-                if best is None or key < (best[0], abs(best[1][0]), abs(best[1][1]), best[1]):
-                    best = found
-        if best is None and n > _LAYER_CAP // 2:
-            raise EnumerationOverflowError("no admissible vector found")
-        n += 1
-    assert best is not None
-    return best
+        (a, b), (c, d) = b1, b2
+        breaks = [
+            (c, a), (d, b), (c * wx - d * wy, a * wx - b * wy), (c * wx + d * wy, a * wx + b * wy)
+        ]
+        mus = sorted({m for num, den in breaks if den for m in (num // den, -(-num // den))})
+        b2 = min(((c - m * a, d - m * b) for m in mus), key=key)
+        if key(b2) >= key(b1):
+            return b1, b2
+        b1, b2 = b2, b1
 
 
 def successive_minima(lat: Lattice2D, box: Box2D) -> tuple[float, float]:
     """(lambda_1, lambda_2) of the lattice with respect to the box, exactly.
 
-    lambda_1 is the least gauge of a nonzero vector; lambda_2 the least gauge
-    of a vector independent of a fixed lambda_1 witness (deterministic
-    tie-breaking makes the witness unique).
+    They are the gauges of the reduced basis; vectors of equal exact gauge
+    give equal floats, since each gauge is a correctly rounded quotient.
     """
-    red1, red2 = _lagrange_reduce(lat, box)
-    lam1, v1 = _minimize(red1, red2, box)
-    lam2, _ = _minimize(red1, red2, box, forbid=v1)
-    return lam1, lam2
+    b1, b2 = _reduce(lat, box)
+    return box.norm(b1), box.norm(b2)
 
 
 def minkowski_check(lat: Lattice2D, box: Box2D) -> dict:
@@ -322,21 +204,20 @@ def rational_reconstruction(
     return None
 
 
-def reconstruction_vector(s: int, box: Box2D, q: int) -> tuple[int, int] | None:
+def reconstruction_vector(s: int, box: Box2D, q: int) -> tuple[int, int]:
     """Minimal-gauge (b, a) with b = a*s (mod q), a nonzero mod q, w.r.t. the box.
 
     This is the lattice vector behind the structured branch of the congruence
     dichotomy: b plays the x role (bounded by the h side) and a the y role
-    (bounded by the H side).
+    (bounded by the H side).  The vectors with a = 0 (mod q) form qZ^2.  If
+    the reduced b1 lies there, every vector shorter than b2 is a multiple of
+    b1, and b2 does not lie there too, since det L = q < q^2; so b2 is the
+    answer.  The sign is chosen with a > 0; among vectors of equal gauge any
+    one may be returned.
     """
-    lat = Lattice2D.congruence(s, q)
-    try:
-        _, vec = _minimize(
-            lat.b1, lat.b2, box, layer_ok=lambda n: n % q != 0
-        )
-    except EnumerationOverflowError:
-        return None
-    return vec
+    b1, b2 = _reduce(Lattice2D.congruence(s, q), box)
+    b, a = b1 if b1[1] % q else b2
+    return (b, a) if a > 0 else (-b, -a)
 
 
 def dichotomy_sweep(q_max: int = 499, samples: int = 1000, seed: int = 11) -> list[dict]:
@@ -352,9 +233,9 @@ def dichotomy_sweep(q_max: int = 499, samples: int = 1000, seed: int = 11) -> li
     """
     import numpy as np
 
-    from .primes import sieve_primes
+    from .primes import primes_between
 
-    primes = [int(p) for p in sieve_primes(q_max) if p >= 11]
+    primes = primes_between(11, q_max).tolist()
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(samples):
@@ -370,10 +251,8 @@ def dichotomy_sweep(q_max: int = 499, samples: int = 1000, seed: int = 11) -> li
         dense = count / max(h * H / q, 1.0)
         structured = math.inf
         if count > 0:
-            vec = reconstruction_vector(s, Box2D(h, H), q)
-            if vec is not None:
-                b, a = vec
-                structured = max(abs(a) * count / H, abs(b) * count / h)
+            b, a = reconstruction_vector(s, Box2D(h, H), q)
+            structured = max(abs(a) * count / H, abs(b) * count / h)
         needed = min(dense, structured)
         mink = minkowski_check(Lattice2D.congruence(s, q), Box2D(h, H))
         rows.append(

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modular import kronecker, legendre_table
-from .primes import divisors, factorize, is_prime, primes_between, sieve_primes
+from .primes import divisors, factorize, is_prime, primes_between
 
 DUKE_LIMIT_FRACTION = 27.0 / (10.0 * math.pi)
 
@@ -332,9 +332,8 @@ def class_number_consistency_sweep(q_max: int = 10**4, truncation: int = 10**6) 
     < 0.5 makes the rounding of ``h_implied`` provable.
     """
     rows = []
-    for q in sieve_primes(q_max):
-        q = int(q)
-        if q % 4 != 3 or q <= 3:
+    for q in primes_between(5, q_max).tolist():
+        if q % 4 != 3:
             continue
         h = class_number(q)
         h_finite = class_number_finite(q)

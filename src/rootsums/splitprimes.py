@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modular import inv_mod, kronecker, legendre_table, sqrt_mod
-from .primes import factorize, is_prime, iter_prime_blocks, sieve_primes, valuation
+from .primes import factorize, is_prime, iter_prime_blocks, primes_between, sieve_primes, valuation
 from .quadforms import chi_at
 
 # (2 - log(3*sqrt(2))) / 2, the per-step constant in the effective lower bound
@@ -170,9 +170,8 @@ def effective_split_count(q: int) -> EffectiveCountReport:
 def effective_sweep(q_min: int = 67, q_max: int = 10**4) -> list[EffectiveCountReport]:
     """Run the effective construction for every prime q = 3 (mod 16) in [q_min, q_max]."""
     reports = []
-    for q in sieve_primes(q_max):
-        q = int(q)
-        if q >= q_min and q % 16 == 3:
+    for q in primes_between(q_min, q_max).tolist():
+        if q % 16 == 3:
             reports.append(effective_split_count(q))
     return reports
 
@@ -261,10 +260,7 @@ def asymptotic_probe_rows(
     assertion.  ``stride`` thins the prime grid to keep the probe quick.
     """
     rows = []
-    primes = sieve_primes(q_max)
-    primes = primes[primes >= q_min]
-    for q in primes[::stride]:
-        q = int(q)
+    for q in primes_between(q_min, q_max)[::stride].tolist():
         p_limit = q ** (0.5 + exponent_eps)
         measured = count_split(p_limit, q)
         envelope = min(

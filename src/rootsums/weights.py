@@ -22,7 +22,7 @@ _PAIR_LIMIT = 1 << 26  # largest support^2 handled by exact pair accumulation
 
 
 class WeightVector:
-    """Complex weights on the residue window [start, 2*start) inside [1, q].
+    """Complex weights on the residue window [start, 2*start) inside [1, q).
 
     ``coeffs[i]`` is the weight of residue ``start + i``.  Norms are computed
     once and cached; construction verifies the Cauchy-Schwarz consistency
@@ -34,8 +34,10 @@ class WeightVector:
     def __init__(self, q: int, start: int, coeffs: np.ndarray):
         if start < 1:
             raise ValueError("interval start must be >= 1")
-        if 2 * start - 1 > q:
-            raise ValueError("support [N, 2N) must stay inside [1, q]")
+        # 2N <= q keeps q, the representative of 0, out of [N, 2N): every
+        # support residue is then nonzero mod q and has a discrete log
+        if 2 * start > q:
+            raise ValueError("need 2N <= q")
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != (start,):
             raise ValueError(f"expected {start} coefficients for [N, 2N)")
@@ -320,13 +322,10 @@ def energy_envelope_long(
 
 def _window_sweep(q_max: int, measure, envelope) -> list[dict]:
     """measure(q, N) against envelope(N, q) for primes 5 <= q <= q_max and every N <= sqrt(q)."""
-    from .primes import sieve_primes
+    from .primes import primes_between
 
     rows = []
-    for q in sieve_primes(q_max):
-        q = int(q)
-        if q < 5:
-            continue
+    for q in primes_between(5, q_max).tolist():
         for start in range(1, math.isqrt(q) + 1):
             measured = measure(q, start)
             env = envelope(start, q)

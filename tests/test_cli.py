@@ -68,7 +68,11 @@ class TestBilinear:
         assert a.read_bytes() != b.read_bytes()
 
     def test_unknown_action(self, capsys):
-        assert run(["bilinear", "frobnicate"]) == 2
+        for command in ("bilinear", "split", "discrepancy"):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "frobnicate"])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_summary_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "a.csv"

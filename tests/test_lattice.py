@@ -1,14 +1,18 @@
 """Successive minima, point counts, congruence counts and reconstruction."""
 
+import math
+from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rootsums.lattice import (
     Box2D,
     Lattice2D,
+    _reduce,
     congruence_count,
     dichotomy_sweep,
     lattice_points_in_box,
@@ -21,21 +25,42 @@ from rootsums.lattice import (
 from rootsums.modular import inv_mod
 
 
-def brute_minima(lat: Lattice2D, box: Box2D, radius: int) -> tuple[float, float]:
-    """Oracle: scan every coefficient pair in a big window."""
-    vecs = []
-    for m in range(-radius, radius + 1):
-        for n in range(-radius, radius + 1):
-            if m == 0 and n == 0:
-                continue
-            vecs.append(lat.vector(m, n))
-    vecs.sort(key=box.norm)
+def brute_minima(lat: Lattice2D, box: Box2D) -> tuple[float, float]:
+    """Oracle: sort every nonzero lattice point of t * box by gauge.
+
+    t, the larger gauge of the two basis vectors, bounds lambda_2, so the
+    scan holds both minima; membership is tested on (x, y) directly.
+    """
+    t = max(box.norm(lat.b1), box.norm(lat.b2))
+    big_x, big_y = int(t * box.h) + 1, int(t * box.H) + 1
+    (a, b), (c, d) = lat.b1, lat.b2
+    det = a * d - b * c
+    x, y = np.meshgrid(np.arange(-big_x, big_x + 1), np.arange(-big_y, big_y + 1), indexing="ij")
+    x, y = x.ravel(), y.ravel()
+    keep = ((x * d - y * c) % det == 0) & ((a * y - b * x) % det == 0) & ((x != 0) | (y != 0))
+    vecs = sorted(zip(x[keep].tolist(), y[keep].tolist()), key=box.norm)
     lam1 = box.norm(vecs[0])
     v1 = vecs[0]
     lam2 = next(
         box.norm(v) for v in vecs if v1[0] * v[1] - v1[1] * v[0] != 0
     )
     return lam1, lam2
+
+
+def gauge(box: Box2D, v: tuple[int, int]) -> Fraction:
+    """The box gauge of v as an exact rational."""
+    return max(abs(v[0]) / Fraction(box.h), abs(v[1]) / Fraction(box.H))
+
+
+def centered(r: int, q: int) -> int:
+    r %= q
+    return r - q if r > q // 2 else r
+
+
+half_widths = st.one_of(
+    st.integers(min_value=1, max_value=20), st.floats(min_value=0.1, max_value=20)
+)
+coords = st.integers(min_value=-12, max_value=12)
 
 
 class TestSuccessiveMinima:
@@ -48,7 +73,7 @@ class TestSuccessiveMinima:
     def test_congruence_small(self):
         lat = Lattice2D.congruence(2, 5)
         got = successive_minima(lat, Box2D(1, 1))
-        assert got == pytest.approx(brute_minima(lat, Box2D(1, 1), 12))
+        assert got == brute_minima(lat, Box2D(1, 1))
 
     @given(
         st.sampled_from([11, 13, 17, 23]),
@@ -62,8 +87,42 @@ class TestSuccessiveMinima:
         lat = Lattice2D.congruence(s, q)
         box = Box2D(h, H)
         lam = successive_minima(lat, box)
-        assert lam == pytest.approx(brute_minima(lat, box, 3 * q))
+        assert lam == brute_minima(lat, box)
         assert lam[0] <= lam[1]
+
+    @given(coords, coords, coords, coords, half_widths, half_widths)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bases_against_brute_force(self, a, b, c, d, h, H):
+        assume(a * d - b * c != 0)
+        lat, box = Lattice2D((a, b), (c, d)), Box2D(h, H)
+        assert successive_minima(lat, box) == brute_minima(lat, box)
+
+    @given(coords, coords, coords, coords, half_widths, half_widths)
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_basis(self, a, b, c, d, h, H):
+        assume(a * d - b * c != 0)
+        lat, box = Lattice2D((a, b), (c, d)), Box2D(h, H)
+        b1, b2 = _reduce(lat, box)
+        assert Lattice2D(b1, b2).det == lat.det
+        plus = (b2[0] + b1[0], b2[1] + b1[1])
+        minus = (b2[0] - b1[0], b2[1] - b1[1])
+        assert gauge(box, b1) <= gauge(box, b2) <= min(gauge(box, plus), gauge(box, minus))
+
+    def test_pinned_boxes(self):
+        assert successive_minima(Lattice2D.standard(), Box2D(10**6, 1)) == (1e-6, 1.0)
+        assert successive_minima(Lattice2D.standard(), Box2D(0.5, 0.5)) == (2.0, 2.0)
+
+    def test_huge_unimodular_basis(self):
+        n = 10**12
+        lat = Lattice2D((n + 1, n), (n, n - 1))
+        assert successive_minima(lat, Box2D(1, 1)) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("h", [0, -1, math.inf, math.nan])
+    def test_box_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError):
+            Box2D(h, 1)
+        with pytest.raises(ValueError):
+            Box2D(1, h)
 
     def test_degenerate_basis_rejected(self):
         with pytest.raises(ValueError):
@@ -194,6 +253,17 @@ class TestDichotomy:
         assert vec is not None
         b, a = vec
         assert (b - a * 7) % 101 == 0 and a % 101 != 0
+
+    @given(st.sampled_from([11, 13, 101, 499]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reconstruction_vector_against_brute_force(self, q, data):
+        s = data.draw(st.integers(min_value=1, max_value=q - 1))
+        box = Box2D(data.draw(half_widths), data.draw(half_widths))
+        b, a = reconstruction_vector(s, box, q)
+        assert (b - a * s) % q == 0 and a > 0 and a % q != 0
+        # b depends only on a mod q, so each class of a is best at centred representatives
+        best = min(gauge(box, (centered(k * s, q), centered(k, q))) for k in range(1, q))
+        assert gauge(box, (b, a)) == best
 
     def test_sampled_cells_within_frozen_constant(self):
         from rootsums import calibration

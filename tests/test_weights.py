@@ -35,10 +35,10 @@ from rootsums.modular import legendre_table
 
 class TestWeightVector:
     def test_support_must_fit(self):
-        WeightVector.indicator(11, 5)  # [5, 10) inside [1, 11]
-        WeightVector.indicator(11, 6)  # top key 2N - 1 = 11 still fits
-        with pytest.raises(ValueError):
-            WeightVector.indicator(11, 7)
+        WeightVector.indicator(11, 5)  # [5, 10) inside [1, 11)
+        for start in (6, 7):  # [6, 12) contains 11, the representative of 0
+            with pytest.raises(ValueError):
+                WeightVector.indicator(11, start)
 
     def test_start_at_least_one(self):
         with pytest.raises(ValueError):
