@@ -55,9 +55,8 @@ def check_salie_identity(q_max: int = 200) -> CriterionResult:
     for q in primes_between(3, q_max).tolist():
         direct, closed = salie_all(q)
         worst = max(worst, float(np.max(np.abs(direct - closed))) / math.sqrt(q))
-        leg = legendre_table(q)
-        m = np.arange(1, q, dtype=np.int64)
-        nonres = leg[m[:, None] * m[None, :] % q] == -1
+        leg = legendre_table(q)[1:]  # the Legendre symbol is multiplicative on m != 0
+        nonres = np.multiply.outer(leg, leg) == -1
         if np.any(nonres):
             worst_vanish = max(
                 worst_vanish, float(np.max(np.abs(direct[nonres]))) / math.sqrt(q)

@@ -142,48 +142,41 @@ def root_pair_count(a: int, m_start: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def weyl_envelope(
-    which: int,
+def weyl_envelopes(
     norm2_alpha: float,
     norm_inf_beta: float,
     norm1_beta: float,
     m_start: int,
     n_start: int,
     q: int,
-    slack_exponent: float = 0.0,
-) -> float:
-    """The two bilinear-form envelopes (select with which = 1 or 2).
-
-    Both require M, N <= q/2; the q^{o(1)} factor is replaced by
-    (log q)^slack_exponent.
+) -> tuple[float, float]:
+    """The two bilinear-form envelopes (env1, env2), each times slack_factor(q)
+    for the paper's q^{o(1)}.  Both require M, N <= q/2.
     """
     if 2 * m_start > q or 2 * n_start > q:
         raise ValueError("envelopes need M, N <= q/2")
-    if which == 1:
-        body = (
-            norm2_alpha
-            * norm_inf_beta ** (1.0 / 3.0)
-            * norm1_beta ** (2.0 / 3.0)
-            * q**0.125
-            * m_start ** (7.0 / 24.0)
-            * n_start**0.125
-            * (m_start ** (7.0 / 48.0) / q ** (1.0 / 16.0) + 1.0)
-            * (n_start ** (7.0 / 48.0) / q ** (1.0 / 16.0) + 1.0)
-        )
-    elif which == 2:
-        body = (
-            norm2_alpha
-            * norm1_beta**0.75
-            * norm_inf_beta**0.25
-            * q**0.125
-            * m_start ** (5.0 / 16.0)
-            * n_start ** (1.0 / 16.0)
-            * (m_start ** (3.0 / 16.0) / q**0.125 + 1.0)
-            * (n_start ** (3.0 / 16.0) / q**0.125 + 1.0)
-        )
-    else:
-        raise ValueError("which must be 1 or 2")
-    return body * slack_factor(q, slack_exponent)
+    slack = slack_factor(q)
+    body1 = (
+        norm2_alpha
+        * norm_inf_beta ** (1.0 / 3.0)
+        * norm1_beta ** (2.0 / 3.0)
+        * q**0.125
+        * m_start ** (7.0 / 24.0)
+        * n_start**0.125
+        * (m_start ** (7.0 / 48.0) / q ** (1.0 / 16.0) + 1.0)
+        * (n_start ** (7.0 / 48.0) / q ** (1.0 / 16.0) + 1.0)
+    )
+    body2 = (
+        norm2_alpha
+        * norm1_beta**0.75
+        * norm_inf_beta**0.25
+        * q**0.125
+        * m_start ** (5.0 / 16.0)
+        * n_start ** (1.0 / 16.0)
+        * (m_start ** (3.0 / 16.0) / q**0.125 + 1.0)
+        * (n_start ** (3.0 / 16.0) / q**0.125 + 1.0)
+    )
+    return body1 * slack, body2 * slack
 
 
 def type1_envelope(
@@ -192,9 +185,8 @@ def type1_envelope(
     m_start: int,
     n_start: int,
     q: int,
-    slack_exponent: float = 0.0,
 ) -> float:
-    """One-sided envelope sqrt(||a||_1 ||a||_2) M^{1/12} N^{7/12} q^{1/4}.
+    """One-sided envelope sqrt(||a||_1 ||a||_2) M^{1/12} N^{7/12} q^{1/4} q^{o(1)}.
 
     Valid under M*N <= q^{3/2} and M <= N^2.
     """
@@ -206,30 +198,26 @@ def type1_envelope(
         * n_start ** (7.0 / 12.0)
         * q**0.25
     )
-    return body * slack_factor(q, slack_exponent)
+    return body * slack_factor(q)
 
 
-def salie_correlation_envelope(
-    which: int, m_start: int, n_start: int, q: int, slack_exponent: float = 0.0
-) -> float:
-    """Envelopes for the summed Salie correlations (select with which = 1 or 2)."""
-    if which == 1:
-        body = (
-            q**1.25
-            * n_start
-            * (m_start**0.875 / q**0.125 + m_start ** (7.0 / 12.0))
-            * (n_start**0.875 / q**0.125 + n_start ** (7.0 / 12.0))
-        )
-    elif which == 2:
-        body = (
-            q**1.25
-            * n_start
-            * (m_start / q**0.25 + m_start**0.625)
-            * (n_start / q**0.25 + n_start**0.625)
-        )
-    else:
-        raise ValueError("which must be 1 or 2")
-    return body * slack_factor(q, slack_exponent)
+def salie_correlation_envelopes(m_start: int, n_start: int, q: int) -> tuple[float, float]:
+    """The two envelopes (env1, env2) for the summed Salie correlations, each
+    times slack_factor(q) for the paper's q^{o(1)}."""
+    slack = slack_factor(q)
+    body1 = (
+        q**1.25
+        * n_start
+        * (m_start**0.875 / q**0.125 + m_start ** (7.0 / 12.0))
+        * (n_start**0.875 / q**0.125 + n_start ** (7.0 / 12.0))
+    )
+    body2 = (
+        q**1.25
+        * n_start
+        * (m_start / q**0.25 + m_start**0.625)
+        * (n_start / q**0.25 + n_start**0.625)
+    )
+    return body1 * slack, body2 * slack
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +382,6 @@ def weyl_sweep(
     kinds: tuple[str, ...] = ("indicator", "pm1", "phase"),
     instances: int = 20,
     seed: int = 42,
-    slack_exponent: float = 2.0,
 ) -> list[dict]:
     """|W| against both envelopes over dyadic (M, N) grids and seeded weights."""
     rows = []
@@ -413,13 +400,8 @@ def weyl_sweep(
                         beta = WeightVector.make(kind, q, n_start, rng)
                         inst = BilinearInstance(q, a, h, alpha, beta)
                         measured = abs(bilinear_weyl_sum(inst))
-                        env1 = weyl_envelope(
-                            1, alpha.norm2, beta.norm_inf, beta.norm1,
-                            m_start, n_start, q, slack_exponent,
-                        )
-                        env2 = weyl_envelope(
-                            2, alpha.norm2, beta.norm_inf, beta.norm1,
-                            m_start, n_start, q, slack_exponent,
+                        env1, env2 = weyl_envelopes(
+                            alpha.norm2, beta.norm_inf, beta.norm1, m_start, n_start, q
                         )
                         rows.append(
                             {
@@ -483,7 +465,6 @@ def salie_correlation_sweep(
     q_values: tuple[int, ...] = (101, 211, 499),
     cells_per_q: int = 4,
     seed: int = 3,
-    slack_exponent: float = 2.0,
 ) -> list[dict]:
     """Correlation sums against both envelopes for M, N <= q^{2/3}."""
     rows = []
@@ -498,8 +479,7 @@ def salie_correlation_sweep(
             n_start = starts[int(rng.integers(0, len(starts)))]
             a = int(rng.integers(1, q))
             measured = salie_correlation(a, m_start, n_start, q)
-            env1 = salie_correlation_envelope(1, m_start, n_start, q, slack_exponent)
-            env2 = salie_correlation_envelope(2, m_start, n_start, q, slack_exponent)
+            env1, env2 = salie_correlation_envelopes(m_start, n_start, q)
             rows.append(
                 {
                     "q": q,
@@ -521,7 +501,6 @@ def type1_sweep(
     q_values: tuple[int, ...] = (101, 211, 499),
     cells_per_q: int = 6,
     seed: int = 13,
-    slack_exponent: float = 2.0,
 ) -> list[dict]:
     """Type-I sums against their envelope wherever the side conditions hold."""
     rows = []
@@ -539,9 +518,7 @@ def type1_sweep(
             h = int(rng.integers(1, q))
             alpha = WeightVector.random_pm1(q, m_start, rng)
             measured = abs(type1_sum(alpha, a, h, n_start, q))
-            envelope = type1_envelope(
-                alpha.norm1, alpha.norm2, m_start, n_start, q, slack_exponent
-            )
+            envelope = type1_envelope(alpha.norm1, alpha.norm2, m_start, n_start, q)
             rows.append(
                 {
                     "q": q,

@@ -21,6 +21,8 @@ import math
 from importlib import resources
 from pathlib import Path
 
+# (log q)^SLACK_EXPONENT stands in for every q^{o(1)} factor of the paper's
+# bounds (weights.slack_factor); each constant is frozen at this exponent.
 SLACK_EXPONENT = 2.0
 HEADROOM = 1.15
 

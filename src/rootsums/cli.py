@@ -64,10 +64,6 @@ def _summary(text: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _parse_qset(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
-
-
 def _odd_prime(text: str) -> int:
     from .primes import is_prime
 
@@ -75,6 +71,10 @@ def _odd_prime(text: str) -> int:
     if q % 2 == 0 or not is_prime(q):
         raise argparse.ArgumentTypeError(f"{q} is not an odd prime")
     return q
+
+
+def _qset(text: str) -> tuple[int, ...]:
+    return tuple(_odd_prime(part) for part in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def cmd_energy(args) -> int:
     )
 
     rows = []
-    for q in _parse_qset(args.qset):
+    for q in args.qset:
         rng_master = np.random.default_rng([args.seed, q])
         j_values = [1] + [int(rng_master.integers(1, q)) for _ in range(max(0, args.jcount - 1))]
         for start in dyadic_starts(q):
@@ -136,9 +136,7 @@ def cmd_energy(args) -> int:
                 table = q_table(beta, j)
                 e_val = table_energy(table)
                 fourth = table_fourth_moment(table)
-                env = energy_envelope_short(
-                    beta.norm_inf, beta.norm1, start, q, args.slack_exponent
-                )
+                env = energy_envelope_short(beta.norm_inf, beta.norm1, start, q)
                 rows.append(
                     {
                         "q": q,
@@ -173,11 +171,10 @@ def cmd_bilinear(args) -> int:
     from .bilinear import weyl_sweep
 
     rows = weyl_sweep(
-        q_values=_parse_qset(args.qset),
+        q_values=args.qset,
         kinds=tuple(args.weights.split(",")),
         instances=args.instances,
         seed=args.seed,
-        slack_exponent=args.slack_exponent,
     )
     if args.M:
         rows = [r for r in rows if r["M"] == args.M]
@@ -270,7 +267,7 @@ def cmd_discrepancy(args) -> int:
     from .equidist import delta_q, eos_coverage, gamma_q
 
     if args.action == "coverage":
-        q = _parse_qset(args.qset)[0]
+        (q,) = args.qset
         report = eos_coverage(
             q, args.P or q, args.R or q, args.S or q
         )
@@ -286,12 +283,12 @@ def cmd_discrepancy(args) -> int:
         )
         return 0
     rows = []
-    for q in _parse_qset(args.qset):
+    for q in args.qset:
         p_values = [args.P] if args.P else [int(round(q**e)) for e in args.p_exponents]
         for p_limit in p_values:
-            reports = [("", gamma_q(p_limit, q, args.slack_exponent))]
+            reports = [("", gamma_q(p_limit, q))]
             if args.R:
-                reports.append((args.R, delta_q(p_limit, args.R, q, args.slack_exponent)))
+                reports.append((args.R, delta_q(p_limit, args.R, q)))
             rows += [
                 {
                     "q": q,
@@ -336,21 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True, slack=True):
+    def add_common(p, seed=True):
         p.add_argument("--out", help="output file (CSV for sweeps, JSON for single queries)")
         if seed:
             p.add_argument("--seed", type=int, default=42)
-        if slack:
-            p.add_argument("--slack-exponent", type=float, default=2.0, dest="slack_exponent")
 
     p = sub.add_parser("sums", help="Gauss/Salie identity deviations per modulus")
     p.add_argument("--qmin", type=int, default=3)
     p.add_argument("--qmax", type=int, default=200)
-    add_common(p, seed=False, slack=False)
+    add_common(p, seed=False)
     p.set_defaults(func=cmd_sums)
 
     p = sub.add_parser("energy", help="additive energy and fourth moments over dyadic windows")
-    p.add_argument("--qset", default="101")
+    p.add_argument("--qset", type=_qset, default="101")
     p.add_argument("--jcount", type=int, default=3)
     p.add_argument("--weights", default="indicator", choices=["indicator", "pm1", "phase"])
     add_common(p)
@@ -359,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="congruence dichotomy and Minkowski sweep")
     p.add_argument("--qmax", type=int, default=499)
     p.add_argument("--samples", type=int, default=1000)
-    add_common(p, slack=False)
+    add_common(p)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("bilinear", help="bilinear Weyl-sum envelope sweeps")
     p.add_argument("action", nargs="?", default="sweep", choices=["sweep"])
-    p.add_argument("--qset", default="101,211,499")
+    p.add_argument("--qset", type=_qset, default="101,211,499")
     p.add_argument("--weights", default="indicator,pm1,phase")
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--M", type=int, default=0, help="restrict to one dyadic M")
@@ -376,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmin", type=int, default=100003)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--truncation", type=int, default=10**6)
-    add_common(p, seed=False, slack=False)
+    add_common(p, seed=False)
     p.set_defaults(func=cmd_forms)
 
     p = sub.add_parser("split", help="split-prime counting and the effective construction")
@@ -385,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=float, default=100.0)
     p.add_argument("--qmin", type=int, default=67)
     p.add_argument("--qmax", type=int, default=10**4)
-    add_common(p, seed=False, slack=False)
+    add_common(p, seed=False)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("discrepancy", help="discrepancy of root sequences vs envelopes")
     p.add_argument("action", nargs="?", default="gamma", choices=["gamma", "coverage"])
-    p.add_argument("--qset", default="503,1009")
+    p.add_argument("--qset", type=_qset, default="503,1009")
     p.add_argument(
         "--p-exponents",
         default="0.7,0.85,1.0",
@@ -406,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--recalibrate", action="store_true")
-    add_common(p, seed=False, slack=False)
+    add_common(p, seed=False)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -415,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "discrepancy" and args.action == "coverage" and len(args.qset) != 1:
+        parser.error("discrepancy coverage takes one modulus in --qset")
     try:
         return args.func(args)
     except SizeGuardError as exc:

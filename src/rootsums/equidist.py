@@ -49,7 +49,6 @@ class DiscrepancyReport:
     value: float
     witness: tuple[float, float]
     envelope: float | None = None
-    slack_exponent: float = 0.0
 
     @property
     def ratio(self) -> float | None:
@@ -178,48 +177,45 @@ def product_root_points(p_limit: float, r_limit: float, q: int) -> PointMultiset
     return PointMultiset.from_values(roots / q)
 
 
-def root_discrepancy_envelope(p_limit: float, q: int, slack_exponent: float = 0.0) -> float:
-    """Envelope q^{61/1760} P^{61/66} + q^{13/110} P^{9/11} for the prime-root discrepancy."""
+def root_discrepancy_envelope(p_limit: float, q: int) -> float:
+    """Envelope (q^{61/1760} P^{61/66} + q^{13/110} P^{9/11}) q^{o(1)} for the
+    prime-root discrepancy."""
     body = q ** (61.0 / 1760.0) * p_limit ** (61.0 / 66.0) + q ** (13.0 / 110.0) * p_limit ** (
         9.0 / 11.0
     )
-    return body * slack_factor(q, slack_exponent)
+    return body * slack_factor(q)
 
 
-def product_discrepancy_envelope(
-    p_limit: float, r_limit: float, q: int, slack_exponent: float = 0.0
-) -> float:
-    """Envelope q^{1/8} (PR)^{19/24} (P^{7/48}/q^{1/16} + 1)(R^{7/48}/q^{1/16} + 1)."""
+def product_discrepancy_envelope(p_limit: float, r_limit: float, q: int) -> float:
+    """Envelope q^{1/8} (PR)^{19/24} (P^{7/48}/q^{1/16} + 1)(R^{7/48}/q^{1/16} + 1) q^{o(1)}."""
     body = (
         q**0.125
         * (p_limit * r_limit) ** (19.0 / 24.0)
         * (p_limit ** (7.0 / 48.0) / q ** (1.0 / 16.0) + 1.0)
         * (r_limit ** (7.0 / 48.0) / q ** (1.0 / 16.0) + 1.0)
     )
-    return body * slack_factor(q, slack_exponent)
+    return body * slack_factor(q)
 
 
-def gamma_q(p_limit: float, q: int, slack_exponent: float = 2.0) -> DiscrepancyReport:
+def gamma_q(p_limit: float, q: int) -> DiscrepancyReport:
     """Exact discrepancy of the prime-root multiset together with its envelope."""
     base = discrepancy(prime_root_points(p_limit, q))
     return DiscrepancyReport(
         base.n_points,
         base.value,
         base.witness,
-        envelope=root_discrepancy_envelope(p_limit, q, slack_exponent),
-        slack_exponent=slack_exponent,
+        envelope=root_discrepancy_envelope(p_limit, q),
     )
 
 
-def delta_q(p_limit: float, r_limit: float, q: int, slack_exponent: float = 2.0) -> DiscrepancyReport:
+def delta_q(p_limit: float, r_limit: float, q: int) -> DiscrepancyReport:
     """Exact discrepancy of the product-root multiset together with its envelope."""
     base = discrepancy(product_root_points(p_limit, r_limit, q))
     return DiscrepancyReport(
         base.n_points,
         base.value,
         base.witness,
-        envelope=product_discrepancy_envelope(p_limit, r_limit, q, slack_exponent),
-        slack_exponent=slack_exponent,
+        envelope=product_discrepancy_envelope(p_limit, r_limit, q),
     )
 
 
@@ -336,14 +332,13 @@ def eos_coverage(q: int, p_limit: float, r_limit: float, s_limit: int) -> Covera
 def gamma_sweep(
     q_values: tuple[int, ...] = (503, 1009, 2003, 5003),
     exponents: tuple[float, ...] = (0.7, 0.85, 1.0),
-    slack_exponent: float = 2.0,
 ) -> list[dict]:
     """Discrepancy of prime-root sequences against the envelope and the trivial bound."""
     rows = []
     for q in q_values:
         for expo in exponents:
             p_limit = int(round(q**expo))
-            report = gamma_q(p_limit, q, slack_exponent)
+            report = gamma_q(p_limit, q)
             trivial = 2.0 * len(sieve_primes(p_limit))
             rows.append(
                 {
@@ -363,14 +358,13 @@ def gamma_sweep(
 def product_discrepancy_sweep(
     q_values: tuple[int, ...] = (211, 499, 1009),
     exponents: tuple[float, ...] = (0.5, 0.7),
-    slack_exponent: float = 2.0,
 ) -> list[dict]:
     """Discrepancy of product-root sequences with P = R = q^e against the envelope."""
     rows = []
     for q in q_values:
         for expo in exponents:
             limit = int(round(q**expo))
-            report = delta_q(limit, limit, q, slack_exponent)
+            report = delta_q(limit, limit, q)
             rows.append(
                 {
                     "q": q,

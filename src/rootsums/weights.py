@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .calibration import SLACK_EXPONENT
 from .errors import SizeGuardError
 
 _PAIR_LIMIT = 1 << 26  # largest support^2 handled by exact pair accumulation
@@ -279,40 +280,38 @@ def q_fourth_moment_indicator(q: int, start: int, j: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Envelopes.  Each returns the bare polynomial right-hand side; pass a
-# nonzero slack exponent to multiply in the (log q)^s stand-in for o(1).
+# Envelopes.  A bound the paper states up to q^{o(1)} multiplies its
+# polynomial by slack_factor(q); the small-window energy bound has no such
+# factor, so its envelope is the bare polynomial.
 # ---------------------------------------------------------------------------
 
 
-def slack_factor(q: float, slack_exponent: float) -> float:
-    """The (log q)^s factor standing in for q^{o(1)} in asymptotic envelopes."""
-    return math.log(q) ** slack_exponent if slack_exponent else 1.0
+def slack_factor(q: float) -> float:
+    """The (log q)^SLACK_EXPONENT factor standing in for q^{o(1)} in envelopes."""
+    return math.log(q) ** SLACK_EXPONENT
 
 
-def small_interval_energy_envelope(start: int, q: int, slack_exponent: float = 0.0) -> float:
+def small_interval_energy_envelope(start: int, q: int) -> float:
     """Envelope N^6/q + N^2 for the unweighted energy with N <= sqrt(q)."""
-    return (start**6 / q + start**2) * slack_factor(q, slack_exponent)
+    return start**6 / q + start**2
 
 
-def fourth_moment_envelope(start: int, q: int, slack_exponent: float = 0.0) -> float:
-    """Envelope N^{13/2}/q^{3/2} + N^3 for the fourth moment over lambda != 0."""
-    return (start**6.5 / q**1.5 + start**3) * slack_factor(q, slack_exponent)
+def fourth_moment_envelope(start: int, q: int) -> float:
+    """Envelope (N^{13/2}/q^{3/2} + N^3) q^{o(1)} for the fourth moment over lambda != 0."""
+    return (start**6.5 / q**1.5 + start**3) * slack_factor(q)
 
 
-def energy_envelope_short(
-    norm_inf: float, norm1: float, start: int, q: int, slack_exponent: float = 0.0
-) -> float:
-    """Energy envelope ||b||_inf^{8/3} ||b||_1^{4/3} (N^{13/6}/sqrt(q) + N)."""
+def energy_envelope_short(norm_inf: float, norm1: float, start: int, q: int) -> float:
+    """Energy envelope ||b||_inf^{8/3} ||b||_1^{4/3} (N^{13/6}/sqrt(q) + N) q^{o(1)}."""
     body = norm_inf ** (8.0 / 3.0) * norm1 ** (4.0 / 3.0)
-    return body * (start ** (13.0 / 6.0) / math.sqrt(q) + start) * slack_factor(q, slack_exponent)
+    return body * (start ** (13.0 / 6.0) / math.sqrt(q) + start) * slack_factor(q)
 
 
-def energy_envelope_long(
-    norm_inf: float, norm1: float, start: int, q: int, slack_exponent: float = 0.0
-) -> float:
-    """Energy envelope ||b||_inf^2 ||b||_1^2 (N^2/q + sqrt(N)), better for long windows."""
+def energy_envelope_long(norm_inf: float, norm1: float, start: int, q: int) -> float:
+    """Energy envelope ||b||_inf^2 ||b||_1^2 (N^2/q + sqrt(N)) q^{o(1)}, better for
+    long windows."""
     body = norm_inf**2 * norm1**2
-    return body * (start**2 / q + math.sqrt(start)) * slack_factor(q, slack_exponent)
+    return body * (start**2 / q + math.sqrt(start)) * slack_factor(q)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +347,10 @@ def small_energy_sweep(q_max: int = 499) -> list[dict]:
     )
 
 
-def fourth_moment_sweep(q_max: int = 499, slack_exponent: float = 2.0) -> list[dict]:
-    """Indicator fourth moment against its envelope with (log q)^s slack."""
-    return _window_sweep(
-        q_max,
-        q_fourth_moment_indicator,
-        lambda n, q: fourth_moment_envelope(n, q, slack_exponent),
-    )
+def fourth_moment_sweep(q_max: int = 499) -> list[dict]:
+    """Indicator fourth moment against its envelope, slack factor included,
+    for primes q <= q_max and N <= sqrt(q)."""
+    return _window_sweep(q_max, q_fourth_moment_indicator, fourth_moment_envelope)
 
 
 def weighted_energy_sweep(
@@ -362,7 +358,6 @@ def weighted_energy_sweep(
     kinds: tuple[str, ...] = ("pm1", "phase"),
     seeds_per_cell: int = 5,
     seed: int = 7,
-    slack_exponent: float = 2.0,
 ) -> list[dict]:
     """Random-weight energies against both envelopes over a dyadic (q, N) grid."""
     rows = []
@@ -374,12 +369,8 @@ def weighted_energy_sweep(
                     beta = WeightVector.make(kind, q, start, rng)
                     j = int(rng.integers(1, q))
                     measured = abs(energy(beta, j))
-                    env_short = energy_envelope_short(
-                        beta.norm_inf, beta.norm1, start, q, slack_exponent
-                    )
-                    env_long = energy_envelope_long(
-                        beta.norm_inf, beta.norm1, start, q, slack_exponent
-                    )
+                    env_short = energy_envelope_short(beta.norm_inf, beta.norm1, start, q)
+                    env_long = energy_envelope_long(beta.norm_inf, beta.norm1, start, q)
                     rows.append(
                         {
                             "q": q,

@@ -22,12 +22,12 @@ from rootsums.bilinear import (
     rj_sum,
     root_pair_count,
     salie_correlation,
-    salie_correlation_envelope,
+    salie_correlation_envelopes,
     type1_envelope,
     type1_sum,
     variety_count,
     variety_multiplicity,
-    weyl_envelope,
+    weyl_envelopes,
 )
 from rootsums.errors import SizeGuardError
 from rootsums.modular import inv_mod, legendre_table, residue_roots, sqrt_mod
@@ -35,6 +35,7 @@ from rootsums.weights import (
     WeightVector,
     admissible_square_members,
     dyadic_starts,
+    slack_factor,
     unweighted_energy,
 )
 
@@ -134,27 +135,27 @@ class TestWeylSum:
 class TestEnvelopes:
     def test_indicator_simplified_shape_first(self):
         q, s = 10007, 100  # s = sqrt(q)
-        env = weyl_envelope(1, math.sqrt(s), 1.0, float(s), s, s, q)
+        env, _ = weyl_envelopes(math.sqrt(s), 1.0, float(s), s, s, q)
         simplified = (
             q**0.125
             * (s * s) ** (19.0 / 24.0)
             * (s ** (7.0 / 48.0) / q ** (1.0 / 16.0) + 1) ** 2
         )
-        assert env == pytest.approx(simplified)
+        assert env / slack_factor(q) == pytest.approx(simplified)
 
     def test_indicator_simplified_shape_second(self):
         q, s = 10007, 100
-        env = weyl_envelope(2, math.sqrt(s), 1.0, float(s), s, s, q)
+        _, env = weyl_envelopes(math.sqrt(s), 1.0, float(s), s, s, q)
         simplified = (
             q**0.125
             * (s * s) ** (13.0 / 16.0)
             * (s ** (3.0 / 16.0) / q**0.125 + 1) ** 2
         )
-        assert env == pytest.approx(simplified)
+        assert env / slack_factor(q) == pytest.approx(simplified)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
-            weyl_envelope(1, 1.0, 1.0, 1.0, 51, 1, 101)
+            weyl_envelopes(1.0, 1.0, 1.0, 51, 1, 101)
 
     def test_type1_conditions(self):
         with pytest.raises(ValueError):
@@ -163,15 +164,17 @@ class TestEnvelopes:
     def test_frozen_weyl_bound_subgrid(self, rng):
         lim1 = calibration.frozen("weyl_envelope1")
         lim2 = calibration.frozen("weyl_envelope2")
-        s = calibration.SLACK_EXPONENT
         q = 499
         for m_start, n_start in ((4, 16), (16, 16), (64, 8)):
             alpha = WeightVector.random_pm1(q, m_start, rng)
             beta = WeightVector.random_phase(q, n_start, rng)
             inst = BilinearInstance(q, int(rng.integers(1, q)), int(rng.integers(1, q)), alpha, beta)
             w = abs(bilinear_weyl_sum(inst))
-            assert w <= lim1 * weyl_envelope(1, alpha.norm2, beta.norm_inf, beta.norm1, m_start, n_start, q, s)
-            assert w <= lim2 * weyl_envelope(2, alpha.norm2, beta.norm_inf, beta.norm1, m_start, n_start, q, s)
+            env1, env2 = weyl_envelopes(
+                alpha.norm2, beta.norm_inf, beta.norm1, m_start, n_start, q
+            )
+            assert w <= lim1 * env1
+            assert w <= lim2 * env2
 
 
 class TestRjDecomposition:
@@ -268,14 +271,12 @@ class TestTypeOne:
 
     def test_envelope_within_frozen(self, rng):
         limit = calibration.frozen("type1_envelope")
-        s = calibration.SLACK_EXPONENT
         q = 211
         for m_start, n_start in ((2, 8), (4, 16), (8, 32)):
             alpha = WeightVector.random_pm1(q, m_start, rng)
             measured = abs(type1_sum(alpha, 3, 7, n_start, q))
-            assert measured <= limit * type1_envelope(
-                alpha.norm1, alpha.norm2, m_start, n_start, q, s
-            )
+            envelope = type1_envelope(alpha.norm1, alpha.norm2, m_start, n_start, q)
+            assert measured <= limit * envelope
 
 
 def brute_sigma(b, t, h, a, q):
@@ -452,12 +453,12 @@ class TestSalieCorrelation:
     def test_envelopes_within_frozen(self):
         lim1 = calibration.frozen("salie_correlation1")
         lim2 = calibration.frozen("salie_correlation2")
-        s = calibration.SLACK_EXPONENT
         q = 211
         cap = int(q ** (2 / 3))
         for m_start, n_start in ((2, 4), (8, 8), (16, 4)):
             if 2 * m_start > cap or 2 * n_start > cap:
                 continue
             value = salie_correlation(3, m_start, n_start, q)
-            assert value <= lim1 * salie_correlation_envelope(1, m_start, n_start, q, s)
-            assert value <= lim2 * salie_correlation_envelope(2, m_start, n_start, q, s)
+            env1, env2 = salie_correlation_envelopes(m_start, n_start, q)
+            assert value <= lim1 * env1
+            assert value <= lim2 * env2

@@ -203,6 +203,30 @@ class TestOthers:
             run(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bilinear", "sweep", "--qset", "100"], ["energy", "--qset", "100"],
+         ["discrepancy", "--qset", "100"]],
+        ids=["bilinear", "energy", "discrepancy"],
+    )
+    def test_qset_needs_odd_primes(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "100 is not an odd prime" in capsys.readouterr().err
+
+    def test_coverage_needs_one_modulus(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["discrepancy", "coverage", "--qset", "101,211"])
+        assert exc.value.code == 2
+        assert "one modulus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["energy", "bilinear", "discrepancy"])
+    def test_slack_exponent_is_not_an_option(self, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--slack-exponent", "2"])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_quick_passes(self, tmp_path, capsys):

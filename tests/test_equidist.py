@@ -28,6 +28,7 @@ from rootsums.equidist import (
 )
 from rootsums.modular import legendre_table, residue_roots
 from rootsums.primes import sieve_primes
+from rootsums.weights import slack_factor
 
 point_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
@@ -201,16 +202,18 @@ class TestRootSequences:
         assert 0.0 not in pts.points
 
     def test_gamma_report(self):
-        report = gamma_q(1009, 1009, slack_exponent=2.0)
-        assert report.envelope == pytest.approx(
-            root_discrepancy_envelope(1009, 1009, 2.0)
-        )
+        report = gamma_q(1009, 1009)
+        assert report.envelope == root_discrepancy_envelope(1009, 1009)
+        poly = 1009 ** (61 / 1760) * 1009 ** (61 / 66) + 1009 ** (13 / 110) * 1009 ** (9 / 11)
+        assert report.envelope / slack_factor(1009) == pytest.approx(poly)
         assert 0 <= report.ratio < 1
 
     def test_delta_trivial_ceiling(self):
-        report = delta_q(20, 20, 101, slack_exponent=0.0)
+        report = delta_q(20, 20, 101)
         assert report.value <= report.n_points
-        assert report.envelope == pytest.approx(product_discrepancy_envelope(20, 20, 101))
+        assert report.envelope == product_discrepancy_envelope(20, 20, 101)
+        poly = 101**0.125 * 400 ** (19 / 24) * (20 ** (7 / 48) / 101 ** (1 / 16) + 1) ** 2
+        assert report.envelope / slack_factor(101) == pytest.approx(poly)
 
     def test_gamma_sweep_grid(self):
         """The standard grid reports ratios and respects the 2*pi(P) ceiling."""
