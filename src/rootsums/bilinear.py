@@ -3,13 +3,10 @@
 The main object is
     W = sum_{m ~ M} sum_{n ~ N} alpha_m beta_n sum_{x^2 = a m n} e_q(h x),
 evaluated against a precomputed root-phase table, never by per-term root
-extraction.  The kernel depends on (m, n) only through amn, so in discrete-log
-coordinates (amn = g^(log am + log n), g a primitive root) it is a Hankel
-matrix.  The twist folds into the row multiplier, since T_h(amn) = T(h^2 amn)
-for the one root-phase table T of the modulus; with u[k] = T(g^k), entry
-(m, n) is u[(log (a h^2 m) + log n) mod (q-1)].
-The M x N kernel is gathered from a strided Hankel view of u repeated twice,
-indexed by the M + N logarithms alone; no M x N index matrix is built.
+extraction.  The kernel depends on (m, n) only through amn, and the twist
+folds into the row multiplier, since T_h(amn) = T(h^2 amn) for the one
+root-phase table T of the modulus; so the M x N kernel is
+``read_products(T, a h^2 m, n)``, the product-grid read of ``modular``.
 
 Around W sit the pieces the bound analysis decomposes it into: the
 character-restricted sums R_j, the root correlation sums A_{h,lambda,a},
@@ -26,7 +23,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
-from .modular import eps_q, inv_mod, legendre_table, log_tables, residue_roots
+from .modular import eps_q, inv_mod, legendre_table, read_products, residue_roots
 from .weights import WeightVector, dyadic_starts, slack_factor
 
 _CURVE_SUM_LIMIT = 2048
@@ -57,27 +54,13 @@ class BilinearInstance:
         return self.beta.start
 
 
-def _kernel(inst: BilinearInstance, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The M x N matrix T_h(amn) = T(a h^2 mn) for nonzero m, n mod q, from the Hankel view.
-
-    Each entry is the same root-phase table element as T[a*h^2*m*n % q], bit
-    for bit; only M + N logarithms are computed.
-    """
-    q = inst.q
-    pw, lg = log_tables(q)
-    u = sqrt_phase_table(q)[pw]
-    uu = np.concatenate([u, u])
-    # hankel[i, j] = uu[i + j]: a bounds-checked strided view, built without
-    # sliding_window_view's per-call overhead, which the many small cells pay
-    hankel = np.ndarray((q, q - 1), uu.dtype, uu, 0, uu.strides * 2)
-    return hankel[lg[inst.a * inst.h % q * inst.h % q * (m % q) % q][:, None], lg[n % q]]
-
-
 def bilinear_weyl_sum(inst: BilinearInstance) -> complex:
     """W evaluated against the root-phase table; O(M*N) after an O(q) setup."""
+    q = inst.q
     m = np.arange(inst.m_start, 2 * inst.m_start, dtype=np.int64)
     n = np.arange(inst.n_start, 2 * inst.n_start, dtype=np.int64)
-    return complex(inst.alpha.coeffs @ _kernel(inst, m, n) @ inst.beta.coeffs)
+    kernel = read_products(sqrt_phase_table(q), inst.a * inst.h % q * inst.h % q * (m % q), n)
+    return complex(inst.alpha.coeffs @ kernel @ inst.beta.coeffs)
 
 
 def rj_sum(j: int, inst: BilinearInstance) -> float:
@@ -98,7 +81,8 @@ def rj_sum(j: int, inst: BilinearInstance) -> float:
     n_sel = n[n_mask]
     if m_sel.size == 0 or n_sel.size == 0:
         return 0.0
-    inner = _kernel(inst, m_sel, n_sel) @ inst.beta.coeffs[n_mask]
+    rows = inst.a * inst.h % q * inst.h % q * (m_sel % q)
+    inner = read_products(sqrt_phase_table(q), rows, n_sel) @ inst.beta.coeffs[n_mask]
     return float(np.sum(np.abs(inner) ** 2))
 
 
@@ -240,11 +224,11 @@ def _curve_rows(b: tuple[int, int, int, int], h: int, a: int, s: np.ndarray, q: 
     if a % q == 0 or h % q == 0:
         raise ValueError("need gcd(ah, q) = 1")
     table = sqrt_phase_table(q)
-    scale = (a * h % q * h % q) * s % q
+    scale = (a * h % q * h % q) * (s % q)
     r = np.arange(q, dtype=np.int64)
     prod = np.ones((len(s), q), dtype=np.complex128)
     for b_i, conjugate in zip(b, (False, False, True, True)):
-        vals = table[scale[:, None] * ((r[None, :] + b_i) % q) % q]
+        vals = read_products(table, scale, r + b_i)
         prod *= np.conj(vals) if conjugate else vals
     return prod.sum(axis=1)
 
@@ -341,8 +325,8 @@ def variety_multiplicity(b: tuple[int, int, int, int], q: int) -> int:
 def _index_matrix(an: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
     """The residues an * m mod q as an N x M int64 matrix.
 
-    For the Salie correlation only: its m can be 0 mod q, which has no
-    discrete logarithm, so it cannot use the Hankel gather of ``_kernel``.
+    For the Salie correlation only.  ``read_products`` would serve it too (a
+    factor 0 mod q reads table[0]); it stays while ``perfbench`` names it.
     """
     return an[:, None] * (m[None, :] % q) % q
 

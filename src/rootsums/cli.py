@@ -77,6 +77,17 @@ def _qset(text: str) -> tuple[int, ...]:
     return tuple(_odd_prime(part) for part in text.split(","))
 
 
+WEIGHT_CLASSES = ("indicator", "pm1", "phase")
+
+
+def _weight_classes(text: str) -> tuple[str, ...]:
+    kinds = tuple(text.split(","))
+    for i, kind in enumerate(kinds):
+        if kind not in WEIGHT_CLASSES or kind in kinds[:i]:
+            raise argparse.ArgumentTypeError(f"weight class {kind!r} is unknown or repeated")
+    return kinds
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -128,7 +139,9 @@ def cmd_energy(args) -> int:
     rows = []
     for q in args.qset:
         rng_master = np.random.default_rng([args.seed, q])
-        j_values = [1] + [int(rng_master.integers(1, q)) for _ in range(max(0, args.jcount - 1))]
+        j_values = dict.fromkeys([1])  # insertion-ordered, so a repeated draw adds nothing
+        while len(j_values) < min(args.jcount, q - 1):
+            j_values[int(rng_master.integers(1, q))] = None
         for start in dyadic_starts(q):
             for j in j_values:
                 rng = np.random.default_rng([args.seed, q, start, j])
@@ -172,7 +185,7 @@ def cmd_bilinear(args) -> int:
 
     rows = weyl_sweep(
         q_values=args.qset,
-        kinds=tuple(args.weights.split(",")),
+        kinds=args.weights,
         instances=args.instances,
         seed=args.seed,
     )
@@ -347,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", help="additive energy and fourth moments over dyadic windows")
     p.add_argument("--qset", type=_qset, default="101")
     p.add_argument("--jcount", type=int, default=3)
-    p.add_argument("--weights", default="indicator", choices=["indicator", "pm1", "phase"])
+    p.add_argument("--weights", default="indicator", choices=WEIGHT_CLASSES)
     add_common(p)
     p.set_defaults(func=cmd_energy)
 
@@ -360,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bilinear", help="bilinear Weyl-sum envelope sweeps")
     p.add_argument("action", nargs="?", default="sweep", choices=["sweep"])
     p.add_argument("--qset", type=_qset, default="101,211,499")
-    p.add_argument("--weights", default="indicator,pm1,phase")
+    p.add_argument("--weights", type=_weight_classes, default="indicator,pm1,phase")
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--M", type=int, default=0, help="restrict to one dyadic M")
     p.add_argument("--N", type=int, default=0, help="restrict to one dyadic N")

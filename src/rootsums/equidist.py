@@ -11,13 +11,13 @@ values and their left limits, realised with strict/non-strict counting).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
-from .modular import legendre_table, residue_roots
+from .modular import legendre_table, read_products, residue_roots, root_table
 from .primes import sieve_primes
 from .weights import slack_factor
 
@@ -170,11 +170,9 @@ def product_root_points(p_limit: float, r_limit: float, q: int) -> PointMultiset
     Multiplicity is preserved: distinct pairs with the same product residue
     contribute separate copies of both roots.
     """
-    ps = sieve_primes(int(p_limit)) % q
-    rs = sieve_primes(int(r_limit)) % q
-    residues = np.outer(ps, rs).ravel() % q
-    roots = residue_roots(residues[residues != 0], q)
-    return PointMultiset.from_values(roots / q)
+    roots = read_products(root_table(q), sieve_primes(int(p_limit)), sieve_primes(int(r_limit)))
+    roots = roots[roots > 0]  # drops the non-residues (-1) and the products 0 mod q
+    return PointMultiset.from_values(np.concatenate([roots, q - roots]) / q)
 
 
 def root_discrepancy_envelope(p_limit: float, q: int) -> float:
@@ -199,24 +197,14 @@ def product_discrepancy_envelope(p_limit: float, r_limit: float, q: int) -> floa
 
 def gamma_q(p_limit: float, q: int) -> DiscrepancyReport:
     """Exact discrepancy of the prime-root multiset together with its envelope."""
-    base = discrepancy(prime_root_points(p_limit, q))
-    return DiscrepancyReport(
-        base.n_points,
-        base.value,
-        base.witness,
-        envelope=root_discrepancy_envelope(p_limit, q),
-    )
+    report = discrepancy(prime_root_points(p_limit, q))
+    return replace(report, envelope=root_discrepancy_envelope(p_limit, q))
 
 
 def delta_q(p_limit: float, r_limit: float, q: int) -> DiscrepancyReport:
     """Exact discrepancy of the product-root multiset together with its envelope."""
-    base = discrepancy(product_root_points(p_limit, r_limit, q))
-    return DiscrepancyReport(
-        base.n_points,
-        base.value,
-        base.witness,
-        envelope=product_discrepancy_envelope(p_limit, r_limit, q),
-    )
+    report = discrepancy(product_root_points(p_limit, r_limit, q))
+    return replace(report, envelope=product_discrepancy_envelope(p_limit, r_limit, q))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ the exhaustive ``*_all`` helpers evaluate the direct sums for a whole modulus
 at once.  Each row of their direct matrices is a length-q discrete Fourier
 transform, so one batched FFT per modulus sums every row in O(q^2 log q)
 instead of O(q^3), and moduli up to a few thousand can be swept in seconds.
+Each of their table reads is ``modular.read_products``; no q x q index is formed.
 
 Floating-point policy: scalar direct sums accumulate with numpy's pairwise
 summation, the exhaustive helpers with pocketfft (neither depends on the
@@ -26,6 +27,7 @@ from .modular import (
     inverse_table,
     kronecker,
     legendre_table,
+    read_products,
     sqrt_mod,
 )
 
@@ -157,16 +159,12 @@ def gauss_all(q: int) -> tuple[np.ndarray, np.ndarray]:
     _check_all_pairs(q)
     w = exp_table(q)
     a = np.arange(1, q, dtype=np.int64)
-    b = np.arange(q, dtype=np.int64)
-    x = np.arange(q, dtype=np.int64)
-    sq = x * x % q
-    direct = np.fft.ifft(w[a[:, None] * sq[None, :] % q], axis=1, norm="forward")
+    x = np.arange(q, dtype=np.int64)  # also every b
+    direct = np.fft.ifft(read_products(w, a, x * x), axis=1, norm="forward")
 
-    inv = inverse_table(q)
-    chi = legendre_table(q)
-    inv4a = inv[4 * a % q]
-    phases = w[(-inv4a[:, None] * (b * b % q)[None, :]) % q]
-    closed = phases * (eps_q(q) * math.sqrt(q)) * chi[a][:, None].astype(np.float64)
+    closed = read_products(w, -inverse_table(q)[4 * a % q], x * x)
+    closed *= eps_q(q) * math.sqrt(q)
+    closed *= legendre_table(q)[a][:, None].astype(np.float64)
     return direct, closed
 
 
@@ -185,13 +183,14 @@ def salie_all(q: int) -> tuple[np.ndarray, np.ndarray]:
     table = sqrt_phase_table(q)
     w = exp_table(q)
     chi = legendre_table(q)
-    m = np.arange(1, q, dtype=np.int64)
-    n = np.arange(1, q, dtype=np.int64)
-    rows = w[m[:, None] * inverse_table(q)[None, :] % q] * chi[None, :].astype(np.float64)
+    m = np.arange(1, q, dtype=np.int64)  # also every n
+    rows = read_products(w, m, inverse_table(q))
+    rows *= chi.astype(np.float64)
     direct = np.fft.ifft(rows, axis=1, norm="forward")[:, 1:]
 
-    closed = table[(4 * m)[:, None] * n[None, :] % q] * chi[n][None, :].astype(np.float64)
-    closed = closed * (eps_q(q) * math.sqrt(q))
+    closed = read_products(table, 4 * m, m)
+    closed *= chi[m].astype(np.float64)
+    closed *= eps_q(q) * math.sqrt(q)
     return direct, closed
 
 

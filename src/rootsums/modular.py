@@ -21,8 +21,6 @@ import numpy as np
 
 from .primes import factorize, is_prime
 
-TWO_PI = 2.0 * math.pi
-
 
 def kronecker(a: int, n: int) -> int:
     """Full Kronecker symbol (a/n); n must be nonzero.
@@ -144,20 +142,12 @@ def sqrt_mod(a: int, q: int) -> tuple[int, ...]:
 def inverse_table(q: int) -> np.ndarray:
     """int64 array inv with inv[a]*a = 1 (mod q) for a in [1, q-1]; inv[0] = 0.
 
-    Uses the batched square-and-multiply a^(q-2); all intermediate products
-    stay below 2**62 because q < 2**31 is enforced.
+    Read off ``log_tables``: the inverse of g^k is g^(-k), so inv[pw[k]] is
+    pw[-k mod (q-1)], which is pw reversed and rotated by one.
     """
-    if q >= 1 << 31:
-        raise ValueError("inverse_table supports q < 2**31")
-    result = np.ones(q, dtype=np.int64)
-    base = np.arange(q, dtype=np.int64)
-    e = q - 2
-    while e:
-        if e & 1:
-            result = result * base % q
-        base = base * base % q
-        e >>= 1
-    result[0] = 0
+    pw, _ = log_tables(q)
+    result = np.zeros(q, dtype=np.int64)
+    result[pw] = np.roll(pw[::-1], 1)
     result.flags.writeable = False
     return result
 
@@ -203,8 +193,9 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(pw, lg): pw[k] = g^k mod q for k in [0, q-1) and its inverse lg[pw[k]] = k.
 
     g is ``primitive_root(q)``, so pw is a permutation of [1, q-1] and every
-    nonzero residue has a discrete logarithm; lg[0] = -1 marks that 0 has
-    none.  pw is built in O(log q) doubling steps, pw[k:2k] = pw[:k] * g^k.
+    nonzero residue has a discrete logarithm.  0 has none: lg[0] = 2(q-1)
+    points past the two periods in the buffer of ``read_products``, into its
+    run of table[0].  pw is built in O(log q) doubling steps, pw[k:2k] = pw[:k] * g^k.
     """
     if q >= 1 << 31:
         raise ValueError("log_tables supports q < 2**31")
@@ -216,11 +207,36 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
         n = min(k, q - 1 - k)
         pw[k : k + n] = pw[:n] * step % q
         k, step = 2 * k, step * step % q
-    lg = np.full(q, -1, dtype=np.int64)
+    lg = np.full(q, 2 * (q - 1), dtype=np.int64)
     lg[pw] = np.arange(q - 1, dtype=np.int64)
     pw.flags.writeable = False
     lg.flags.writeable = False
     return pw, lg
+
+
+@lru_cache(maxsize=32)
+def _hankel_index(q: int) -> np.ndarray:
+    """The residue behind each position of the Hankel buffer of ``read_products``."""
+    pw, _ = log_tables(q)
+    index = np.concatenate([pw, pw, np.zeros(2 * q - 1, dtype=np.int64)])
+    index.flags.writeable = False
+    return index
+
+
+def read_products(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """table[rows[i] * cols[j] mod q] for every (i, j), where q = len(table) is prime.
+
+    In discrete logs a product-grid read is a Hankel matrix: entry (i, j) is
+    buf[lg[rows[i]] + lg[cols[j]]], where buf holds table[g^k] for two periods
+    of k, then a run of table[0] for the lg[0] sentinel.  No int64 product or
+    len(rows) x len(cols) index is formed; each entry is the table element, bit for bit.
+    """
+    q = len(table)
+    _, lg = log_tables(q)
+    buf = table[_hankel_index(q)]
+    # hankel[i, j] = buf[i + j], bounds-checked; sliding_window_view costs more per call
+    hankel = np.ndarray((2 * q - 1, 2 * q - 1), buf.dtype, buf, 0, buf.strides * 2)
+    return hankel[lg[rows % q][:, None], lg[cols % q]]
 
 
 def residue_roots(residues: np.ndarray, q: int) -> np.ndarray:

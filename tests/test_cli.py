@@ -21,6 +21,22 @@ def run(argv):
     return main(argv)
 
 
+def outputs_at_blas_thread_counts(argv, tmp_path) -> list[bytes]:
+    """The --out bytes of one command run in a fresh interpreter at 1 and at 2 BLAS threads."""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out_{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(rootsums.__file__).parents[1]))
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from rootsums.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv, "--out", str(out)],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(out.read_bytes())
+    return outputs
+
+
 class TestSums:
     def test_csv_columns(self, tmp_path):
         out = tmp_path / "sums.csv"
@@ -37,21 +53,47 @@ class TestSums:
 
     def test_csv_identical_across_blas_thread_counts(self, tmp_path):
         """No column of sums depends on how many threads BLAS runs."""
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"sums_{threads}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=str(Path(rootsums.__file__).parents[1]))
-            subprocess.run(
-                [sys.executable, "-c", "import sys; from rootsums.cli import main; "
-                 "sys.exit(main(sys.argv[1:]))", "sums", "--qmax", "200", "--out", str(out)],
-                env=env, capture_output=True, check=True,
-            )
-            outputs.append(out.read_bytes())
+        outputs = outputs_at_blas_thread_counts(["sums", "--qmax", "200"], tmp_path)
         assert outputs[0] == outputs[1]
 
 
+class TestEnergy:
+    @pytest.mark.parametrize("q", [5, 3])
+    def test_j_values_are_distinct(self, q, tmp_path):
+        """The drawn j never repeats one already taken, so no (q, j, N) row is written twice."""
+        out = tmp_path / "energy.csv"
+        assert run(["energy", "--qset", str(q), "--jcount", "3", "--out", str(out)]) == 0
+        with out.open() as fh:
+            keys = [(r["q"], r["j"], r["N"]) for r in csv.DictReader(fh)]
+        assert len(keys) == len(set(keys))
+        assert len({j for _, j, _ in keys}) == min(3, q - 1)
+
+    def test_draws_without_a_repeat_are_kept_in_order(self, tmp_path):
+        """Runs that draw no repeat keep their j values and order, so their bytes do not change."""
+        out = tmp_path / "energy.csv"
+        assert run(["energy", "--qset", "101,211", "--weights", "pm1", "--out", str(out)]) == 0
+        with out.open() as fh:
+            rows = [r for r in csv.DictReader(fh) if r["N"] == "1"]
+        assert [(r["q"], r["j"]) for r in rows] == [
+            ("101", "1"), ("101", "50"), ("101", "88"), ("211", "1"), ("211", "76"), ("211", "68")
+        ]
+
+
 class TestBilinear:
+    def test_csv_identical_across_blas_thread_counts(self, tmp_path):
+        """No cell of the bilinear sweep depends on how many threads BLAS runs."""
+        argv = ["bilinear", "sweep", "--qset", "101,499,1009", "--instances", "2", "--seed", "42"]
+        outputs = outputs_at_blas_thread_counts(argv, tmp_path)
+        assert outputs[0].count(b"\n") == 1087  # the header and 1,086 cells
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("weights", ["foo", "pm1,phase,pm1"], ids=["unknown", "repeated"])
+    def test_weights_must_be_distinct_known_classes(self, weights, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bilinear", "sweep", "--qset", "5", "--instances", "1", "--weights", weights])
+        assert exc.value.code == 2
+        assert "is unknown or repeated" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["bilinear", "sweep", "--qset", "101", "--weights", "pm1", "--seed", "42",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rootsums import calibration
 from rootsums.errors import SizeGuardError
 from rootsums.expsums import (
+    exp_table,
     gauss_all,
     gauss_closed_form,
     gauss_sum,
@@ -20,7 +21,7 @@ from rootsums.expsums import (
     salie_sum,
     sqrt_phase_table,
 )
-from rootsums.modular import kronecker
+from rootsums.modular import eps_q, inverse_table, kronecker, legendre_table
 from rootsums.primes import sieve_primes
 
 PRIMES = [int(q) for q in sieve_primes(200) if q >= 5]
@@ -189,3 +190,27 @@ def test_identity_matrices_match_scalar_functions_exhaustively(q):
             assert abs(direct_s[m - 1, n - 1] - salie_sum(m, n, q)) <= 1e-12
         for b in range(q):
             assert abs(direct_g[m - 1, b] - gauss_sum(m, b, q)) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [3, 5, 101, 499])
+def test_identity_matrices_equal_their_index_product_reads(q):
+    """All four matrices equal, bit for bit, the same tables read through q x q int64 indices."""
+    w = exp_table(q)
+    chi = legendre_table(q).astype(np.float64)
+    inv = inverse_table(q)
+    scale = eps_q(q) * math.sqrt(q)
+    a = np.arange(1, q)  # also every m and every n
+    x = np.arange(q)  # also every b
+    direct_g, closed_g = gauss_all(q)
+    assert np.array_equal(
+        direct_g, np.fft.ifft(w[np.multiply.outer(a, x * x) % q], axis=1, norm="forward")
+    )
+    assert np.array_equal(
+        closed_g, w[np.multiply.outer(-inv[4 * a % q], x * x) % q] * scale * chi[a][:, None]
+    )
+    direct_s, closed_s = salie_all(q)
+    rows = w[np.multiply.outer(a, inv) % q] * chi
+    assert np.array_equal(direct_s, np.fft.ifft(rows, axis=1, norm="forward")[:, 1:])
+    assert np.array_equal(
+        closed_s, sqrt_phase_table(q)[np.multiply.outer(4 * a, a) % q] * chi[a] * scale
+    )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rootsums.expsums import salie_closed_form
+from rootsums.expsums import exp_table, salie_closed_form, sqrt_phase_table
 from rootsums.modular import (
     e_q,
     eps_q,
@@ -18,6 +18,7 @@ from rootsums.modular import (
     legendre_table,
     log_tables,
     primitive_root,
+    read_products,
     reduced_residue,
     residue_roots,
     root_table,
@@ -195,6 +196,32 @@ class TestTables:
         assert np.array_equal(lg[pw], np.arange(q - 1))
         # g is the least generator: every smaller candidate has a smaller order
         assert all(len({pow(c, k, q) for k in range(q - 1)}) < q - 1 for c in range(2, min(g, 50)))
+
+    @pytest.mark.parametrize("q", [3, 5, 101, 4001])
+    def test_read_products_is_the_index_product_read(self, q):
+        """Each entry is the table read at the int64 index product, bit for bit, whatever the factors."""
+        # 0, units, multiples of q, negatives and values past q, as rows and as columns
+        factors = np.array([0, 1, 2, q - 1, q, 2 * q, 3 * q + 1, -1, -q, -(q + 2), 7 * q - 3])
+        every = np.arange(-q, 2 * q + 1) if q < 1000 else np.arange(-3, q + 3)
+        grids = [(factors, factors), (factors, every), (every, factors),
+                 (factors[:1], factors), (factors, factors[3:4]), (factors[4:5], factors[7:8])]
+        for table in (exp_table(q), sqrt_phase_table(q)):
+            for rows, cols in grids:
+                got = read_products(table, rows, cols)
+                assert got.shape == (len(rows), len(cols))
+                assert np.array_equal(got, table[np.multiply.outer(rows, cols) % q])
+
+    @pytest.mark.parametrize("q", [3, 5, 101, 4001])
+    def test_log_of_zero_points_into_the_run_of_table_zero(self, q):
+        """lg[0] = 2(q-1): past both periods, so a factor 0 reads table[0] against every log."""
+        _, lg = log_tables(q)
+        assert lg[0] == 2 * (q - 1)
+        assert lg[1:].max() == q - 2
+        table = np.arange(q) + 7  # every entry distinct, table[0] = 7
+        units = np.arange(1, q)
+        assert np.array_equal(read_products(table, np.array([0]), units), np.full((1, q - 1), 7))
+        assert np.array_equal(read_products(table, units, np.array([0, q])), np.full((q - 1, 2), 7))
+        assert np.array_equal(read_products(table, np.array([0]), np.array([0])), [[7]])
 
     def test_primitive_root_rejects_bad_moduli(self):
         for bad in (2, 9, 15):
