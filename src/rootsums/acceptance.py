@@ -48,19 +48,13 @@ def _timed(fn):
 def check_salie_identity(q_max: int = 200) -> CriterionResult:
     """Direct Salie sums equal the closed form within 1e-9*sqrt(q), exhaustively."""
     from .expsums import salie_all
-    from .modular import legendre_table
 
     worst = 0.0
     worst_vanish = 0.0
     for q in primes_between(3, q_max).tolist():
-        direct, closed = salie_all(q)
-        worst = max(worst, float(np.max(np.abs(direct - closed))) / math.sqrt(q))
-        leg = legendre_table(q)[1:]  # the Legendre symbol is multiplicative on m != 0
-        nonres = np.multiply.outer(leg, leg) == -1
-        if np.any(nonres):
-            worst_vanish = max(
-                worst_vanish, float(np.max(np.abs(direct[nonres]))) / math.sqrt(q)
-            )
+        err, vanish = salie_all(q)
+        worst = max(worst, err / math.sqrt(q))
+        worst_vanish = max(worst_vanish, vanish / math.sqrt(q))
     ok = worst <= 1e-9 and worst_vanish <= 1e-9
     return CriterionResult(
         "salie evaluation identity",
@@ -77,11 +71,9 @@ def check_gauss_identity(q_max: int = 200) -> CriterionResult:
     worst = 0.0
     worst_mod = 0.0
     for q in primes_between(3, q_max).tolist():
-        direct, closed = gauss_all(q)
-        worst = max(worst, float(np.max(np.abs(direct - closed))) / math.sqrt(q))
-        worst_mod = max(
-            worst_mod, float(np.max(np.abs(np.abs(direct) - math.sqrt(q)))) / math.sqrt(q)
-        )
+        err, modulus_err = gauss_all(q)
+        worst = max(worst, err / math.sqrt(q))
+        worst_mod = max(worst_mod, modulus_err / math.sqrt(q))
     ok = worst <= 1e-9 and worst_mod <= 1e-9
     return CriterionResult(
         "gauss evaluation identity",

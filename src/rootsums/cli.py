@@ -74,7 +74,11 @@ def _odd_prime(text: str) -> int:
 
 
 def _qset(text: str) -> tuple[int, ...]:
-    return tuple(_odd_prime(part) for part in text.split(","))
+    qs = tuple(_odd_prime(part) for part in text.split(","))
+    for i, q in enumerate(qs):
+        if q in qs[:i]:
+            raise argparse.ArgumentTypeError(f"modulus {q} is repeated")
+    return qs
 
 
 WEIGHT_CLASSES = ("indicator", "pm1", "phase")
@@ -94,24 +98,20 @@ def _weight_classes(text: str) -> tuple[str, ...]:
 
 
 def cmd_sums(args) -> int:
-    import numpy as np
-
     from .expsums import gauss_all, incomplete_sqrt_max, salie_all
     from .primes import primes_between
 
     rows = []
     for q in primes_between(max(3, args.qmin), args.qmax).tolist():
-        sd, sc = salie_all(q)
-        max_salie_err = float(np.max(np.abs(sd - sc)))
-        del sd, sc  # not held through gauss_all and the next salie_all: a lower peak RSS
-        gd, gc = gauss_all(q)
+        max_salie_err, _ = salie_all(q)
+        max_gauss_err, max_gauss_modulus_err = gauss_all(q)
         inc = incomplete_sqrt_max(1, 1, q)
         rows.append(
             {
                 "q": q,
                 "max_salie_err": max_salie_err,
-                "max_gauss_err": float(np.max(np.abs(gd - gc))),
-                "max_gauss_modulus_err": float(np.max(np.abs(np.abs(gd) - math.sqrt(q)))),
+                "max_gauss_err": max_gauss_err,
+                "max_gauss_modulus_err": max_gauss_modulus_err,
                 "incomplete_max": inc,
                 "incomplete_ratio": inc / (math.sqrt(q) * math.log(q)),
             }

@@ -1,11 +1,14 @@
 """Gauss sums, Salie sums and incomplete square-root sums.
 
-Every closed-form evaluation here is paired with a direct-summation oracle;
-the exhaustive ``*_all`` helpers evaluate the direct sums for a whole modulus
-at once.  Each row of their direct matrices is a length-q discrete Fourier
-transform, so one batched FFT per modulus sums every row in O(q^2 log q)
-instead of O(q^3), and moduli up to a few thousand can be swept in seconds.
-Each of their table reads is ``modular.read_products``; no q x q index is formed.
+Every closed-form evaluation here is paired with a direct-summation oracle.
+``gauss_rows`` and ``salie_rows`` build the direct and closed-form matrices
+for any set of rows.  Each row of a direct matrix is a length-q discrete
+Fourier transform, so one batched FFT sums a row in O(q log q) instead of
+O(q^2).  The exhaustive ``*_all`` sweeps return the maxima that the identity
+checks read: they walk every row of a modulus in blocks of about 1 MiB per
+matrix, so no q x q matrix is held, and moduli up to a few thousand are
+swept in seconds.  Each table read is ``modular.read_products``; no q x q
+index is formed.
 
 Floating-point policy: scalar direct sums accumulate with numpy's pairwise
 summation, the exhaustive helpers with pocketfft (neither depends on the
@@ -15,7 +18,7 @@ thread count), and identity checks budget 1e-9 * sqrt(q) of error.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -31,10 +34,12 @@ from .modular import (
     sqrt_mod,
 )
 
-# Direct summation is O(q) per call and O(q^2) memory for the all-pairs
-# helpers; refuse instead of silently grinding.
+# Direct summation is O(q) per call, and an all-pairs sweep O(q^2 log q)
+# time; refuse instead of silently grinding.  The sweeps' memory is per row
+# block (_BLOCK_BYTES per matrix), so ALL_PAIRS_LIMIT guards time only.
 DIRECT_SUM_LIMIT = 1 << 24
 ALL_PAIRS_LIMIT = 4096
+_BLOCK_BYTES = 1 << 20
 
 
 def _check_direct(q: int, limit: int = DIRECT_SUM_LIMIT) -> None:
@@ -148,17 +153,24 @@ def _check_all_pairs(q: int) -> None:
         raise SizeGuardError(f"all-pairs evaluation refused for q={q} > {ALL_PAIRS_LIMIT}")
 
 
-def gauss_all(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Direct and closed-form Gauss sums for all a in [1,q), b in [0,q).
+def _row_blocks(rows: np.ndarray, width: int):
+    """Consecutive slices of ``rows`` whose complex128 matrices of ``width``
+    columns hold about ``_BLOCK_BYTES`` each (at least one row)."""
+    step = max(1, _BLOCK_BYTES // (16 * width))
+    for start in range(0, len(rows), step):
+        yield rows[start : start + step]
 
-    Returns (direct, closed), each of shape (q-1, q) indexed by [a-1, b].
+
+def gauss_rows(q: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct and closed-form Gauss sums for the rows a (each in [1, q)) and every b in [0, q).
+
+    Returns (direct, closed), each of shape (len(a), q) indexed by [i, b].
     Row a of ``direct`` is the DFT of x -> e_q(a*x^2) read at every b, all
     rows from one inverse FFT with norm="forward", which returns
-    sum_x f(x) e_q(b*x) unscaled: O(q^2 log q) per modulus.
+    sum_x f(x) e_q(b*x) unscaled: O(q log q) per row.  Each row is
+    transformed on its own, so a row is bit for bit the same in any row set.
     """
-    _check_all_pairs(q)
     w = exp_table(q)
-    a = np.arange(1, q, dtype=np.int64)
     x = np.arange(q, dtype=np.int64)  # also every b
     direct = np.fft.ifft(read_products(w, a, x * x), axis=1, norm="forward")
 
@@ -168,30 +180,74 @@ def gauss_all(q: int) -> tuple[np.ndarray, np.ndarray]:
     return direct, closed
 
 
-def salie_all(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Direct and closed-form Salie sums for all m, n in [1, q).
+def salie_rows(q: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct and closed-form Salie sums for the rows m (each in [1, q)) and every n in [1, q).
 
-    Returns (direct, closed), each of shape (q-1, q-1) indexed by [m-1, n-1].
+    Returns (direct, closed), each of shape (len(m), q-1) indexed by [i, n-1].
     Substituting y = xbar, row m of ``direct`` is the DFT of
     y -> (y/q) e_q(m*ybar) read at n = 1..q-1; y = 0 contributes 0 because
-    the inverse and Legendre tables both hold 0 there.  As in gauss_all, one
-    inverse FFT with norm="forward" sums every row in O(q^2 log q).  The
-    closed form reads T_2(mn) = T[4mn].
+    the inverse and Legendre tables both hold 0 there.  As in gauss_rows, one
+    inverse FFT with norm="forward" sums every row.  The closed form reads
+    T_2(mn) = T[4mn].
     """
-    _check_all_pairs(q)
-    # read before the q x q temporaries, which sets the peak heap of `sums`
     table = sqrt_phase_table(q)
     w = exp_table(q)
     chi = legendre_table(q)
-    m = np.arange(1, q, dtype=np.int64)  # also every n
-    rows = read_products(w, m, inverse_table(q))
-    rows *= chi.astype(np.float64)
-    direct = np.fft.ifft(rows, axis=1, norm="forward")[:, 1:]
+    n = np.arange(1, q, dtype=np.int64)
+    direct = read_products(w, m, inverse_table(q))
+    direct *= chi.astype(np.float64)
+    direct = np.fft.ifft(direct, axis=1, norm="forward")[:, 1:]
 
-    closed = read_products(table, 4 * m, m)
-    closed *= chi[m].astype(np.float64)
+    closed = read_products(table, 4 * m, n)
+    closed *= chi[n].astype(np.float64)
     closed *= eps_q(q) * math.sqrt(q)
     return direct, closed
+
+
+# The sweeps reduce each block in its own call, so its matrices are freed
+# before the next block is built.
+def _gauss_block_maxima(q: int, a: np.ndarray) -> tuple[float, float]:
+    direct, closed = gauss_rows(q, a)
+    closed -= direct
+    modulus = np.abs(direct)
+    modulus -= math.sqrt(q)
+    return float(np.max(np.abs(closed))), float(np.max(np.abs(modulus, out=modulus)))
+
+
+def gauss_all(q: int) -> tuple[float, float]:
+    """(max |direct - closed|, max ||direct| - sqrt(q)|) over all a in [1, q), b in [0, q).
+
+    The rows of ``gauss_rows`` are swept in blocks, so no (q-1) x q matrix is held.
+    """
+    _check_all_pairs(q)
+    maxima = [_gauss_block_maxima(q, a) for a in _row_blocks(np.arange(1, q, dtype=np.int64), q)]
+    return max(err for err, _ in maxima), max(modulus_err for _, modulus_err in maxima)
+
+
+def _salie_column_max(q: int, m: np.ndarray) -> np.ndarray:
+    direct, closed = salie_rows(q, m)
+    closed -= direct
+    return np.max(np.abs(closed), axis=0)
+
+
+def salie_all(q: int) -> tuple[float, float]:
+    """(max |direct - closed|, max |direct| where (mn/q) = -1) over all m, n in [1, q).
+
+    The rows of ``salie_rows`` are swept in blocks, the m with (m/q) = +1
+    first, then those with (m/q) = -1.  A block's non-residue pairs mn are
+    then whole columns, those n with (n/q) = -(m/q), where the closed form is
+    exactly 0, so one column max of |closed - direct| gives both maxima.
+    """
+    _check_all_pairs(q)
+    chi = legendre_table(q)[1:]
+    m = np.arange(1, q, dtype=np.int64)
+    err = vanish = 0.0
+    for sign in (1, -1):
+        blocks = _row_blocks(m[chi == sign], q)
+        column_max = reduce(np.maximum, (_salie_column_max(q, rows) for rows in blocks))
+        err = max(err, float(np.max(column_max)))
+        vanish = max(vanish, float(np.max(column_max[chi == -sign])))
+    return err, vanish
 
 
 def incomplete_sqrt_sweep(q_max: int = 2003, pairs_per_q: int = 3, seed: int = 1) -> list[dict]:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -15,6 +16,7 @@ import rootsums
 from rootsums.cli import build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
+SUMS_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "sums.csv"
 
 
 def run(argv):
@@ -55,6 +57,20 @@ class TestSums:
         """No column of sums depends on how many threads BLAS runs."""
         outputs = outputs_at_blas_thread_counts(["sums", "--qmax", "200"], tmp_path)
         assert outputs[0] == outputs[1]
+
+    def test_matches_the_benchmark_reference(self, tmp_path):
+        """The benchmark's sums check at q <= 200: q, incomplete_max and incomplete_ratio
+        equal the reference text, and every max_*_err is within 1e-9 sqrt(q)."""
+        out = tmp_path / "sums.csv"
+        assert run(["sums", "--qmax", "200", "--out", str(out)]) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        with SUMS_REFERENCE.open() as fh:
+            want = [r for r in csv.DictReader(fh) if int(r["q"]) <= 200]
+        assert [{c: r[c] for c in want[0]} for r in rows] == want
+        for r in rows:
+            errs = [float(r[c]) for c in ("max_salie_err", "max_gauss_err", "max_gauss_modulus_err")]
+            assert max(errs) <= 1e-9 * math.sqrt(int(r["q"])), r
 
 
 class TestEnergy:
@@ -256,6 +272,19 @@ class TestOthers:
             run(argv)
         assert exc.value.code == 2
         assert "100 is not an odd prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bilinear", "sweep", "--qset", "5,5", "--instances", "1", "--weights", "pm1"],
+         ["energy", "--qset", "101,211,101"], ["discrepancy", "--qset", "211,211"]],
+        ids=["bilinear", "energy", "discrepancy"],
+    )
+    def test_qset_moduli_must_be_distinct(self, argv, capsys):
+        """A repeated modulus is a usage error, not a second copy of its rows."""
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "is repeated" in capsys.readouterr().err
 
     def test_coverage_needs_one_modulus(self, capsys):
         with pytest.raises(SystemExit) as exc:

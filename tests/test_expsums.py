@@ -1,6 +1,7 @@
 """Gauss and Salie sums: direct summation versus closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from hypothesis import strategies as st
 from rootsums import calibration
 from rootsums.errors import SizeGuardError
 from rootsums.expsums import (
+    _row_blocks,
     exp_table,
     gauss_all,
     gauss_closed_form,
+    gauss_rows,
     gauss_sum,
     incomplete_sqrt_max,
     incomplete_sqrt_sum,
     salie_all,
     salie_closed_form,
+    salie_rows,
     salie_sum,
     sqrt_phase_table,
 )
@@ -74,8 +78,8 @@ class TestSalie:
 
     @pytest.mark.parametrize("q", [int(p) for p in sieve_primes(200) if p >= 3])
     def test_vanishing_exhaustive(self, q):
-        direct, _ = salie_all(q)
         m = np.arange(1, q, dtype=np.int64)
+        direct, _ = salie_rows(q, m)
         nonres = np.array([[kronecker(int(a * b), q) == -1 for b in m] for a in m])
         if np.any(nonres):
             assert float(np.max(np.abs(direct[nonres]))) < 1e-9 * math.sqrt(q)
@@ -165,9 +169,9 @@ class TestIncomplete:
 
 @pytest.mark.parametrize("q", [5, 13, 29, 53])
 def test_identity_matrices_match_scalar_functions(q, rng):
-    """The all-pairs helpers agree with the scalar direct sums at sampled cells."""
-    direct_s, closed_s = salie_all(q)
-    direct_g, closed_g = gauss_all(q)
+    """The all-pairs matrices agree with the scalar direct sums at sampled cells."""
+    direct_s, closed_s = salie_rows(q, np.arange(1, q))
+    direct_g, closed_g = gauss_rows(q, np.arange(1, q))
     for _ in range(10):
         m = int(rng.integers(1, q))
         n = int(rng.integers(1, q))
@@ -181,8 +185,8 @@ def test_identity_matrices_match_scalar_functions(q, rng):
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 29])
 def test_identity_matrices_match_scalar_functions_exhaustively(q):
     """Every cell of the FFT-built direct matrices equals the scalar direct sum."""
-    direct_s, _ = salie_all(q)
-    direct_g, _ = gauss_all(q)
+    direct_s, _ = salie_rows(q, np.arange(1, q))
+    direct_g, _ = gauss_rows(q, np.arange(1, q))
     assert direct_s.shape == (q - 1, q - 1)
     assert direct_g.shape == (q - 1, q)
     for m in range(1, q):
@@ -201,16 +205,51 @@ def test_identity_matrices_equal_their_index_product_reads(q):
     scale = eps_q(q) * math.sqrt(q)
     a = np.arange(1, q)  # also every m and every n
     x = np.arange(q)  # also every b
-    direct_g, closed_g = gauss_all(q)
+    direct_g, closed_g = gauss_rows(q, a)
     assert np.array_equal(
         direct_g, np.fft.ifft(w[np.multiply.outer(a, x * x) % q], axis=1, norm="forward")
     )
     assert np.array_equal(
         closed_g, w[np.multiply.outer(-inv[4 * a % q], x * x) % q] * scale * chi[a][:, None]
     )
-    direct_s, closed_s = salie_all(q)
+    direct_s, closed_s = salie_rows(q, a)
     rows = w[np.multiply.outer(a, inv) % q] * chi
     assert np.array_equal(direct_s, np.fft.ifft(rows, axis=1, norm="forward")[:, 1:])
     assert np.array_equal(
         closed_s, sqrt_phase_table(q)[np.multiply.outer(4 * a, a) % q] * chi[a] * scale
     )
+
+
+@pytest.mark.parametrize("q", [3, 5, 101, 499, 997])
+def test_sweeps_return_the_maxima_of_the_full_matrices(q):
+    """The row-block sweeps equal (==) the maxima read off the full matrices.
+
+    q = 3 and 5 fit in one block; 499 and 997 take several per Legendre class.
+    """
+    a = np.arange(1, q, dtype=np.int64)  # also every m
+    one_class = a[: (q - 1) // 2]  # as many rows as each Legendre class of m
+    assert (len(list(_row_blocks(one_class, q))) > 1) == (q >= 499)
+    direct_g, closed_g = gauss_rows(q, a)
+    assert gauss_all(q) == (
+        float(np.max(np.abs(direct_g - closed_g))),
+        float(np.max(np.abs(np.abs(direct_g) - math.sqrt(q)))),
+    )
+    direct_s, closed_s = salie_rows(q, a)
+    leg = legendre_table(q)[1:]
+    nonres = np.multiply.outer(leg, leg) == -1
+    assert salie_all(q) == (
+        float(np.max(np.abs(direct_s - closed_s))),
+        float(np.max(np.abs(direct_s[nonres]))),
+    )
+
+
+@pytest.mark.parametrize("sweep", [gauss_all, salie_all], ids=["gauss", "salie"])
+def test_sweeps_hold_no_full_matrix(sweep):
+    """At q = 997 one (q-1) x q complex128 matrix is 15.2 MiB; a sweep peaks under 4 MiB."""
+    tracemalloc.start()
+    try:
+        sweep(997)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
