@@ -15,6 +15,7 @@ The fixture is only ever rewritten explicitly, via
 
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import math
@@ -25,6 +26,8 @@ from pathlib import Path
 # bounds (weights.slack_factor); each constant is frozen at this exponent.
 SLACK_EXPONENT = 2.0
 HEADROOM = 1.15
+# Frozen constants are rounded up to this many significant digits.
+FROZEN_DIGITS = 4
 
 # Family name -> (sweep, ratio keys).  The sweep is named "module.function" and
 # imported only when it runs; its measured value is the largest of the named
@@ -48,9 +51,6 @@ FAMILIES = {
     "r_mean_power": ("quadforms.r_mean_sweep", ("ratio_power",)),
 }
 
-_cache: dict | None = None
-
-
 def worst(rows: list[dict], name: str) -> float:
     """The measured value of family ``name`` over sweep rows: its worst ratio."""
     keys = FAMILIES[name][1]
@@ -66,13 +66,11 @@ def _fixture_path() -> Path:
     return Path(str(resources.files("rootsums").joinpath("calibration.json")))
 
 
+@functools.cache
 def load() -> dict:
     """The calibration fixture as a dict (cached after the first read)."""
-    global _cache
-    if _cache is None:
-        with _fixture_path().open() as fh:
-            _cache = json.load(fh)
-    return _cache
+    with _fixture_path().open() as fh:
+        return json.load(fh)
 
 
 def frozen(name: str) -> float:
@@ -83,10 +81,10 @@ def frozen(name: str) -> float:
     return float(constants[name]["frozen"])
 
 
-def _round_up(value: float, digits: int = 4) -> float:
+def _round_up(value: float) -> float:
     if value == 0.0:
         return 0.0
-    scale = 10.0 ** (digits - 1 - math.floor(math.log10(abs(value))))
+    scale = 10.0 ** (FROZEN_DIGITS - 1 - math.floor(math.log10(abs(value))))
     return math.ceil(value * scale) / scale
 
 
@@ -100,7 +98,6 @@ def recalibrate(out_path: str | Path | None = None) -> dict:
     rerun on another machine rewrites the same bytes; ``frozen`` is computed
     from the unrounded value.
     """
-    global _cache
     path = Path(out_path) if out_path else _fixture_path()
     constants = {}
     by_sweep: dict[str, list[str]] = {}
@@ -123,5 +120,5 @@ def recalibrate(out_path: str | Path | None = None) -> dict:
     with path.open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _cache = None
+    load.cache_clear()
     return payload

@@ -23,6 +23,7 @@ import math
 import sys
 
 from .errors import SizeGuardError
+from .weights import WEIGHT_CLASSES
 
 EXIT_FAILURE = 1
 EXIT_REFUSED = 3
@@ -79,9 +80,6 @@ def _qset(text: str) -> tuple[int, ...]:
         if q in qs[:i]:
             raise argparse.ArgumentTypeError(f"modulus {q} is repeated")
     return qs
-
-
-WEIGHT_CLASSES = ("indicator", "pm1", "phase")
 
 
 def _weight_classes(text: str) -> tuple[str, ...]:

@@ -18,12 +18,13 @@ thread count), and identity checks budget 1e-9 * sqrt(q) of error.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from .errors import SizeGuardError
 from .modular import (
+    TABLE_LIMIT,
     e_q,
     eps_q,
     inv_mod,
@@ -32,6 +33,7 @@ from .modular import (
     legendre_table,
     read_products,
     sqrt_mod,
+    table_cache,
 )
 
 # Direct summation is O(q) per call, and an all-pairs sweep O(q^2 log q)
@@ -47,15 +49,13 @@ def _check_direct(q: int, limit: int = DIRECT_SUM_LIMIT) -> None:
         raise SizeGuardError(f"direct summation refused for q={q} > {limit}")
 
 
-@lru_cache(maxsize=32)
+@table_cache(TABLE_LIMIT)
 def exp_table(q: int) -> np.ndarray:
     """Unit roots e_q(0..q-1) as a read-only complex array."""
-    w = np.exp(2j * np.pi * np.arange(q) / q)
-    w.flags.writeable = False
-    return w
+    return np.exp(2j * np.pi * np.arange(q) / q)
 
 
-@lru_cache(maxsize=32)
+@table_cache(TABLE_LIMIT)
 def sqrt_phase_table(q: int) -> np.ndarray:
     """T[c] = sum over x with x^2 = c (mod q) of e_q(x), for every residue c.
 
@@ -65,11 +65,9 @@ def sqrt_phase_table(q: int) -> np.ndarray:
     each entry is 0 plus at most two unit roots from ``exp_table`` and IEEE
     addition commutes, so the order of the two roots does not matter.
     """
-    _check_direct(q)
     x = np.arange(q, dtype=np.int64)
     table = np.zeros(q, dtype=np.complex128)
     np.add.at(table, x * x % q, exp_table(q))
-    table.flags.writeable = False
     return table
 
 

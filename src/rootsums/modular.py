@@ -3,23 +3,57 @@
 Scalar routines (kronecker, inv_mod, sqrt_mod, ...) use Python integers and
 stay exact for any odd prime modulus below 2**62.  Four cached tables
 (Legendre values, inverses, smallest square roots, and the powers and
-discrete logarithms of the least primitive root) cover q < 2**31 and are the
-one place where residue structure is computed in bulk; the tests
+discrete logarithms of the least primitive root) cover q <= TABLE_LIMIT and
+are the one place where residue structure is computed in bulk; the tests
 cross-check them against the scalar routines.
 
-Everything here is pure; the cached tables are read-only and safe to share
-between threads.
+Every memoised table of the package is declared with ``table_cache``, the
+one cache policy: TABLE_CACHE_SIZE entries, read-only results and a size
+limit checked before anything is built.  Everything here is pure; the cached
+tables are safe to share between threads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
+from .errors import SizeGuardError
 from .primes import factorize, is_prime
+
+# Every sweep loops over moduli outermost, so a table is read again only
+# while its modulus is current; a few entries cover that reuse.
+TABLE_CACHE_SIZE = 8
+# Largest modulus of a per-modulus table: one int64 table of 2**24 entries is 128 MiB.
+TABLE_LIMIT = 1 << 24
+
+
+def table_cache(limit: int):
+    """Memoise a one-key table builder under the package's one cache policy.
+
+    The result is an ``lru_cache`` of TABLE_CACHE_SIZE entries (so
+    ``cache_info`` reports it).  A key above ``limit`` raises SizeGuardError
+    before the builder runs, and every ndarray returned, alone or in a
+    tuple, is marked read-only, so a shared table cannot be edited in place.
+    """
+
+    def decorate(build):
+        @wraps(build)
+        def guarded(key: int):
+            if key > limit:
+                raise SizeGuardError(f"{build.__name__} refused for {key} > {limit}")
+            result = build(key)
+            for part in result if isinstance(result, tuple) else (result,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            return result
+
+        return lru_cache(maxsize=TABLE_CACHE_SIZE)(guarded)
+
+    return decorate
 
 
 def kronecker(a: int, n: int) -> int:
@@ -138,7 +172,7 @@ def sqrt_mod(a: int, q: int) -> tuple[int, ...]:
     return (r, q - r) if r < q - r else (q - r, r)
 
 
-@lru_cache(maxsize=32)
+@table_cache(TABLE_LIMIT)
 def inverse_table(q: int) -> np.ndarray:
     """int64 array inv with inv[a]*a = 1 (mod q) for a in [1, q-1]; inv[0] = 0.
 
@@ -148,32 +182,25 @@ def inverse_table(q: int) -> np.ndarray:
     pw, _ = log_tables(q)
     result = np.zeros(q, dtype=np.int64)
     result[pw] = np.roll(pw[::-1], 1)
-    result.flags.writeable = False
     return result
 
 
-@lru_cache(maxsize=32)
+@table_cache(TABLE_LIMIT)
 def legendre_table(q: int) -> np.ndarray:
     """int8 array of Legendre symbols (a/q) for a in [0, q)."""
-    if q >= 1 << 31:
-        raise ValueError("legendre_table supports q < 2**31")
     table = np.full(q, -1, dtype=np.int8)
     x = np.arange((q + 1) // 2, dtype=np.int64)
     table[x * x % q] = 1
     table[0] = 0
-    table.flags.writeable = False
     return table
 
 
-@lru_cache(maxsize=32)
+@table_cache(TABLE_LIMIT)
 def root_table(q: int) -> np.ndarray:
     """int64 array mapping residue -> smallest square root, -1 for non-residues."""
-    if q >= 1 << 31:
-        raise ValueError("root_table supports q < 2**31")
     table = np.full(q, -1, dtype=np.int64)
     x = np.arange((q + 1) // 2, dtype=np.int64)[::-1]
     table[x * x % q] = x
-    table.flags.writeable = False
     return table
 
 
@@ -188,7 +215,7 @@ def primitive_root(q: int) -> int:
     return g
 
 
-@lru_cache(maxsize=32)
+@table_cache(TABLE_LIMIT)
 def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(pw, lg): pw[k] = g^k mod q for k in [0, q-1) and its inverse lg[pw[k]] = k.
 
@@ -197,8 +224,6 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     points past the two periods in the buffer of ``read_products``, into its
     run of table[0].  pw is built in O(log q) doubling steps, pw[k:2k] = pw[:k] * g^k.
     """
-    if q >= 1 << 31:
-        raise ValueError("log_tables supports q < 2**31")
     g = primitive_root(q)
     pw = np.empty(q - 1, dtype=np.int64)
     pw[0] = 1
@@ -209,18 +234,14 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
         k, step = 2 * k, step * step % q
     lg = np.full(q, 2 * (q - 1), dtype=np.int64)
     lg[pw] = np.arange(q - 1, dtype=np.int64)
-    pw.flags.writeable = False
-    lg.flags.writeable = False
     return pw, lg
 
 
-@lru_cache(maxsize=32)
+@table_cache(TABLE_LIMIT)
 def _hankel_index(q: int) -> np.ndarray:
     """The residue behind each position of the Hankel buffer of ``read_products``."""
     pw, _ = log_tables(q)
-    index = np.concatenate([pw, pw, np.zeros(2 * q - 1, dtype=np.int64)])
-    index.flags.writeable = False
-    return index
+    return np.concatenate([pw, pw, np.zeros(2 * q - 1, dtype=np.int64)])
 
 
 def read_products(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

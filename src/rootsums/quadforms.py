@@ -17,14 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .modular import kronecker, legendre_table
+from .modular import TABLE_LIMIT, kronecker, legendre_table, table_cache
 from .primes import divisors, factorize, is_prime, primes_between
 
 DUKE_LIMIT_FRACTION = 27.0 / (10.0 * math.pi)
+# The heights y_min <= y <= y_max of the Heegner window |x| <= 1/2.
+WINDOW_HEIGHTS = (1.0, 10.0)
+# Largest truncation T of the cached 1/n table: 2**27 float64 values are 1 GiB.
+_RECIPROCALS_LIMIT = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ def _require_form_modulus(q: int) -> None:
         raise ValueError("need a prime q = 3 (mod 4) with q > 3")
 
 
-@lru_cache(maxsize=256)
+@table_cache(TABLE_LIMIT)
 def enumerate_reduced_forms(q: int) -> tuple[BinaryQuadraticForm, ...]:
     """All reduced forms of discriminant -q, each class exactly once, sorted.
 
@@ -97,17 +100,13 @@ def class_number(q: int) -> int:
     return len(enumerate_reduced_forms(q))
 
 
-def heegner_fraction(
-    q: int,
-    y_min: float = 1.0,
-    y_max: float = 10.0,
-) -> float:
-    """Fraction of Heegner points inside the box |x| <= 1/2, y_min <= y <= y_max.
+def heegner_fraction(q: int) -> float:
+    """Fraction of Heegner points inside the box |x| <= 1/2, 1 <= y <= 10 (``WINDOW_HEIGHTS``).
 
     For reduced forms the x coordinate -B/(2A) always lies in [-1/2, 1/2], so
     only the height sqrt(q)/(2A) is tested.
     """
-    return len(forms_in_window(q, y_min, y_max)) / len(enumerate_reduced_forms(q))
+    return len(forms_in_window(q)) / len(enumerate_reduced_forms(q))
 
 
 def form_moduli(q_min: int, count: int) -> list[int]:
@@ -125,8 +124,9 @@ def form_moduli(q_min: int, count: int) -> list[int]:
     return moduli
 
 
-def forms_in_window(q: int, y_min: float = 1.0, y_max: float = 10.0) -> list[BinaryQuadraticForm]:
+def forms_in_window(q: int) -> list[BinaryQuadraticForm]:
     """Reduced forms whose Heegner point falls in the standard box."""
+    y_min, y_max = WINDOW_HEIGHTS
     return [
         f
         for f in enumerate_reduced_forms(q)
@@ -259,13 +259,12 @@ def r_mean_value(x: float, q: int) -> int:
     return int(np.sum(vals * (cutoff // d)))
 
 
-@lru_cache(maxsize=4)
+@table_cache(_RECIPROCALS_LIMIT)
 def _reciprocals(truncation: int) -> np.ndarray:
     """1/n for n = 0..T, with 0 at n = 0; shared by every modulus at one truncation."""
     recips = np.arange(truncation + 1, dtype=np.float64)
     recips[0] = np.inf
     np.divide(1.0, recips, out=recips)  # in place: one T-sized array at the peak
-    recips.flags.writeable = False
     return recips
 
 

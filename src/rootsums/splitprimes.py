@@ -34,6 +34,8 @@ from .quadforms import chi_at
 
 # (2 - log(3*sqrt(2))) / 2, the per-step constant in the effective lower bound
 EFFECTIVE_CONSTANT = (2.0 - math.log(3.0 * math.sqrt(2.0))) / 2.0
+# The probe's prime cutoff is P = q^(1/2 + PROBE_EPS).
+PROBE_EPS = 0.25
 
 
 def is_split(p: int, q: int) -> str:
@@ -251,21 +253,19 @@ def stirling_step_holds(t: int) -> bool:
     return lhs <= rhs + 1e-9
 
 
-def asymptotic_probe_rows(
-    q_min: int = 10**3, q_max: int = 10**5, exponent_eps: float = 0.25, stride: int = 40
-) -> list[dict]:
-    """Report-only probe of the asymptotic lower bound N_q(P) >= c * min(...).
+def asymptotic_probe_rows(q_min: int = 10**3, q_max: int = 10**5, stride: int = 40) -> list[dict]:
+    """Report-only probe of the asymptotic lower bound N_q(P) >= c * min(...) at P = q^(1/2 + PROBE_EPS).
 
     The constant is ineffective, so rows carry the measured ratio without any
     assertion.  ``stride`` thins the prime grid to keep the probe quick.
     """
     rows = []
     for q in primes_between(q_min, q_max)[::stride].tolist():
-        p_limit = q ** (0.5 + exponent_eps)
+        p_limit = q ** (0.5 + PROBE_EPS)
         measured = count_split(p_limit, q)
         envelope = min(
-            p_limit**0.5 * q ** (-exponent_eps / 2.0),
-            p_limit * q ** (-0.25 - 2.0 * exponent_eps / 3.0),
+            p_limit**0.5 * q ** (-PROBE_EPS / 2.0),
+            p_limit * q ** (-0.25 - 2.0 * PROBE_EPS / 3.0),
         )
         rows.append(
             {

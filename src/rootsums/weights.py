@@ -66,19 +66,24 @@ class WeightVector:
 
     @classmethod
     def make(cls, kind: str, q: int, start: int, rng: np.random.Generator) -> "WeightVector":
-        if kind == "indicator":
-            return cls.indicator(q, start)
-        if kind == "pm1":
-            return cls.random_pm1(q, start, rng)
-        if kind == "phase":
-            return cls.random_phase(q, start, rng)
-        raise ValueError(f"unknown weight class {kind!r}")
+        """A vector of the named class in ``WEIGHT_CLASSES``; ``rng`` draws the random ones."""
+        if kind not in WEIGHT_CLASSES:
+            raise ValueError(f"unknown weight class {kind!r}")
+        return WEIGHT_CLASSES[kind](q, start, rng)
 
     def value_at(self, residue: int) -> complex:
         """Weight of a residue in [1, q]; zero off the support window."""
         if self.start <= residue < 2 * self.start:
             return complex(self.coeffs[residue - self.start])
         return 0.0 + 0.0j
+
+
+# Every weight class by name, with its builder (q, start, rng) -> WeightVector.
+WEIGHT_CLASSES = {
+    "indicator": lambda q, start, rng: WeightVector.indicator(q, start),
+    "pm1": WeightVector.random_pm1,
+    "phase": WeightVector.random_phase,
+}
 
 
 def square_residues(q: int, j: int) -> np.ndarray:
@@ -146,10 +151,8 @@ def q_table(beta: WeightVector, j: int) -> np.ndarray:
     return _pair_histogram(members, beta.q, -1, w[members])
 
 
-def q_lambda(beta: WeightVector, lam: int, j: int, q: int | None = None) -> complex:
+def q_lambda(beta: WeightVector, lam: int, j: int) -> complex:
     """Single correlation count Q_{lambda, j}(beta); O(q) direct evaluation."""
-    if q is not None and q != beta.q:
-        raise ValueError("modulus mismatch")
     q = beta.q
     if j % q == 0:
         raise ValueError("j must be invertible mod q")

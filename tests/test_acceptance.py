@@ -38,3 +38,14 @@ def test_class_numbers_need_a_certified_tail():
     """At T = 10^5 the tail bound reaches 3.2 near q = 10^4, so the rounding is unproven."""
     result = acceptance.check_class_numbers(q_max=10**4, truncation=10**5)
     assert not result.passed and result.detail["disagreements"] > 0
+
+
+def test_heegner_window_enumerates_each_modulus_once():
+    """One pass per modulus: its forms are enumerated once, even with more moduli than cache entries."""
+    from rootsums.modular import TABLE_CACHE_SIZE
+    from rootsums.quadforms import enumerate_reduced_forms
+
+    count = TABLE_CACHE_SIZE + 4
+    enumerate_reduced_forms.cache_clear()
+    assert acceptance.check_heegner_window(count).passed
+    assert enumerate_reduced_forms.cache_info().misses == count

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,17 @@ class TestSplit:
             run(["split", "count", "--q", q])
         assert exc.value.code == 2
         assert "not an odd prime" in capsys.readouterr().err
+
+    def test_count_refuses_a_modulus_above_the_table_limit(self, capsys):
+        """16777259 is the least prime above 2^24: its Legendre table is refused, before it is built."""
+        tracemalloc.start()
+        try:
+            assert run(["split", "count", "--q", "16777259", "--P", "100"]) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == "refused: legendre_table refused for 16777259 > 16777216\n"
+        assert peak < 1 << 20  # the table alone would be 16 MiB of int8
 
     def test_count_json(self, tmp_path):
         out = tmp_path / "count.json"

@@ -1,15 +1,21 @@
 """Field arithmetic: symbols, inverses, square roots, phases."""
 
 import cmath
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rootsums
+from rootsums.errors import SizeGuardError
 from rootsums.expsums import exp_table, salie_closed_form, sqrt_phase_table
 from rootsums.modular import (
+    TABLE_CACHE_SIZE,
+    TABLE_LIMIT,
     e_q,
     eps_q,
     inv_mod,
@@ -23,9 +29,10 @@ from rootsums.modular import (
     residue_roots,
     root_table,
     sqrt_mod,
+    table_cache,
     tonelli_shanks,
 )
-from rootsums import primes
+from rootsums import primes, quadforms
 from rootsums.primes import is_prime, iter_prime_blocks, primes_between, sieve_primes
 
 SMALL_PRIMES = [int(q) for q in sieve_primes(500) if q % 2 == 1]
@@ -227,6 +234,65 @@ class TestTables:
         for bad in (2, 9, 15):
             with pytest.raises(ValueError):
                 primitive_root(bad)
+
+
+def _package_caches() -> dict:
+    """'module.function' -> function, for every function of the package with a ``cache_info``."""
+    found = {}
+    for info in pkgutil.iter_modules(rootsums.__path__):
+        mod = importlib.import_module(f"rootsums.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == mod.__name__:
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+# The fixture is one parsed file, not a table; every other cache follows the policy.
+TABLE_CACHES = {name: fn for name, fn in _package_caches().items() if name != "calibration.load"}
+# Each cache's limit (TABLE_LIMIT unless named) and a key it accepts (101 unless named).
+LIMITS = {"quadforms._reciprocals": 1 << 27}
+SMALL_KEYS = {"quadforms.enumerate_reduced_forms": 23, "quadforms._reciprocals": 1000}
+
+
+def _arrays(result) -> list:
+    return [part for part in (result if isinstance(result, tuple) else (result,)) if isinstance(part, np.ndarray)]
+
+
+class TestTableCache:
+    def test_every_table_is_found(self):
+        assert {
+            "modular.inverse_table", "modular.legendre_table", "modular.root_table",
+            "modular.log_tables", "modular._hankel_index", "expsums.exp_table",
+            "expsums.sqrt_phase_table", "quadforms.enumerate_reduced_forms", "quadforms._reciprocals",
+        } <= TABLE_CACHES.keys()
+        assert TABLE_LIMIT == 1 << 24 and quadforms._RECIPROCALS_LIMIT == LIMITS["quadforms._reciprocals"]
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CACHES))
+    def test_cache_follows_the_policy(self, name):
+        """TABLE_CACHE_SIZE entries, read-only arrays, and a refusal above the limit."""
+        cached = TABLE_CACHES[name]
+        assert cached.cache_info().maxsize == TABLE_CACHE_SIZE
+        for array in _arrays(cached(SMALL_KEYS.get(name, 101))):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(SizeGuardError):
+            cached(LIMITS.get(name, TABLE_LIMIT) + 1)
+
+    def test_refusal_comes_before_the_build(self):
+        built = []
+
+        @table_cache(10)
+        def table(n):
+            built.append(n)
+            return np.arange(n), np.zeros(n), "label"
+
+        first = table(10)
+        assert table(10) is first and built == [10]
+        assert [a.flags.writeable for a in _arrays(first)] == [False, False]
+        with pytest.raises(SizeGuardError, match="table refused for 11 > 10"):
+            table(11)
+        assert built == [10]
+        assert table.cache_info().maxsize == TABLE_CACHE_SIZE and table.__name__ == "table"
 
 
 class TestPrimes:
