@@ -46,8 +46,8 @@ def _timed(fn):
 
 @_timed
 def check_salie_identity(q_max: int = 200) -> CriterionResult:
-    """Direct Salie sums equal the closed form within 1e-9*sqrt(q), exhaustively."""
-    from .expsums import salie_all
+    """Direct Salie sums equal the closed form within IDENTITY_BUDGET*sqrt(q), exhaustively."""
+    from .expsums import IDENTITY_BUDGET, salie_all
 
     worst = 0.0
     worst_vanish = 0.0
@@ -55,7 +55,7 @@ def check_salie_identity(q_max: int = 200) -> CriterionResult:
         err, vanish = salie_all(q)
         worst = max(worst, err / math.sqrt(q))
         worst_vanish = max(worst_vanish, vanish / math.sqrt(q))
-    ok = worst <= 1e-9 and worst_vanish <= 1e-9
+    ok = worst <= IDENTITY_BUDGET and worst_vanish <= IDENTITY_BUDGET
     return CriterionResult(
         "salie evaluation identity",
         ok,
@@ -66,7 +66,7 @@ def check_salie_identity(q_max: int = 200) -> CriterionResult:
 @_timed
 def check_gauss_identity(q_max: int = 200) -> CriterionResult:
     """Direct Gauss sums equal the closed form and have modulus sqrt(q)."""
-    from .expsums import gauss_all
+    from .expsums import IDENTITY_BUDGET, gauss_all
 
     worst = 0.0
     worst_mod = 0.0
@@ -74,7 +74,7 @@ def check_gauss_identity(q_max: int = 200) -> CriterionResult:
         err, modulus_err = gauss_all(q)
         worst = max(worst, err / math.sqrt(q))
         worst_mod = max(worst_mod, modulus_err / math.sqrt(q))
-    ok = worst <= 1e-9 and worst_mod <= 1e-9
+    ok = worst <= IDENTITY_BUDGET and worst_mod <= IDENTITY_BUDGET
     return CriterionResult(
         "gauss evaluation identity",
         ok,

@@ -96,11 +96,14 @@ def _weight_classes(text: str) -> tuple[str, ...]:
 
 
 def cmd_sums(args) -> int:
-    from .expsums import gauss_all, incomplete_sqrt_max, salie_all
+    from .expsums import IDENTITY_BUDGET, check_all_pairs, gauss_all, incomplete_sqrt_max, salie_all
     from .primes import primes_between
 
+    moduli = primes_between(max(3, args.qmin), args.qmax).tolist()
+    if moduli:
+        check_all_pairs(moduli[-1])  # refuse before the first row, not at the first modulus too large
     rows = []
-    for q in primes_between(max(3, args.qmin), args.qmax).tolist():
+    for q in moduli:
         max_salie_err, _ = salie_all(q)
         max_gauss_err, max_gauss_modulus_err = gauss_all(q)
         inc = incomplete_sqrt_max(1, 1, q)
@@ -114,11 +117,14 @@ def cmd_sums(args) -> int:
                 "incomplete_ratio": inc / (math.sqrt(q) * math.log(q)),
             }
         )
-    _write_rows(
-        rows,
-        ["q", "max_salie_err", "max_gauss_err", "max_gauss_modulus_err", "incomplete_max", "incomplete_ratio"],
-        args.out,
-    )
+    errors = ["max_salie_err", "max_gauss_err", "max_gauss_modulus_err"]
+    _write_rows(rows, ["q", *errors, "incomplete_max", "incomplete_ratio"], args.out)
+    if rows:
+        worst, q, column = max((r[c] / math.sqrt(r["q"]), r["q"], c) for r in rows for c in errors)
+        _summary(
+            f"{len(rows)} moduli, worst {column}/sqrt(q) {worst:.3e} at q={q}, "
+            f"margin {IDENTITY_BUDGET - worst:.6e} to the identity budget {IDENTITY_BUDGET:.0e}"
+        )
     return 0
 
 

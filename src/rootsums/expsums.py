@@ -5,20 +5,28 @@ Every closed-form evaluation here is paired with a direct-summation oracle.
 for any set of rows.  Each row of a direct matrix is a length-q discrete
 Fourier transform, so one batched FFT sums a row in O(q log q) instead of
 O(q^2).  The exhaustive ``*_all`` sweeps return the maxima that the identity
-checks read: they walk every row of a modulus in blocks of about 1 MiB per
-matrix, so no q x q matrix is held, and moduli up to a few thousand are
+checks read: they walk every row of a modulus in blocks of about 512 KiB
+per matrix, so no q x q matrix is held, and moduli up to a few thousand are
 swept in seconds.  Each table read is ``modular.read_products``; no q x q
 index is formed.
 
+A sweep keeps its block working set resident: one workspace per modulus (a
+complex and a float block in one allocation), refilled for every block
+through ``read_products(..., out=)`` and in-place ufuncs, so the FFT output
+is the only fresh block-sized array.  With a block's worth of fresh arrays,
+glibc gave the freed heap back to the OS after every block and faulted it in
+again for the next (its dynamic trim threshold is twice the largest freed
+block): ``sums --qmax 1000`` took about 967k minor page faults, a third of
+its time, against about 86k with the workspace.
+
 Floating-point policy: scalar direct sums accumulate with numpy's pairwise
 summation, the exhaustive helpers with pocketfft (neither depends on the
-thread count), and identity checks budget 1e-9 * sqrt(q) of error.
+thread count), and identity checks budget IDENTITY_BUDGET * sqrt(q) of error.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -41,7 +49,15 @@ from .modular import (
 # block (_BLOCK_BYTES per matrix), so ALL_PAIRS_LIMIT guards time only.
 DIRECT_SUM_LIMIT = 1 << 24
 ALL_PAIRS_LIMIT = 4096
-_BLOCK_BYTES = 1 << 20
+# Bytes of one complex128 block.  The sweeps' complex and float workspaces
+# stay resident across blocks, and the one fresh array per block (the FFT
+# output, since np.fft has no out= before numpy 2.0) stays under glibc's
+# trim threshold, so no block is returned to the OS and faulted in again.
+# 512 KiB keeps the peak RSS of ``sums`` at or below that of 1 MiB blocks
+# of fresh arrays.
+_BLOCK_BYTES = 1 << 19
+# Largest error / sqrt(q) that an exact identity evaluated in floats may show.
+IDENTITY_BUDGET = 1e-9
 
 
 def _check_direct(q: int, limit: int = DIRECT_SUM_LIMIT) -> None:
@@ -146,20 +162,31 @@ def incomplete_sqrt_max(a: int, h: int, q: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_all_pairs(q: int) -> None:
+def check_all_pairs(q: int) -> None:
+    """Raise SizeGuardError if an all-pairs sweep of q is above ALL_PAIRS_LIMIT."""
     if q > ALL_PAIRS_LIMIT:
         raise SizeGuardError(f"all-pairs evaluation refused for q={q} > {ALL_PAIRS_LIMIT}")
 
 
+def _block_rows(width: int) -> int:
+    """Rows per block: a complex128 block of ``width`` columns holds about
+    ``_BLOCK_BYTES`` (at least one row)."""
+    return max(1, _BLOCK_BYTES // (16 * width))
+
+
 def _row_blocks(rows: np.ndarray, width: int):
-    """Consecutive slices of ``rows`` whose complex128 matrices of ``width``
-    columns hold about ``_BLOCK_BYTES`` each (at least one row)."""
-    step = max(1, _BLOCK_BYTES // (16 * width))
+    """Consecutive slices of ``rows`` of ``_block_rows(width)`` rows each."""
+    step = _block_rows(width)
     for start in range(0, len(rows), step):
         yield rows[start : start + step]
 
 
-def gauss_rows(q: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid(work: np.ndarray | None, rows: int, width: int) -> np.ndarray | None:
+    """The first rows*width entries of a flat workspace as a C-contiguous matrix."""
+    return None if work is None else work[: rows * width].reshape(rows, width)
+
+
+def gauss_rows(q: int, a: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Direct and closed-form Gauss sums for the rows a (each in [1, q)) and every b in [0, q).
 
     Returns (direct, closed), each of shape (len(a), q) indexed by [i, b].
@@ -167,49 +194,56 @@ def gauss_rows(q: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows from one inverse FFT with norm="forward", which returns
     sum_x f(x) e_q(b*x) unscaled: O(q log q) per row.  Each row is
     transformed on its own, so a row is bit for bit the same in any row set.
+    With ``work`` (a flat complex128 array of at least len(a)*q entries) the
+    FFT input and then, once the FFT has consumed it, ``closed`` are written
+    at its start.
     """
     w = exp_table(q)
     x = np.arange(q, dtype=np.int64)  # also every b
-    direct = np.fft.ifft(read_products(w, a, x * x), axis=1, norm="forward")
+    direct = np.fft.ifft(read_products(w, a, x * x, _grid(work, len(a), q)), axis=1, norm="forward")
 
-    closed = read_products(w, -inverse_table(q)[4 * a % q], x * x)
+    closed = read_products(w, -inverse_table(q)[4 * a % q], x * x, _grid(work, len(a), q))
     closed *= eps_q(q) * math.sqrt(q)
     closed *= legendre_table(q)[a][:, None].astype(np.float64)
     return direct, closed
 
 
-def salie_rows(q: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def salie_rows(q: int, m: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Direct and closed-form Salie sums for the rows m (each in [1, q)) and every n in [1, q).
 
     Returns (direct, closed), each of shape (len(m), q-1) indexed by [i, n-1].
     Substituting y = xbar, row m of ``direct`` is the DFT of
     y -> (y/q) e_q(m*ybar) read at n = 1..q-1; y = 0 contributes 0 because
     the inverse and Legendre tables both hold 0 there.  As in gauss_rows, one
-    inverse FFT with norm="forward" sums every row.  The closed form reads
-    T_2(mn) = T[4mn].
+    inverse FFT with norm="forward" sums every row, and ``work`` (at least
+    len(m)*q entries) holds the FFT input and then ``closed``.  The closed
+    form reads T_2(mn) = T[4mn].
     """
     table = sqrt_phase_table(q)
     w = exp_table(q)
     chi = legendre_table(q)
     n = np.arange(1, q, dtype=np.int64)
-    direct = read_products(w, m, inverse_table(q))
+    direct = read_products(w, m, inverse_table(q), _grid(work, len(m), q))
     direct *= chi.astype(np.float64)
     direct = np.fft.ifft(direct, axis=1, norm="forward")[:, 1:]
 
-    closed = read_products(table, 4 * m, n)
+    closed = read_products(table, 4 * m, n, _grid(work, len(m), q - 1))
     closed *= chi[n].astype(np.float64)
     closed *= eps_q(q) * math.sqrt(q)
     return direct, closed
 
 
-# The sweeps reduce each block in its own call, so its matrices are freed
-# before the next block is built.
-def _gauss_block_maxima(q: int, a: np.ndarray) -> tuple[float, float]:
-    direct, closed = gauss_rows(q, a)
-    closed -= direct
-    modulus = np.abs(direct)
-    modulus -= math.sqrt(q)
-    return float(np.max(np.abs(closed))), float(np.max(np.abs(modulus, out=modulus)))
+# One flat workspace per modulus, refilled for every block: a complex part
+# for the FFT input, then the closed form and its difference from the direct
+# sums, and a float part for their moduli.  ``rows`` is the most rows a block
+# of this modulus will have.  The two parts are one allocation, larger than
+# what a block adds on top (the FFT output and the read's small chunks), so
+# glibc's trim threshold, twice the largest block it has freed, covers the
+# lot and the heap is not given back to the OS after each modulus.
+def _workspace(q: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    size = min(rows, _block_rows(q)) * q
+    floats = np.empty(3 * size)
+    return floats[: 2 * size].view(np.complex128), floats[2 * size :]
 
 
 def gauss_all(q: int) -> tuple[float, float]:
@@ -217,15 +251,18 @@ def gauss_all(q: int) -> tuple[float, float]:
 
     The rows of ``gauss_rows`` are swept in blocks, so no (q-1) x q matrix is held.
     """
-    _check_all_pairs(q)
-    maxima = [_gauss_block_maxima(q, a) for a in _row_blocks(np.arange(1, q, dtype=np.int64), q)]
-    return max(err for err, _ in maxima), max(modulus_err for _, modulus_err in maxima)
-
-
-def _salie_column_max(q: int, m: np.ndarray) -> np.ndarray:
-    direct, closed = salie_rows(q, m)
-    closed -= direct
-    return np.max(np.abs(closed), axis=0)
+    check_all_pairs(q)
+    work, modulus = _workspace(q, q - 1)
+    err = modulus_err = 0.0
+    for a in _row_blocks(np.arange(1, q, dtype=np.int64), q):
+        block_modulus = _grid(modulus, len(a), q)
+        direct, closed = gauss_rows(q, a, work)
+        closed -= direct
+        err = max(err, float(np.max(np.abs(closed, out=block_modulus))))
+        np.abs(direct, out=block_modulus)
+        block_modulus -= math.sqrt(q)
+        modulus_err = max(modulus_err, float(np.max(np.abs(block_modulus, out=block_modulus))))
+    return err, modulus_err
 
 
 def salie_all(q: int) -> tuple[float, float]:
@@ -236,13 +273,18 @@ def salie_all(q: int) -> tuple[float, float]:
     then whole columns, those n with (n/q) = -(m/q), where the closed form is
     exactly 0, so one column max of |closed - direct| gives both maxima.
     """
-    _check_all_pairs(q)
+    check_all_pairs(q)
     chi = legendre_table(q)[1:]
     m = np.arange(1, q, dtype=np.int64)
+    work, modulus = _workspace(q, (q - 1) // 2)  # the m of one Legendre class
     err = vanish = 0.0
     for sign in (1, -1):
-        blocks = _row_blocks(m[chi == sign], q)
-        column_max = reduce(np.maximum, (_salie_column_max(q, rows) for rows in blocks))
+        column_max = np.zeros(q - 1)
+        for rows in _row_blocks(m[chi == sign], q):
+            direct, closed = salie_rows(q, rows, work)
+            closed -= direct
+            block_modulus = np.abs(closed, out=_grid(modulus, len(rows), q - 1))
+            np.maximum(column_max, np.max(block_modulus, axis=0), out=column_max)
         err = max(err, float(np.max(column_max)))
         vanish = max(vanish, float(np.max(column_max[chi == -sign])))
     return err, vanish

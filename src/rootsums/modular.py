@@ -244,20 +244,42 @@ def _hankel_index(q: int) -> np.ndarray:
     return np.concatenate([pw, pw, np.zeros(2 * q - 1, dtype=np.int64)])
 
 
-def read_products(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+# Entries per bounds-checked take of read_products(..., out=).
+_READ_CHUNK = 1 << 13
+
+
+def read_products(
+    table: np.ndarray, rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """table[rows[i] * cols[j] mod q] for every (i, j), where q = len(table) is prime.
 
     In discrete logs a product-grid read is a Hankel matrix: entry (i, j) is
     buf[lg[rows[i]] + lg[cols[j]]], where buf holds table[g^k] for two periods
     of k, then a run of table[0] for the lg[0] sentinel.  No int64 product or
     len(rows) x len(cols) index is formed; each entry is the table element, bit for bit.
+
+    With ``out`` (shape (len(rows), len(cols)), the table's dtype) the grid is
+    written there and ``out`` is returned, so a sweep can refill one resident
+    block; it is read with bounds-checked takes from buf, a few rows at a time.
     """
     q = len(table)
     _, lg = log_tables(q)
     buf = table[_hankel_index(q)]
-    # hankel[i, j] = buf[i + j], bounds-checked; sliding_window_view costs more per call
-    hankel = np.ndarray((2 * q - 1, 2 * q - 1), buf.dtype, buf, 0, buf.strides * 2)
-    return hankel[lg[rows % q][:, None], lg[cols % q]]
+    if out is None:
+        # hankel[i, j] = buf[i + j], bounds-checked; sliding_window_view costs more per call
+        hankel = np.ndarray((2 * q - 1, 2 * q - 1), buf.dtype, buf, 0, buf.strides * 2)
+        return hankel[lg[rows % q][:, None], lg[cols % q]]
+    if out.shape != (len(rows), len(cols)) or out.dtype != table.dtype:
+        raise ValueError(f"out must be {table.dtype} of shape {(len(rows), len(cols))}")
+    # take(mode="raise") into out works on a copy of out, so rows are read in
+    # chunks of about _READ_CHUNK entries: that copy and the chunk's int64
+    # index stay small, and no grid-sized array is allocated.
+    row_logs, col_logs = lg[rows % q], lg[cols % q]
+    step = max(1, _READ_CHUNK // max(1, len(col_logs)))
+    for start in range(0, len(row_logs), step):
+        index = np.add.outer(row_logs[start : start + step], col_logs)
+        buf.take(index, out=out[start : start + step], mode="raise")
+    return out
 
 
 def residue_roots(residues: np.ndarray, q: int) -> np.ndarray:

@@ -54,6 +54,43 @@ class TestSums:
         assert run(["sums", "--qmin", "4099", "--qmax", "4099"]) == 3
         assert "refused" in capsys.readouterr().err
 
+    def test_refuses_before_the_first_row(self, monkeypatch, capsys):
+        """A range whose largest prime is above ALL_PAIRS_LIMIT is refused before any sweep runs."""
+        import rootsums.expsums
+
+        def never(q):
+            raise AssertionError(f"swept q={q} before refusing")
+
+        monkeypatch.setattr(rootsums.expsums, "gauss_all", never)
+        monkeypatch.setattr(rootsums.expsums, "salie_all", never)
+        assert run(["sums", "--qmin", "3", "--qmax", "5000"]) == 3
+        captured = capsys.readouterr()
+        assert "refused: all-pairs evaluation refused for q=4999 > 4096" in captured.err
+        assert captured.out == ""
+
+    def test_summary_names_the_worst_error(self, tmp_path, capsys):
+        """One stderr line: moduli, the worst max_*_err/sqrt(q) with its q and column, and
+        the margin to the identity budget; stdout and the CSV stay the rows alone."""
+        from rootsums.expsums import IDENTITY_BUDGET
+
+        out = tmp_path / "sums.csv"
+        assert run(["sums", "--qmax", "30", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote 9 rows to {out}\n"
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        errors = ["max_salie_err", "max_gauss_err", "max_gauss_modulus_err"]
+        worst, q, column = max((float(r[c]) / math.sqrt(int(r["q"])), int(r["q"]), c)
+                               for r in rows for c in errors)
+        assert captured.err == (
+            f"9 moduli, worst {column}/sqrt(q) {worst:.3e} at q={q}, "
+            f"margin {IDENTITY_BUDGET - worst:.6e} to the identity budget 1e-09\n"
+        )
+        assert run(["sums", "--qmax", "30"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_bytes().decode()
+        assert captured.err.startswith("9 moduli, worst ")
+
     def test_csv_identical_across_blas_thread_counts(self, tmp_path):
         """No column of sums depends on how many threads BLAS runs."""
         outputs = outputs_at_blas_thread_counts(["sums", "--qmax", "200"], tmp_path)

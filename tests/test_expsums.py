@@ -226,21 +226,31 @@ def test_sweeps_return_the_maxima_of_the_full_matrices(q):
 
     q = 3 and 5 fit in one block; 499 and 997 take several per Legendre class.
     """
-    a = np.arange(1, q, dtype=np.int64)  # also every m
-    one_class = a[: (q - 1) // 2]  # as many rows as each Legendre class of m
+    one_class = np.arange(1, (q + 1) // 2)  # as many rows as each Legendre class of m
     assert (len(list(_row_blocks(one_class, q))) > 1) == (q >= 499)
+    assert (gauss_all(q), salie_all(q)) == _full_matrix_maxima(q)
+
+
+def _full_matrix_maxima(q: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    a = np.arange(1, q, dtype=np.int64)  # also every m
     direct_g, closed_g = gauss_rows(q, a)
-    assert gauss_all(q) == (
-        float(np.max(np.abs(direct_g - closed_g))),
-        float(np.max(np.abs(np.abs(direct_g) - math.sqrt(q)))),
-    )
     direct_s, closed_s = salie_rows(q, a)
     leg = legendre_table(q)[1:]
-    nonres = np.multiply.outer(leg, leg) == -1
-    assert salie_all(q) == (
-        float(np.max(np.abs(direct_s - closed_s))),
-        float(np.max(np.abs(direct_s[nonres]))),
+    return (
+        (float(np.max(np.abs(direct_g - closed_g))),
+         float(np.max(np.abs(np.abs(direct_g) - math.sqrt(q))))),
+        (float(np.max(np.abs(direct_s - closed_s))),
+         float(np.max(np.abs(direct_s[np.multiply.outer(leg, leg) == -1])))),
     )
+
+
+def test_workspace_reuse_leaks_nothing():
+    """Sweeps run back to back over shrinking and growing moduli, with a partial last
+    block at q = 997, each equal (==) the maxima of their own full matrices."""
+    order = [997, 5, 499, 3, 101]
+    got = [(gauss_all(q), salie_all(q)) for q in order]
+    assert (997 - 1) % len(next(_row_blocks(np.arange(1, 997), 997))) != 0
+    assert got == [_full_matrix_maxima(q) for q in order]
 
 
 @pytest.mark.parametrize("sweep", [gauss_all, salie_all], ids=["gauss", "salie"])

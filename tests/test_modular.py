@@ -206,7 +206,8 @@ class TestTables:
 
     @pytest.mark.parametrize("q", [3, 5, 101, 4001])
     def test_read_products_is_the_index_product_read(self, q):
-        """Each entry is the table read at the int64 index product, bit for bit, whatever the factors."""
+        """Each entry is the table read at the int64 index product, bit for bit, whatever the
+        factors, and a read into out= equals the fresh read."""
         # 0, units, multiples of q, negatives and values past q, as rows and as columns
         factors = np.array([0, 1, 2, q - 1, q, 2 * q, 3 * q + 1, -1, -q, -(q + 2), 7 * q - 3])
         every = np.arange(-q, 2 * q + 1) if q < 1000 else np.arange(-3, q + 3)
@@ -217,6 +218,20 @@ class TestTables:
                 got = read_products(table, rows, cols)
                 assert got.shape == (len(rows), len(cols))
                 assert np.array_equal(got, table[np.multiply.outer(rows, cols) % q])
+                # out= fills (and returns) a given array, here a strided view of a wider one
+                wide = np.full((len(rows), len(cols) + 3), np.nan, dtype=table.dtype)
+                out = wide[:, 2:-1]
+                assert read_products(table, rows, cols, out=out) is out
+                assert np.array_equal(out, got)
+                assert np.isnan(wide[:, :2]).all() and np.isnan(wide[:, -1]).all()
+
+    def test_read_products_out_must_fit(self):
+        """An out of the wrong shape (rows, columns or rank) or dtype raises; nothing is cast."""
+        table, rows, cols = exp_table(101), np.arange(4), np.arange(7)
+        for bad in (np.empty((4, 6), complex), np.empty((3, 7), complex), np.empty((5, 7), complex),
+                    np.empty(28, complex), np.empty((4, 7)), np.empty((4, 7), np.complex64)):
+            with pytest.raises(ValueError):
+                read_products(table, rows, cols, out=bad)
 
     @pytest.mark.parametrize("q", [3, 5, 101, 4001])
     def test_log_of_zero_points_into_the_run_of_table_zero(self, q):
