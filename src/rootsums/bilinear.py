@@ -7,6 +7,8 @@ extraction.  The kernel depends on (m, n) only through amn, and the twist
 folds into the row multiplier, since T_h(amn) = T(h^2 amn) for the one
 root-phase table T of the modulus; so the M x N kernel is
 ``read_products(T, a h^2 m, n)``, the product-grid read of ``modular``.
+``bilinear_weyl_sum`` contracts it in column blocks as they are read, so a
+cell costs O(M*N) time and O(M*width) memory, never a whole M x N grid.
 
 Around W sit the pieces the bound analysis decomposes it into: the
 character-restricted sums R_j, the root correlation sums A_{h,lambda,a},
@@ -27,6 +29,12 @@ from .modular import eps_q, inv_mod, legendre_table, read_products, residue_root
 from .weights import WeightVector, dyadic_starts, slack_factor
 
 _CURVE_SUM_LIMIT = 2048
+# Bytes of one column block of a Weyl kernel: 128 columns at M = 2048, so the
+# largest cell holds 4 MiB instead of its 64 MiB kernel.  On the large-cell
+# sweep (q = 4001, 8009) 512 KiB blocks ran slower than the unblocked kernel,
+# with more short reads and contractions per cell, and 16 MiB blocks nearly
+# doubled the peak RSS (80 against 44 MiB).
+_KERNEL_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -54,13 +62,44 @@ class BilinearInstance:
         return self.beta.start
 
 
+def _column_width(rows: int, cols: int) -> int:
+    """Columns per block of a rows x cols kernel: all of them, unless cols is a
+    power of two and the kernel exceeds _KERNEL_BLOCK_BYTES; then the largest
+    power of two >= 4 whose block fits (or 4)."""
+    if 16 * rows * cols <= _KERNEL_BLOCK_BYTES or cols & (cols - 1):
+        return cols
+    fit = _KERNEL_BLOCK_BYTES // (16 * rows)
+    return min(cols, max(4, 1 << (fit.bit_length() - 1)))
+
+
 def bilinear_weyl_sum(inst: BilinearInstance) -> complex:
-    """W evaluated against the root-phase table; O(M*N) after an O(q) setup."""
+    """W evaluated against the root-phase table: O(M*N) time, O(M*width) memory.
+
+    W = (alpha @ K) @ beta for the M x N kernel K.  A kernel above
+    _KERNEL_BLOCK_BYTES is read in blocks of ``width`` columns into one
+    workspace, and each block is contracted with alpha as it is read, so no
+    M x N grid is held.  Only columns are split, never the sum over m, and the
+    widths are powers of two >= 4 dividing N, a power of two: then every entry
+    of alpha @ K is the same float as the unblocked product (OpenBLAS's zgemv
+    sums each column alike for those widths, but not for widths 1 or 2, nor
+    for other N, which stay one block).  W is therefore bit for bit the
+    unblocked W, and the final dot with beta runs once over the whole vector.
+    """
     q = inst.q
     m = np.arange(inst.m_start, 2 * inst.m_start, dtype=np.int64)
     n = np.arange(inst.n_start, 2 * inst.n_start, dtype=np.int64)
-    kernel = read_products(sqrt_phase_table(q), inst.a * inst.h % q * inst.h % q * (m % q), n)
-    return complex(inst.alpha.coeffs @ kernel @ inst.beta.coeffs)
+    table = sqrt_phase_table(q)
+    rows = inst.a * inst.h % q * inst.h % q * (m % q)
+    alpha, beta = inst.alpha.coeffs, inst.beta.coeffs
+    width = _column_width(len(m), len(n))
+    if width == len(n):  # one block: the fresh read costs less than the chunked out= read
+        return complex(alpha @ read_products(table, rows, n) @ beta)
+    block = np.empty((len(m), width), dtype=np.complex128)
+    v = np.empty(len(n), dtype=np.complex128)
+    for start in range(0, len(n), width):
+        read_products(table, rows, n[start : start + width], out=block)
+        np.matmul(alpha, block, out=v[start : start + width])
+    return complex(v @ beta)
 
 
 def rj_sum(j: int, inst: BilinearInstance) -> float:
@@ -366,13 +405,20 @@ def weyl_sweep(
     kinds: tuple[str, ...] = ("indicator", "pm1", "phase"),
     instances: int = 20,
     seed: int = 42,
+    only_m: int | None = None,
+    only_n: int | None = None,
 ) -> list[dict]:
-    """|W| against both envelopes over dyadic (M, N) grids and seeded weights."""
+    """|W| against both envelopes over dyadic (M, N) grids and seeded weights.
+
+    ``only_m``/``only_n`` restrict the grid to one dyadic start, so only the
+    selected cells are computed; each cell's seed stream depends on the cell
+    alone, so its rows are those of the full sweep.
+    """
     rows = []
     for q in q_values:
         starts = dyadic_starts(q)
-        for m_start in starts:
-            for n_start in starts:
+        for m_start in [s for s in starts if only_m in (None, s)]:
+            for n_start in [s for s in starts if only_n in (None, s)]:
                 for kind_idx, kind in enumerate(kinds):
                     for k in range(instances):
                         rng = np.random.default_rng(

@@ -23,7 +23,7 @@ import math
 import sys
 
 from .errors import SizeGuardError
-from .weights import WEIGHT_CLASSES
+from .weights import WEIGHT_CLASSES, dyadic_starts
 
 EXIT_FAILURE = 1
 EXIT_REFUSED = 3
@@ -192,11 +192,9 @@ def cmd_bilinear(args) -> int:
         kinds=args.weights,
         instances=args.instances,
         seed=args.seed,
+        only_m=args.M,
+        only_n=args.N,
     )
-    if args.M:
-        rows = [r for r in rows if r["M"] == args.M]
-    if args.N:
-        rows = [r for r in rows if r["N"] == args.N]
     cells: dict[tuple, list[dict]] = {}
     for row in rows:
         row["master_seed"] = args.seed
@@ -379,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qset", type=_qset, default="101,211,499")
     p.add_argument("--weights", type=_weight_classes, default="indicator,pm1,phase")
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--M", type=int, default=0, help="restrict to one dyadic M")
-    p.add_argument("--N", type=int, default=0, help="restrict to one dyadic N")
+    p.add_argument("--M", type=int, help="restrict to one dyadic M")
+    p.add_argument("--N", type=int, help="restrict to one dyadic N")
     add_common(p)
     p.set_defaults(func=cmd_bilinear)
 
@@ -429,6 +427,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "discrepancy" and args.action == "coverage" and len(args.qset) != 1:
         parser.error("discrepancy coverage takes one modulus in --qset")
+    if args.command == "bilinear":
+        for flag, start in (("--M", args.M), ("--N", args.N)):
+            if start is not None and not any(start in dyadic_starts(q) for q in args.qset):
+                parser.error(f"{flag} {start} is not a dyadic start of any modulus in --qset")
     try:
         return args.func(args)
     except SizeGuardError as exc:

@@ -11,9 +11,10 @@ swept in seconds.  Each table read is ``modular.read_products``; no q x q
 index is formed.
 
 A sweep keeps its block working set resident: one workspace per modulus (a
-complex and a float block in one allocation), refilled for every block
-through ``read_products(..., out=)`` and in-place ufuncs, so the FFT output
-is the only fresh block-sized array.  With a block's worth of fresh arrays,
+complex and a float block in one allocation, next to the modulus's constant
+columns and Legendre symbols), refilled for every block through
+``read_products(..., out=)`` and in-place ufuncs, so the FFT output is the
+only fresh block-sized array.  With a block's worth of fresh arrays,
 glibc gave the freed heap back to the OS after every block and faulted it in
 again for the next (its dynamic trim threshold is twice the largest freed
 block): ``sums --qmax 1000`` took about 967k minor page faults, a third of
@@ -27,18 +28,21 @@ thread count), and identity checks budget IDENTITY_BUDGET * sqrt(q) of error.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SizeGuardError
 from .modular import (
     TABLE_LIMIT,
+    cache_log_ordered,
     e_q,
     eps_q,
     inv_mod,
     inverse_table,
     kronecker,
     legendre_table,
+    log_ordered,
     read_products,
     sqrt_mod,
     table_cache,
@@ -85,6 +89,22 @@ def sqrt_phase_table(q: int) -> np.ndarray:
     table = np.zeros(q, dtype=np.complex128)
     np.add.at(table, x * x % q, exp_table(q))
     return table
+
+
+@table_cache(TABLE_LIMIT)
+def _exp_buffer(q: int) -> np.ndarray:
+    """log_ordered(exp_table(q)), for ``read_products``."""
+    return log_ordered(exp_table(q))
+
+
+@table_cache(TABLE_LIMIT)
+def _phase_buffer(q: int) -> np.ndarray:
+    """log_ordered(sqrt_phase_table(q)), for ``read_products``."""
+    return log_ordered(sqrt_phase_table(q))
+
+
+cache_log_ordered(np.complex128, exp_table, _exp_buffer)
+cache_log_ordered(np.complex128, sqrt_phase_table, _phase_buffer)
 
 
 def gauss_sum(a: int, b: int, q: int) -> complex:
@@ -186,7 +206,32 @@ def _grid(work: np.ndarray | None, rows: int, width: int) -> np.ndarray | None:
     return None if work is None else work[: rows * width].reshape(rows, width)
 
 
-def gauss_rows(q: int, a: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+class _Workspace(NamedTuple):
+    """One modulus's constants and, in a sweep, the block arrays refilled for every block."""
+
+    squares: np.ndarray  # x * x for every x in [0, q)
+    units: np.ndarray  # every n in [1, q)
+    chi: np.ndarray  # the Legendre symbols (x/q) as float64
+    grid: np.ndarray | None = None  # flat complex128: the FFT input, then the closed form
+    modulus: np.ndarray | None = None  # flat float64: the moduli of a block
+
+
+# In a sweep (rows > 0) the complex and float parts are one allocation, sized
+# for ``rows``, the most rows a block of this modulus will have.  It is larger
+# than what a block adds on top (the FFT output and the read's small chunks),
+# so glibc's trim threshold, twice the largest block it has freed, covers the
+# lot and the heap is not given back to the OS after each modulus.
+def _workspace(q: int, rows: int = 0) -> _Workspace:
+    x = np.arange(q, dtype=np.int64)
+    constants = (x * x, x[1:], legendre_table(q).astype(np.float64))
+    if rows == 0:
+        return _Workspace(*constants)
+    size = min(rows, _block_rows(q)) * q
+    floats = np.empty(3 * size)
+    return _Workspace(*constants, floats[: 2 * size].view(np.complex128), floats[2 * size :])
+
+
+def gauss_rows(q: int, a: np.ndarray, work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Direct and closed-form Gauss sums for the rows a (each in [1, q)) and every b in [0, q).
 
     Returns (direct, closed), each of shape (len(a), q) indexed by [i, b].
@@ -194,56 +239,42 @@ def gauss_rows(q: int, a: np.ndarray, work: np.ndarray | None = None) -> tuple[n
     rows from one inverse FFT with norm="forward", which returns
     sum_x f(x) e_q(b*x) unscaled: O(q log q) per row.  Each row is
     transformed on its own, so a row is bit for bit the same in any row set.
-    With ``work`` (a flat complex128 array of at least len(a)*q entries) the
-    FFT input and then, once the FFT has consumed it, ``closed`` are written
-    at its start.
+    A sweep passes its ``_workspace``: its constants are built once per
+    modulus, and the FFT input and then, once the FFT has consumed it,
+    ``closed`` are written at the start of its grid.
     """
+    work = _workspace(q) if work is None else work
     w = exp_table(q)
-    x = np.arange(q, dtype=np.int64)  # also every b
-    direct = np.fft.ifft(read_products(w, a, x * x, _grid(work, len(a), q)), axis=1, norm="forward")
+    direct = np.fft.ifft(
+        read_products(w, a, work.squares, _grid(work.grid, len(a), q)), axis=1, norm="forward"
+    )
 
-    closed = read_products(w, -inverse_table(q)[4 * a % q], x * x, _grid(work, len(a), q))
+    closed = read_products(w, -inverse_table(q)[4 * a % q], work.squares, _grid(work.grid, len(a), q))
     closed *= eps_q(q) * math.sqrt(q)
-    closed *= legendre_table(q)[a][:, None].astype(np.float64)
+    closed *= work.chi[a][:, None]
     return direct, closed
 
 
-def salie_rows(q: int, m: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def salie_rows(q: int, m: np.ndarray, work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Direct and closed-form Salie sums for the rows m (each in [1, q)) and every n in [1, q).
 
     Returns (direct, closed), each of shape (len(m), q-1) indexed by [i, n-1].
     Substituting y = xbar, row m of ``direct`` is the DFT of
     y -> (y/q) e_q(m*ybar) read at n = 1..q-1; y = 0 contributes 0 because
     the inverse and Legendre tables both hold 0 there.  As in gauss_rows, one
-    inverse FFT with norm="forward" sums every row, and ``work`` (at least
-    len(m)*q entries) holds the FFT input and then ``closed``.  The closed
-    form reads T_2(mn) = T[4mn].
+    inverse FFT with norm="forward" sums every row, and a sweep's ``work``
+    holds the FFT input and then ``closed``.  The closed form reads
+    T_2(mn) = T[4mn].
     """
-    table = sqrt_phase_table(q)
-    w = exp_table(q)
-    chi = legendre_table(q)
-    n = np.arange(1, q, dtype=np.int64)
-    direct = read_products(w, m, inverse_table(q), _grid(work, len(m), q))
-    direct *= chi.astype(np.float64)
+    work = _workspace(q) if work is None else work
+    direct = read_products(exp_table(q), m, inverse_table(q), _grid(work.grid, len(m), q))
+    direct *= work.chi
     direct = np.fft.ifft(direct, axis=1, norm="forward")[:, 1:]
 
-    closed = read_products(table, 4 * m, n, _grid(work, len(m), q - 1))
-    closed *= chi[n].astype(np.float64)
+    closed = read_products(sqrt_phase_table(q), 4 * m, work.units, _grid(work.grid, len(m), q - 1))
+    closed *= work.chi[1:]
     closed *= eps_q(q) * math.sqrt(q)
     return direct, closed
-
-
-# One flat workspace per modulus, refilled for every block: a complex part
-# for the FFT input, then the closed form and its difference from the direct
-# sums, and a float part for their moduli.  ``rows`` is the most rows a block
-# of this modulus will have.  The two parts are one allocation, larger than
-# what a block adds on top (the FFT output and the read's small chunks), so
-# glibc's trim threshold, twice the largest block it has freed, covers the
-# lot and the heap is not given back to the OS after each modulus.
-def _workspace(q: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    size = min(rows, _block_rows(q)) * q
-    floats = np.empty(3 * size)
-    return floats[: 2 * size].view(np.complex128), floats[2 * size :]
 
 
 def gauss_all(q: int) -> tuple[float, float]:
@@ -252,10 +283,10 @@ def gauss_all(q: int) -> tuple[float, float]:
     The rows of ``gauss_rows`` are swept in blocks, so no (q-1) x q matrix is held.
     """
     check_all_pairs(q)
-    work, modulus = _workspace(q, q - 1)
+    work = _workspace(q, q - 1)
     err = modulus_err = 0.0
-    for a in _row_blocks(np.arange(1, q, dtype=np.int64), q):
-        block_modulus = _grid(modulus, len(a), q)
+    for a in _row_blocks(work.units, q):
+        block_modulus = _grid(work.modulus, len(a), q)
         direct, closed = gauss_rows(q, a, work)
         closed -= direct
         err = max(err, float(np.max(np.abs(closed, out=block_modulus))))
@@ -275,15 +306,14 @@ def salie_all(q: int) -> tuple[float, float]:
     """
     check_all_pairs(q)
     chi = legendre_table(q)[1:]
-    m = np.arange(1, q, dtype=np.int64)
-    work, modulus = _workspace(q, (q - 1) // 2)  # the m of one Legendre class
+    work = _workspace(q, (q - 1) // 2)  # the m of one Legendre class
     err = vanish = 0.0
     for sign in (1, -1):
         column_max = np.zeros(q - 1)
-        for rows in _row_blocks(m[chi == sign], q):
+        for rows in _row_blocks(work.units[chi == sign], q):
             direct, closed = salie_rows(q, rows, work)
             closed -= direct
-            block_modulus = np.abs(closed, out=_grid(modulus, len(rows), q - 1))
+            block_modulus = np.abs(closed, out=_grid(work.modulus, len(rows), q - 1))
             np.maximum(column_max, np.max(block_modulus, axis=0), out=column_max)
         err = max(err, float(np.max(column_max)))
         vanish = max(vanish, float(np.max(column_max[chi == -sign])))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from rootsums import calibration
 from rootsums.bilinear import (
+    _KERNEL_BLOCK_BYTES,
     BilinearInstance,
+    _column_width,
     a_sum,
     a_sum_all,
     balanced_curve_parameters,
@@ -105,11 +108,19 @@ class TestWeylSum:
 
     @pytest.mark.parametrize("q", [11, 101, 1009, 4001])
     def test_log_gather_is_the_direct_gather_bit_for_bit(self, q, phase_table_oracle):
-        """W and R_j equal the same products over table[a*m*n % q] exactly, up to M = N at the top."""
+        """W and R_j equal the same products over table[a*m*n % q] exactly, up to M = N at the top.
+
+        At q = 4001 the top cell and (1000, 1024) stream four column blocks each, and
+        (1000, 1000), whose N is no power of two, is read as one block of 15 MiB.
+        """
         top = dyadic_starts(q)[-1]
         cells = [(top, top)] + [
             (int(s), int(t)) for s, t in np.random.default_rng([7, q]).choice(dyadic_starts(q), (3, 2))
         ]
+        if q == 4001:
+            cells += [(1000, 1024), (1000, 1000)]
+            blocks = [n_start // _column_width(m_start, n_start) for m_start, n_start in cells]
+            assert (blocks[0], blocks[-2], blocks[-1]) == (4, 4, 1)
         leg = legendre_table(q)
         for k, (m_start, n_start) in enumerate(cells):
             rng = np.random.default_rng([q, k])
@@ -130,6 +141,20 @@ class TestWeylSum:
                 inner = kernel[np.ix_(rows, cols)] @ inst.beta.coeffs[cols]
                 expected = float(np.sum(np.abs(inner) ** 2)) if rows.any() and cols.any() else 0.0
                 assert rj_sum(j, inst) == expected
+
+    def test_large_cell_holds_no_kernel(self, rng):
+        """At q = 8009, M = N = 2048 the kernel is 64 MiB; the streamed cell peaks under two blocks."""
+        q = 8009
+        inst = BilinearInstance(
+            q, 5, 7, WeightVector.random_phase(q, 2048, rng), WeightVector.random_pm1(q, 2048, rng)
+        )
+        tracemalloc.start()
+        try:
+            bilinear_weyl_sum(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _KERNEL_BLOCK_BYTES
 
 
 class TestEnvelopes:

@@ -1,6 +1,7 @@
 """CLI contract: determinism, formats, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -14,10 +15,12 @@ from pathlib import Path
 import pytest
 
 import rootsums
+from rootsums import bilinear
 from rootsums.cli import build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
 SUMS_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "sums.csv"
+WEYL_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "weyl-large.json"
 
 
 def run(argv):
@@ -135,11 +138,44 @@ class TestEnergy:
 
 class TestBilinear:
     def test_csv_identical_across_blas_thread_counts(self, tmp_path):
-        """No cell of the bilinear sweep depends on how many threads BLAS runs."""
+        """No cell of the bilinear sweep depends on how many threads BLAS runs: neither the
+        one-block cells of q <= 1009 nor a 1024 x 1024 cell, streamed in four column blocks."""
         argv = ["bilinear", "sweep", "--qset", "101,499,1009", "--instances", "2", "--seed", "42"]
         outputs = outputs_at_blas_thread_counts(argv, tmp_path)
         assert outputs[0].count(b"\n") == 1087  # the header and 1,086 cells
         assert outputs[0] == outputs[1]
+        argv = ["bilinear", "sweep", "--qset", "4001", "--M", "1024", "--N", "1024", "--instances", "2"]
+        outputs = outputs_at_blas_thread_counts(argv, tmp_path)
+        assert outputs[0].count(b"\n") == 7
+        assert outputs[0] == outputs[1]
+
+    def test_streamed_cells_match_the_benchmark_reference(self, tmp_path):
+        """The largest cells of the benchmark's weyl-large sweep, each streamed in 4 or 16
+        column blocks, give the reference's rows: the same digest for each (q, M, N) group."""
+        reference = json.loads(WEYL_REFERENCE.read_text())
+        got = {}
+        for qset, start in (("4001,8009", "1024"), ("8009", "2048")):
+            out = tmp_path / f"cells_{start}.csv"
+            assert run(["bilinear", "sweep", "--qset", qset, "--weights", "indicator,pm1,phase",
+                        "--instances", "4", "--seed", "0", "--M", start, "--N", start,
+                        "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            assert lines[0] == reference["header"]
+            for line in lines[1:]:
+                got.setdefault(",".join(line.split(",")[:3]), []).append(line)
+        assert sorted(got) == ["4001,1024,1024", "8009,1024,1024", "8009,2048,2048"]
+        for key, rows in got.items():
+            digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+            assert [len(rows), digest] == reference["groups"][key], key
+
+    @pytest.mark.parametrize("argv", [["--qset", "101", "--M", "3"], ["--qset", "101", "--N", "0"],
+                                      ["--qset", "101,211", "--M", "128", "--N", "1"]],
+                             ids=["not-dyadic", "zero", "beyond-every-modulus"])
+    def test_cell_must_be_a_dyadic_start(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bilinear", "sweep", "--instances", "1", *argv])
+        assert exc.value.code == 2
+        assert "is not a dyadic start of any modulus in --qset" in capsys.readouterr().err
 
     @pytest.mark.parametrize("weights", ["foo", "pm1,phase,pm1"], ids=["unknown", "repeated"])
     def test_weights_must_be_distinct_known_classes(self, weights, capsys):
@@ -267,13 +303,21 @@ class TestOthers:
         payload = json.loads(out.read_text())
         assert payload["fraction"] == 1.0 and payload["missing_count"] == 0
 
-    def test_bilinear_cell_restriction(self, tmp_path):
-        out = tmp_path / "cell.csv"
-        assert run(["bilinear", "sweep", "--qset", "101", "--weights", "pm1",
-                    "--instances", "2", "--M", "4", "--N", "8", "--out", str(out)]) == 0
-        with out.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows and all(r["M"] == "4" and r["N"] == "8" for r in rows)
+    def test_bilinear_cell_restriction(self, tmp_path, monkeypatch):
+        """--M and --N give the rows of the full sweep at that cell, computing no others:
+        64 is a dyadic start of 211 only, so q = 101 adds no row."""
+        full, cell = tmp_path / "full.csv", tmp_path / "cell.csv"
+        base = ["bilinear", "sweep", "--qset", "101,211", "--weights", "pm1", "--instances", "2"]
+        assert run(base + ["--out", str(full)]) == 0
+        computed = []
+        weyl_sum = bilinear.bilinear_weyl_sum
+        monkeypatch.setattr(bilinear, "bilinear_weyl_sum", lambda inst: computed.append(inst) or weyl_sum(inst))
+        assert run(base + ["--M", "64", "--N", "8", "--out", str(cell)]) == 0
+        assert len(computed) == 2
+        lines = full.read_text().splitlines()
+        selected = [line for line in lines[1:] if line.split(",")[1:3] == ["64", "8"]]
+        assert len(selected) == 2
+        assert cell.read_text().splitlines() == [lines[0], *selected]
 
     def test_lattice_rows(self, tmp_path):
         out = tmp_path / "lat.csv"

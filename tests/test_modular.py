@@ -12,16 +12,18 @@ from hypothesis import strategies as st
 
 import rootsums
 from rootsums.errors import SizeGuardError
-from rootsums.expsums import exp_table, salie_closed_form, sqrt_phase_table
+from rootsums.expsums import _exp_buffer, _phase_buffer, exp_table, salie_closed_form, sqrt_phase_table
 from rootsums.modular import (
     TABLE_CACHE_SIZE,
     TABLE_LIMIT,
+    _root_buffer,
     e_q,
     eps_q,
     inv_mod,
     inverse_table,
     kronecker,
     legendre_table,
+    log_ordered,
     log_tables,
     primitive_root,
     read_products,
@@ -207,13 +209,17 @@ class TestTables:
     @pytest.mark.parametrize("q", [3, 5, 101, 4001])
     def test_read_products_is_the_index_product_read(self, q):
         """Each entry is the table read at the int64 index product, bit for bit, whatever the
-        factors, and a read into out= equals the fresh read."""
+        factors, and a read into out= equals the fresh read: for the cached tables, whose
+        buffer is cached, and for tables built by hand, writeable or not, gathered per read."""
         # 0, units, multiples of q, negatives and values past q, as rows and as columns
         factors = np.array([0, 1, 2, q - 1, q, 2 * q, 3 * q + 1, -1, -q, -(q + 2), 7 * q - 3])
         every = np.arange(-q, 2 * q + 1) if q < 1000 else np.arange(-3, q + 3)
         grids = [(factors, factors), (factors, every), (every, factors),
                  (factors[:1], factors), (factors, factors[3:4]), (factors[4:5], factors[7:8])]
-        for table in (exp_table(q), sqrt_phase_table(q)):
+        by_hand = sqrt_phase_table(q).copy()
+        frozen = exp_table(q).copy()
+        frozen.flags.writeable = False
+        for table in (exp_table(q), sqrt_phase_table(q), by_hand, frozen):
             for rows, cols in grids:
                 got = read_products(table, rows, cols)
                 assert got.shape == (len(rows), len(cols))
@@ -224,6 +230,31 @@ class TestTables:
                 assert read_products(table, rows, cols, out=out) is out
                 assert np.array_equal(out, got)
                 assert np.isnan(wide[:, :2]).all() and np.isnan(wide[:, -1]).all()
+
+    @pytest.mark.parametrize(
+        "build, buffer",
+        [(exp_table, _exp_buffer), (sqrt_phase_table, _phase_buffer), (root_table, _root_buffer)],
+        ids=["exp", "phase", "root"],
+    )
+    def test_cached_tables_read_their_cached_buffer(self, build, buffer):
+        """A cached table's reads, fresh or into out=, take its buffer from the cache; a
+        copy of it, writeable or read-only, is gathered anew and leaves the cache alone."""
+        q = 211
+        table = build(q)
+        assert np.array_equal(buffer(q), log_ordered(table))
+        rows, cols = np.arange(-3, 40), np.arange(q + 5)
+        expected = table[np.multiply.outer(rows, cols) % q]
+        before = buffer.cache_info()
+        assert np.array_equal(read_products(table, rows, cols), expected)
+        out = np.empty_like(expected)
+        assert np.array_equal(read_products(table, rows, cols, out=out), expected)
+        after = buffer.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+        copy = table.copy()
+        for writeable in (True, False):
+            copy.flags.writeable = writeable
+            assert np.array_equal(read_products(copy, rows, cols), expected)
+        assert buffer.cache_info() == after
 
     def test_read_products_out_must_fit(self):
         """An out of the wrong shape (rows, columns or rank) or dtype raises; nothing is cast."""
@@ -277,8 +308,9 @@ class TestTableCache:
     def test_every_table_is_found(self):
         assert {
             "modular.inverse_table", "modular.legendre_table", "modular.root_table",
-            "modular.log_tables", "modular._hankel_index", "expsums.exp_table",
-            "expsums.sqrt_phase_table", "quadforms.enumerate_reduced_forms", "quadforms._reciprocals",
+            "modular.log_tables", "modular._hankel_index", "modular._root_buffer", "expsums.exp_table",
+            "expsums.sqrt_phase_table", "expsums._exp_buffer", "expsums._phase_buffer",
+            "quadforms.enumerate_reduced_forms", "quadforms._reciprocals",
         } <= TABLE_CACHES.keys()
         assert TABLE_LIMIT == 1 << 24 and quadforms._RECIPROCALS_LIMIT == LIMITS["quadforms._reciprocals"]
 
