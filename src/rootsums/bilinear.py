@@ -5,8 +5,8 @@ The main object is
 evaluated against a precomputed root-phase table, never by per-term root
 extraction.  The kernel depends on (m, n) only through amn, and the twist
 folds into the row multiplier, since T_h(amn) = T(h^2 amn) for the one
-root-phase table T of the modulus; so the M x N kernel is
-``read_products(T, a h^2 m, n)``, the product-grid read of ``modular``.
+root-phase table T of the modulus; so the M x N kernel is read from the
+cached buffer of T, ``read_products(sqrt_phase_buffer(q), a h^2 m, n)``.
 ``bilinear_weyl_sum`` contracts it in column blocks as they are read, so a
 cell costs O(M*N) time and O(M*width) memory, never a whole M x N grid.
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError
-from .expsums import sqrt_phase_table
+from .expsums import sqrt_phase_buffer, sqrt_phase_table
 from .modular import eps_q, inv_mod, legendre_table, read_products, residue_roots
 from .weights import WeightVector, dyadic_starts, slack_factor
 
@@ -35,6 +35,9 @@ _CURVE_SUM_LIMIT = 2048
 # with more short reads and contractions per cell, and 16 MiB blocks nearly
 # doubled the peak RSS (80 against 44 MiB).
 _KERNEL_BLOCK_BYTES = 1 << 22
+# Bytes of the selected kernel that ``rj_sum`` reads whole: 64 MiB, the whole
+# kernel of a 2048 x 2048 cell, so every cell with M * N <= 2^22 is read.
+_RJ_KERNEL_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -88,16 +91,16 @@ def bilinear_weyl_sum(inst: BilinearInstance) -> complex:
     q = inst.q
     m = np.arange(inst.m_start, 2 * inst.m_start, dtype=np.int64)
     n = np.arange(inst.n_start, 2 * inst.n_start, dtype=np.int64)
-    table = sqrt_phase_table(q)
+    buf = sqrt_phase_buffer(q)
     rows = inst.a * inst.h % q * inst.h % q * (m % q)
     alpha, beta = inst.alpha.coeffs, inst.beta.coeffs
     width = _column_width(len(m), len(n))
     if width == len(n):  # one block: the fresh read costs less than the chunked out= read
-        return complex(alpha @ read_products(table, rows, n) @ beta)
+        return complex(alpha @ read_products(buf, rows, n) @ beta)
     block = np.empty((len(m), width), dtype=np.complex128)
     v = np.empty(len(n), dtype=np.complex128)
     for start in range(0, len(n), width):
-        read_products(table, rows, n[start : start + width], out=block)
+        read_products(buf, rows, n[start : start + width], out=block)
         np.matmul(alpha, block, out=v[start : start + width])
     return complex(v @ beta)
 
@@ -107,7 +110,7 @@ def rj_sum(j: int, inst: BilinearInstance) -> float:
 
     Equals sum over m ~ M with (am/q) = j of |sum over n ~ N with (n/q) = j of
     beta_n T_h(amn)|^2, hence real and nonnegative; R_1 + R_{-1} recovers the
-    full Cauchy-Schwarz right side exactly.
+    full Cauchy-Schwarz right side exactly.  Refuses a kernel above _RJ_KERNEL_BYTES.
     """
     if j not in (1, -1):
         raise ValueError("j must be +1 or -1")
@@ -120,8 +123,10 @@ def rj_sum(j: int, inst: BilinearInstance) -> float:
     n_sel = n[n_mask]
     if m_sel.size == 0 or n_sel.size == 0:
         return 0.0
+    if 16 * m_sel.size * n_sel.size > _RJ_KERNEL_BYTES:
+        raise SizeGuardError(f"R_j kernel of {m_sel.size} x {n_sel.size} entries refused")
     rows = inst.a * inst.h % q * inst.h % q * (m_sel % q)
-    inner = read_products(sqrt_phase_table(q), rows, n_sel) @ inst.beta.coeffs[n_mask]
+    inner = read_products(sqrt_phase_buffer(q), rows, n_sel) @ inst.beta.coeffs[n_mask]
     return float(np.sum(np.abs(inner) ** 2))
 
 
@@ -262,12 +267,12 @@ def _curve_rows(b: tuple[int, int, int, int], h: int, a: int, s: np.ndarray, q: 
         raise SizeGuardError(f"curve sum refused for q={q} > {_CURVE_SUM_LIMIT}")
     if a % q == 0 or h % q == 0:
         raise ValueError("need gcd(ah, q) = 1")
-    table = sqrt_phase_table(q)
+    buf = sqrt_phase_buffer(q)
     scale = (a * h % q * h % q) * (s % q)
     r = np.arange(q, dtype=np.int64)
     prod = np.ones((len(s), q), dtype=np.complex128)
     for b_i, conjugate in zip(b, (False, False, True, True)):
-        vals = read_products(table, scale, r + b_i)
+        vals = read_products(buf, scale, r + b_i)
         prod *= np.conj(vals) if conjugate else vals
     return prod.sum(axis=1)
 

@@ -17,9 +17,13 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
-from .modular import legendre_table, read_products, residue_roots, root_table
+from .modular import legendre_table, log_ordered, read_products, residue_roots, root_table
 from .primes import sieve_primes
 from .weights import slack_factor
+
+# Prime pairs (p, r) that ``product_root_points`` reads: ``delta_q`` peaks at
+# about 40 B per pair, so 2^22 pairs hold about 160 MiB.
+PRODUCT_PAIR_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -168,9 +172,12 @@ def product_root_points(p_limit: float, r_limit: float, q: int) -> PointMultiset
     """Multiset {x/q : x^2 = p*r (mod q)} over ordered prime pairs p <= P, r <= R.
 
     Multiplicity is preserved: distinct pairs with the same product residue
-    contribute separate copies of both roots.
+    contribute separate copies of both roots.  Refuses over PRODUCT_PAIR_LIMIT pairs.
     """
-    roots = read_products(root_table(q), sieve_primes(int(p_limit)), sieve_primes(int(r_limit)))
+    p_primes, r_primes = sieve_primes(int(p_limit)), sieve_primes(int(r_limit))
+    if p_primes.size * r_primes.size > PRODUCT_PAIR_LIMIT:
+        raise SizeGuardError(f"product roots of {p_primes.size} x {r_primes.size} prime pairs refused")
+    roots = read_products(log_ordered(root_table(q)), p_primes, r_primes)
     roots = roots[roots > 0]  # drops the non-residues (-1) and the products 0 mod q
     return PointMultiset.from_values(np.concatenate([roots, q - roots]) / q)
 

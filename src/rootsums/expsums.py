@@ -12,7 +12,8 @@ index is formed.
 
 A sweep keeps its block working set resident: one workspace per modulus (a
 complex and a float block in one allocation, next to the modulus's constant
-columns and Legendre symbols), refilled for every block through
+columns, Legendre symbols and the log-ordered buffers of its two tables,
+uncached, so they go with the modulus), refilled for every block through
 ``read_products(..., out=)`` and in-place ufuncs, so the FFT output is the
 only fresh block-sized array.  With a block's worth of fresh arrays,
 glibc gave the freed heap back to the OS after every block and faulted it in
@@ -35,7 +36,6 @@ import numpy as np
 from .errors import SizeGuardError
 from .modular import (
     TABLE_LIMIT,
-    cache_log_ordered,
     e_q,
     eps_q,
     inv_mod,
@@ -92,19 +92,9 @@ def sqrt_phase_table(q: int) -> np.ndarray:
 
 
 @table_cache(TABLE_LIMIT)
-def _exp_buffer(q: int) -> np.ndarray:
-    """log_ordered(exp_table(q)), for ``read_products``."""
-    return log_ordered(exp_table(q))
-
-
-@table_cache(TABLE_LIMIT)
-def _phase_buffer(q: int) -> np.ndarray:
-    """log_ordered(sqrt_phase_table(q)), for ``read_products``."""
+def sqrt_phase_buffer(q: int) -> np.ndarray:
+    """log_ordered(sqrt_phase_table(q)), which every Weyl cell reads."""
     return log_ordered(sqrt_phase_table(q))
-
-
-cache_log_ordered(np.complex128, exp_table, _exp_buffer)
-cache_log_ordered(np.complex128, sqrt_phase_table, _phase_buffer)
 
 
 def gauss_sum(a: int, b: int, q: int) -> complex:
@@ -201,34 +191,34 @@ def _row_blocks(rows: np.ndarray, width: int):
         yield rows[start : start + step]
 
 
-def _grid(work: np.ndarray | None, rows: int, width: int) -> np.ndarray | None:
+def _grid(work: np.ndarray, rows: int, width: int) -> np.ndarray:
     """The first rows*width entries of a flat workspace as a C-contiguous matrix."""
-    return None if work is None else work[: rows * width].reshape(rows, width)
+    return work[: rows * width].reshape(rows, width)
 
 
 class _Workspace(NamedTuple):
-    """One modulus's constants and, in a sweep, the block arrays refilled for every block."""
+    """One modulus's constants and buffers, and the block arrays refilled for every read."""
 
     squares: np.ndarray  # x * x for every x in [0, q)
     units: np.ndarray  # every n in [1, q)
     chi: np.ndarray  # the Legendre symbols (x/q) as float64
-    grid: np.ndarray | None = None  # flat complex128: the FFT input, then the closed form
-    modulus: np.ndarray | None = None  # flat float64: the moduli of a block
+    exp_buf: np.ndarray  # log_ordered(exp_table(q))
+    phase_buf: np.ndarray  # log_ordered(sqrt_phase_table(q))
+    grid: np.ndarray  # flat complex128: the FFT input, then the closed form
+    modulus: np.ndarray  # flat float64: the moduli of a block
 
 
-# In a sweep (rows > 0) the complex and float parts are one allocation, sized
-# for ``rows``, the most rows a block of this modulus will have.  It is larger
-# than what a block adds on top (the FFT output and the read's small chunks),
-# so glibc's trim threshold, twice the largest block it has freed, covers the
-# lot and the heap is not given back to the OS after each modulus.
-def _workspace(q: int, rows: int = 0) -> _Workspace:
+# The complex and float parts are one allocation, sized for reads of ``rows``
+# rows.  It is larger than what a block adds on top (the FFT output and the
+# read's small chunks), so glibc's trim threshold, twice the largest block it
+# has freed, covers the lot and the heap is not given back to the OS after
+# each modulus.
+def _workspace(q: int, rows: int) -> _Workspace:
     x = np.arange(q, dtype=np.int64)
-    constants = (x * x, x[1:], legendre_table(q).astype(np.float64))
-    if rows == 0:
-        return _Workspace(*constants)
-    size = min(rows, _block_rows(q)) * q
-    floats = np.empty(3 * size)
-    return _Workspace(*constants, floats[: 2 * size].view(np.complex128), floats[2 * size :])
+    buffers = (log_ordered(exp_table(q)), log_ordered(sqrt_phase_table(q)))
+    floats = np.empty(3 * rows * q)
+    grid, modulus = floats[: 2 * rows * q].view(np.complex128), floats[2 * rows * q :]
+    return _Workspace(x * x, x[1:], legendre_table(q).astype(np.float64), *buffers, grid, modulus)
 
 
 def gauss_rows(q: int, a: np.ndarray, work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -239,17 +229,15 @@ def gauss_rows(q: int, a: np.ndarray, work: _Workspace | None = None) -> tuple[n
     rows from one inverse FFT with norm="forward", which returns
     sum_x f(x) e_q(b*x) unscaled: O(q log q) per row.  Each row is
     transformed on its own, so a row is bit for bit the same in any row set.
-    A sweep passes its ``_workspace``: its constants are built once per
-    modulus, and the FFT input and then, once the FFT has consumed it,
-    ``closed`` are written at the start of its grid.
+    A sweep passes its ``_workspace``, built once per modulus (without one,
+    one for these rows is built); the FFT input and then, once the FFT has
+    consumed it, ``closed`` are written at the start of its grid.
     """
-    work = _workspace(q) if work is None else work
-    w = exp_table(q)
-    direct = np.fft.ifft(
-        read_products(w, a, work.squares, _grid(work.grid, len(a), q)), axis=1, norm="forward"
-    )
+    work = _workspace(q, len(a)) if work is None else work
+    grid = _grid(work.grid, len(a), q)
+    direct = np.fft.ifft(read_products(work.exp_buf, a, work.squares, grid), axis=1, norm="forward")
 
-    closed = read_products(w, -inverse_table(q)[4 * a % q], work.squares, _grid(work.grid, len(a), q))
+    closed = read_products(work.exp_buf, -inverse_table(q)[4 * a % q], work.squares, grid)
     closed *= eps_q(q) * math.sqrt(q)
     closed *= work.chi[a][:, None]
     return direct, closed
@@ -262,16 +250,15 @@ def salie_rows(q: int, m: np.ndarray, work: _Workspace | None = None) -> tuple[n
     Substituting y = xbar, row m of ``direct`` is the DFT of
     y -> (y/q) e_q(m*ybar) read at n = 1..q-1; y = 0 contributes 0 because
     the inverse and Legendre tables both hold 0 there.  As in gauss_rows, one
-    inverse FFT with norm="forward" sums every row, and a sweep's ``work``
-    holds the FFT input and then ``closed``.  The closed form reads
-    T_2(mn) = T[4mn].
+    inverse FFT with norm="forward" sums every row, and the workspace holds
+    the FFT input and then ``closed``.  The closed form reads T_2(mn) = T[4mn].
     """
-    work = _workspace(q) if work is None else work
-    direct = read_products(exp_table(q), m, inverse_table(q), _grid(work.grid, len(m), q))
+    work = _workspace(q, len(m)) if work is None else work
+    direct = read_products(work.exp_buf, m, inverse_table(q), _grid(work.grid, len(m), q))
     direct *= work.chi
     direct = np.fft.ifft(direct, axis=1, norm="forward")[:, 1:]
 
-    closed = read_products(sqrt_phase_table(q), 4 * m, work.units, _grid(work.grid, len(m), q - 1))
+    closed = read_products(work.phase_buf, 4 * m, work.units, _grid(work.grid, len(m), q - 1))
     closed *= work.chi[1:]
     closed *= eps_q(q) * math.sqrt(q)
     return direct, closed
@@ -283,7 +270,7 @@ def gauss_all(q: int) -> tuple[float, float]:
     The rows of ``gauss_rows`` are swept in blocks, so no (q-1) x q matrix is held.
     """
     check_all_pairs(q)
-    work = _workspace(q, q - 1)
+    work = _workspace(q, min(q - 1, _block_rows(q)))
     err = modulus_err = 0.0
     for a in _row_blocks(work.units, q):
         block_modulus = _grid(work.modulus, len(a), q)
@@ -306,7 +293,7 @@ def salie_all(q: int) -> tuple[float, float]:
     """
     check_all_pairs(q)
     chi = legendre_table(q)[1:]
-    work = _workspace(q, (q - 1) // 2)  # the m of one Legendre class
+    work = _workspace(q, min((q - 1) // 2, _block_rows(q)))  # the m of one Legendre class
     err = vanish = 0.0
     for sign in (1, -1):
         column_max = np.zeros(q - 1)

@@ -237,43 +237,13 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     return pw, lg
 
 
-@table_cache(TABLE_LIMIT)
-def _hankel_index(q: int) -> np.ndarray:
-    """The residue behind each position of the Hankel buffer of ``read_products``."""
-    pw, _ = log_tables(q)
-    return np.concatenate([pw, pw, np.zeros(2 * q - 1, dtype=np.int64)])
-
-
 def log_ordered(table: np.ndarray) -> np.ndarray:
-    """The Hankel buffer of ``read_products`` for a table of prime length q: table[g^k]
-    for two periods of k, then a run of table[0], gathered in one read."""
-    return table[_hankel_index(len(table))]
-
-
-# The cached tables that are read as product grids, by dtype: (table builder,
-# cache of its log-ordered buffer) pairs, declared with ``cache_log_ordered``.
-# Probing only the builders of the table's dtype builds no other table.
-_LOG_ORDERED: dict[np.dtype, list[tuple]] = {}
-
-
-def cache_log_ordered(dtype, build, buffer) -> None:
-    """Let ``read_products`` read buffer(q) for the table build(q) of ``dtype``.
-
-    ``buffer`` is a ``table_cache`` whose entry for q is log_ordered(build(q)),
-    so a product table's buffer is gathered once per modulus, not per read.
-    """
-    _LOG_ORDERED.setdefault(np.dtype(dtype), []).append((build, buffer))
-
-
-def _buffer(table: np.ndarray) -> np.ndarray:
-    """The cached log-ordered buffer of a cached product table; any other table,
-    such as one built by hand, is gathered anew."""
-    q = len(table)
-    if not table.flags.writeable:  # every cached table is read-only
-        for build, buffer in _LOG_ORDERED.get(table.dtype, ()):
-            if build(q) is table:
-                return buffer(q)
-    return log_ordered(table)
+    """The read-only buffer of ``read_products`` for a table of prime length q: table[g^k]
+    for two periods of k, then 2q - 1 copies of table[0] (4q - 3 entries)."""
+    pw, _ = log_tables(len(table))
+    buf = np.concatenate([table[pw], table[pw], np.full(2 * len(table) - 1, table[0])])
+    buf.flags.writeable = False
+    return buf
 
 
 # Entries per bounds-checked take of read_products(..., out=).
@@ -281,32 +251,31 @@ _READ_CHUNK = 1 << 13
 
 
 def read_products(
-    table: np.ndarray, rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None
+    buf: np.ndarray, rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """table[rows[i] * cols[j] mod q] for every (i, j), where q = len(table) is prime.
+    """table[rows[i] * cols[j] mod q] for every (i, j), read from buf = ``log_ordered(table)``.
 
-    In discrete logs a product-grid read is a Hankel matrix: entry (i, j) is
-    buf[lg[rows[i]] + lg[cols[j]]], where buf = ``log_ordered(table)`` holds
-    table[g^k] for two periods of k, then a run of table[0] for the lg[0]
-    sentinel.  No int64 product or len(rows) x len(cols) index is formed; each
-    entry is the table element, bit for bit.  For the cached tables declared
-    with ``cache_log_ordered`` (the root-phase, unit-root and root tables) buf
-    comes from its own cache, built once per modulus; any other table, such as
-    one built by hand, is gathered on each call.
+    q = (len(buf) + 3) // 4 is prime, and a buf of another length than 4q - 3
+    (such as a table of length q = 3 mod 4) raises ValueError.  In discrete
+    logs a product-grid read is a Hankel matrix: entry (i, j) is
+    buf[lg[rows[i]] + lg[cols[j]]], where lg[0] = 2(q - 1) points into the
+    run of table[0].  No len(rows) x len(cols) index is formed; each entry is
+    the table element, bit for bit.
 
-    With ``out`` (shape (len(rows), len(cols)), the table's dtype) the grid is
+    With ``out`` (shape (len(rows), len(cols)), buf's dtype) the grid is
     written there and ``out`` is returned, so a sweep can refill one resident
     block; it is read with bounds-checked takes from buf, a few rows at a time.
     """
-    q = len(table)
+    q = (len(buf) + 3) // 4
+    if len(buf) != 4 * q - 3:
+        raise ValueError(f"a log-ordered buffer has 4q - 3 entries, not {len(buf)}")
     _, lg = log_tables(q)
-    buf = _buffer(table)
     if out is None:
         # hankel[i, j] = buf[i + j], bounds-checked; sliding_window_view costs more per call
         hankel = np.ndarray((2 * q - 1, 2 * q - 1), buf.dtype, buf, 0, buf.strides * 2)
         return hankel[lg[rows % q][:, None], lg[cols % q]]
-    if out.shape != (len(rows), len(cols)) or out.dtype != table.dtype:
-        raise ValueError(f"out must be {table.dtype} of shape {(len(rows), len(cols))}")
+    if out.shape != (len(rows), len(cols)) or out.dtype != buf.dtype:
+        raise ValueError(f"out must be {buf.dtype} of shape {(len(rows), len(cols))}")
     # take(mode="raise") into out works on a copy of out, so rows are read in
     # chunks of about _READ_CHUNK entries: that copy and the chunk's int64
     # index stay small, and no grid-sized array is allocated.
@@ -316,15 +285,6 @@ def read_products(
         index = np.add.outer(row_logs[start : start + step], col_logs)
         buf.take(index, out=out[start : start + step], mode="raise")
     return out
-
-
-@table_cache(TABLE_LIMIT)
-def _root_buffer(q: int) -> np.ndarray:
-    """log_ordered(root_table(q)), for ``read_products``."""
-    return log_ordered(root_table(q))
-
-
-cache_log_ordered(np.int64, root_table, _root_buffer)
 
 
 def residue_roots(residues: np.ndarray, q: int) -> np.ndarray:

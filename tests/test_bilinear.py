@@ -32,8 +32,10 @@ from rootsums.bilinear import (
     variety_multiplicity,
     weyl_envelopes,
 )
+from rootsums import bilinear
 from rootsums.errors import SizeGuardError
-from rootsums.modular import inv_mod, legendre_table, residue_roots, sqrt_mod
+from rootsums.expsums import sqrt_phase_buffer, sqrt_phase_table
+from rootsums.modular import inv_mod, legendre_table, log_ordered, residue_roots, sqrt_mod
 from rootsums.weights import (
     WeightVector,
     admissible_square_members,
@@ -157,6 +159,28 @@ class TestWeylSum:
         assert peak < 2 * _KERNEL_BLOCK_BYTES
 
 
+    def test_cells_read_the_cached_phase_buffer(self, rng):
+        """Every kernel read (a one-block and a streamed Weyl cell, R_j, a curve row) takes
+        the cached log-ordered buffer of the root-phase table: one hit each, no build."""
+        q = 4001
+        for modulus in (q, 101):  # 101 for the curve row, whose moduli stop at 2048
+            assert np.array_equal(sqrt_phase_buffer(modulus), log_ordered(sqrt_phase_table(modulus)))
+        one_block = BilinearInstance(
+            q, 3, 5, WeightVector.random_phase(q, 8, rng), WeightVector.random_pm1(q, 16, rng)
+        )
+        streamed = BilinearInstance(
+            q, 3, 5, WeightVector.random_phase(q, 1024, rng), WeightVector.random_pm1(q, 1024, rng)
+        )
+        assert _column_width(1024, 1024) < 1024
+        before = sqrt_phase_buffer.cache_info()
+        bilinear_weyl_sum(one_block)
+        bilinear_weyl_sum(streamed)
+        rj_sum(1, one_block)
+        curve_sum_sigma_incomplete((1, 2, 3, 5), 5, 3, 1.0, 4, 101)
+        after = sqrt_phase_buffer.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 4, before.misses)
+
+
 class TestEnvelopes:
     def test_indicator_simplified_shape_first(self):
         q, s = 10007, 100  # s = sqrt(q)
@@ -239,6 +263,45 @@ class TestRjDecomposition:
         kernel = table[(inst.a * np.outer(m, n)) % q]
         total = float(np.sum(np.abs(kernel @ inst.beta.coeffs) ** 2))
         assert rj_sum(1, inst) + rj_sum(-1, inst) == pytest.approx(total, abs=1e-9)
+
+
+    def test_kernel_guard_on_both_sides(self, rng, monkeypatch):
+        """A selected kernel of exactly _RJ_KERNEL_BYTES is read; one entry more is refused."""
+        q = 101
+        inst = BilinearInstance(
+            q, 3, 5, WeightVector.random_pm1(q, 16, rng), WeightVector.random_phase(q, 16, rng)
+        )
+        leg = legendre_table(q)
+        m, n = np.arange(16, 32), np.arange(16, 32)
+        entries = int(np.sum(leg[3 * m % q] == 1)) * int(np.sum(leg[n % q] == 1))
+        expected = rj_sum(1, inst)
+        monkeypatch.setattr(bilinear, "_RJ_KERNEL_BYTES", 16 * entries)
+        assert rj_sum(1, inst) == expected
+        monkeypatch.setattr(bilinear, "_RJ_KERNEL_BYTES", 16 * entries - 1)
+        with pytest.raises(SizeGuardError, match="R_j kernel"):
+            rj_sum(1, inst)
+
+    def test_largest_weyl_large_cell_passes_and_a_larger_one_is_refused(self, rng):
+        """The budget admits every cell with M * N <= 2^22; a 2^16 x 2^16 cell is refused
+        before its 16 GiB selected kernel is read."""
+        assert bilinear._RJ_KERNEL_BYTES == 16 * (1 << 22)
+        q = 8009
+        inst = BilinearInstance(
+            q, 5, 7, WeightVector.indicator(q, 2048), WeightVector.random_pm1(q, 2048, rng)
+        )
+        assert rj_sum(1, inst) > 0
+        q = 262147  # prime, so 2^16 is a dyadic start below q/2
+        big = BilinearInstance(
+            q, 5, 7, WeightVector.indicator(q, 1 << 16), WeightVector.indicator(q, 1 << 16)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match="R_j kernel"):
+                rj_sum(1, big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22
 
 
 class TestASums:

@@ -297,6 +297,13 @@ class TestOthers:
             rows = list(csv.DictReader(fh))
         assert [r["P"] for r in rows] == ["50"]
 
+    def test_discrepancy_refuses_too_many_prime_pairs(self, tmp_path, capsys):
+        """pi(100) * pi(3 * 10^6) = 25 * 216816 prime pairs are over the limit: exit 3, no rows."""
+        out = tmp_path / "disc.csv"
+        assert run(["discrepancy", "--qset", "101", "--P", "100", "--R", "3000000", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "refused: product roots of 25 x 216816 prime pairs refused\n"
+        assert not out.exists()
+
     def test_coverage_action(self, tmp_path):
         out = tmp_path / "cov.json"
         assert run(["discrepancy", "coverage", "--qset", "101", "--out", str(out)]) == 0

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootsums import equidist
 from rootsums.equidist import (
+    PRODUCT_PAIR_LIMIT,
     PointMultiset,
     delta_q,
     discrepancy,
@@ -22,10 +24,12 @@ from rootsums.equidist import (
     prime_root_points,
     prime_sum_from_weighted,
     product_discrepancy_envelope,
+    product_discrepancy_sweep,
     product_root_points,
     root_discrepancy_envelope,
     s_q_sum,
 )
+from rootsums.errors import SizeGuardError
 from rootsums.modular import legendre_table, residue_roots
 from rootsums.primes import sieve_primes
 from rootsums.weights import slack_factor
@@ -196,6 +200,27 @@ class TestRootSequences:
         )
         assert prime_root_points(40, q).points.tolist() == prime_expected
         assert product_root_points(40, 30, q).points.tolist() == product_expected
+
+    def test_product_pair_guard_on_both_sides(self, monkeypatch):
+        """pi(P) * pi(R) pairs at the limit are read; one pair more is refused before the read."""
+        pairs = len(sieve_primes(40)) * len(sieve_primes(30))
+        expected = product_root_points(40, 30, 101).points
+        monkeypatch.setattr(equidist, "PRODUCT_PAIR_LIMIT", pairs)
+        assert np.array_equal(product_root_points(40, 30, 101).points, expected)
+        monkeypatch.setattr(equidist, "PRODUCT_PAIR_LIMIT", pairs - 1)
+
+        def never(*args, **kwargs):
+            raise AssertionError("read the grid before refusing")
+
+        monkeypatch.setattr(equidist, "read_products", never)
+        with pytest.raises(SizeGuardError, match="12 x 10 prime pairs"):
+            product_root_points(40, 30, 101)
+
+    def test_product_sweep_stays_far_below_the_pair_limit(self):
+        """The calibrated sweep reads at most 31 x 31 pairs per modulus, over 4000 times below the limit."""
+        rows = product_discrepancy_sweep()
+        most = max(len(sieve_primes(row["P"])) * len(sieve_primes(row["R"])) for row in rows)
+        assert most == 31 * 31 and 4000 * most < PRODUCT_PAIR_LIMIT == 1 << 22
 
     def test_ramified_prime_excluded(self):
         pts = prime_root_points(23, 23)

@@ -23,6 +23,7 @@ from rootsums.expsums import (
     salie_closed_form,
     salie_rows,
     salie_sum,
+    sqrt_phase_buffer,
     sqrt_phase_table,
 )
 from rootsums.modular import eps_q, inverse_table, kronecker, legendre_table
@@ -251,6 +252,18 @@ def test_workspace_reuse_leaks_nothing():
     got = [(gauss_all(q), salie_all(q)) for q in order]
     assert (997 - 1) % len(next(_row_blocks(np.arange(1, 997), 997))) != 0
     assert got == [_full_matrix_maxima(q) for q in order]
+
+
+def test_sweeps_leave_the_cached_phase_buffer_alone():
+    """The identity sweeps and their rows read buffers of their own workspace, built once per
+    modulus and freed with it: the cached buffer of the Weyl cells is neither built nor read."""
+    before = sqrt_phase_buffer.cache_info()
+    for q in (3, 101, 997):
+        gauss_all(q)
+        salie_all(q)
+        gauss_rows(q, np.arange(1, min(q, 5)))
+        salie_rows(q, np.arange(1, min(q, 5)))
+    assert sqrt_phase_buffer.cache_info() == before
 
 
 @pytest.mark.parametrize("sweep", [gauss_all, salie_all], ids=["gauss", "salie"])

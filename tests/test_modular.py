@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 import rootsums
 from rootsums.errors import SizeGuardError
-from rootsums.expsums import _exp_buffer, _phase_buffer, exp_table, salie_closed_form, sqrt_phase_table
+from rootsums.expsums import exp_table, salie_closed_form, sqrt_phase_table
 from rootsums.modular import (
     TABLE_CACHE_SIZE,
     TABLE_LIMIT,
-    _root_buffer,
     e_q,
     eps_q,
     inv_mod,
@@ -208,57 +207,45 @@ class TestTables:
 
     @pytest.mark.parametrize("q", [3, 5, 101, 4001])
     def test_read_products_is_the_index_product_read(self, q):
-        """Each entry is the table read at the int64 index product, bit for bit, whatever the
-        factors, and a read into out= equals the fresh read: for the cached tables, whose
-        buffer is cached, and for tables built by hand, writeable or not, gathered per read."""
+        """Each entry read from log_ordered(table) is the table read at the int64 index
+        product, bit for bit, whatever the factors, and a read into out= equals the fresh
+        read: for the unit-root, root-phase and root tables and for tables built by hand."""
         # 0, units, multiples of q, negatives and values past q, as rows and as columns
         factors = np.array([0, 1, 2, q - 1, q, 2 * q, 3 * q + 1, -1, -q, -(q + 2), 7 * q - 3])
         every = np.arange(-q, 2 * q + 1) if q < 1000 else np.arange(-3, q + 3)
         grids = [(factors, factors), (factors, every), (every, factors),
                  (factors[:1], factors), (factors, factors[3:4]), (factors[4:5], factors[7:8])]
-        by_hand = sqrt_phase_table(q).copy()
-        frozen = exp_table(q).copy()
-        frozen.flags.writeable = False
-        for table in (exp_table(q), sqrt_phase_table(q), by_hand, frozen):
+        by_hand = sqrt_phase_table(q) * (1 + 2j)
+        for table in (exp_table(q), sqrt_phase_table(q), root_table(q), by_hand, np.arange(q) - 5):
+            buf = log_ordered(table)
+            assert buf.shape == (4 * q - 3,) and buf.dtype == table.dtype and not buf.flags.writeable
             for rows, cols in grids:
-                got = read_products(table, rows, cols)
+                got = read_products(buf, rows, cols)
                 assert got.shape == (len(rows), len(cols))
                 assert np.array_equal(got, table[np.multiply.outer(rows, cols) % q])
-                # out= fills (and returns) a given array, here a strided view of a wider one
-                wide = np.full((len(rows), len(cols) + 3), np.nan, dtype=table.dtype)
+                # out= fills (and returns) a given array, here a strided view of a wider one;
+                # no table holds -7, so the columns around it show what was written
+                wide = np.full((len(rows), len(cols) + 3), -7, dtype=table.dtype)
                 out = wide[:, 2:-1]
-                assert read_products(table, rows, cols, out=out) is out
+                assert read_products(buf, rows, cols, out=out) is out
                 assert np.array_equal(out, got)
-                assert np.isnan(wide[:, :2]).all() and np.isnan(wide[:, -1]).all()
+                assert (wide[:, :2] == -7).all() and (wide[:, -1] == -7).all()
 
-    @pytest.mark.parametrize(
-        "build, buffer",
-        [(exp_table, _exp_buffer), (sqrt_phase_table, _phase_buffer), (root_table, _root_buffer)],
-        ids=["exp", "phase", "root"],
-    )
-    def test_cached_tables_read_their_cached_buffer(self, build, buffer):
-        """A cached table's reads, fresh or into out=, take its buffer from the cache; a
-        copy of it, writeable or read-only, is gathered anew and leaves the cache alone."""
-        q = 211
-        table = build(q)
-        assert np.array_equal(buffer(q), log_ordered(table))
-        rows, cols = np.arange(-3, 40), np.arange(q + 5)
-        expected = table[np.multiply.outer(rows, cols) % q]
-        before = buffer.cache_info()
-        assert np.array_equal(read_products(table, rows, cols), expected)
-        out = np.empty_like(expected)
-        assert np.array_equal(read_products(table, rows, cols, out=out), expected)
-        after = buffer.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
-        copy = table.copy()
-        for writeable in (True, False):
-            copy.flags.writeable = writeable
-            assert np.array_equal(read_products(copy, rows, cols), expected)
-        assert buffer.cache_info() == after
+    @pytest.mark.parametrize("q", [3, 7, 211, 4003])
+    def test_a_table_is_not_a_buffer(self, q):
+        """A table of prime length q = 3 (mod 4) has no length 4q' - 3, so reading it raises."""
+        assert q % 4 == 3
+        rows = cols = np.arange(4)
+        with pytest.raises(ValueError, match="4q - 3 entries"):
+            read_products(sqrt_phase_table(q), rows, cols)
+        with pytest.raises(ValueError, match="4q - 3 entries"):
+            read_products(sqrt_phase_table(q), rows, cols, out=np.empty((4, 4), complex))
+        assert np.array_equal(read_products(log_ordered(sqrt_phase_table(q)), rows, cols),
+                              sqrt_phase_table(q)[np.multiply.outer(rows, cols) % q])
 
     def test_read_products_out_must_fit(self):
         """An out of the wrong shape (rows, columns or rank) or dtype raises; nothing is cast."""
-        table, rows, cols = exp_table(101), np.arange(4), np.arange(7)
+        table, rows, cols = log_ordered(exp_table(101)), np.arange(4), np.arange(7)
         for bad in (np.empty((4, 6), complex), np.empty((3, 7), complex), np.empty((5, 7), complex),
                     np.empty(28, complex), np.empty((4, 7)), np.empty((4, 7), np.complex64)):
             with pytest.raises(ValueError):
@@ -270,7 +257,7 @@ class TestTables:
         _, lg = log_tables(q)
         assert lg[0] == 2 * (q - 1)
         assert lg[1:].max() == q - 2
-        table = np.arange(q) + 7  # every entry distinct, table[0] = 7
+        table = log_ordered(np.arange(q) + 7)  # every entry distinct, table[0] = 7
         units = np.arange(1, q)
         assert np.array_equal(read_products(table, np.array([0]), units), np.full((1, q - 1), 7))
         assert np.array_equal(read_products(table, units, np.array([0, q])), np.full((q - 1, 2), 7))
@@ -306,12 +293,12 @@ def _arrays(result) -> list:
 
 class TestTableCache:
     def test_every_table_is_found(self):
-        assert {
+        """The exact set of memoised tables: a cache added without declaring it here fails."""
+        assert TABLE_CACHES.keys() == {
             "modular.inverse_table", "modular.legendre_table", "modular.root_table",
-            "modular.log_tables", "modular._hankel_index", "modular._root_buffer", "expsums.exp_table",
-            "expsums.sqrt_phase_table", "expsums._exp_buffer", "expsums._phase_buffer",
-            "quadforms.enumerate_reduced_forms", "quadforms._reciprocals",
-        } <= TABLE_CACHES.keys()
+            "modular.log_tables", "expsums.exp_table", "expsums.sqrt_phase_table",
+            "expsums.sqrt_phase_buffer", "quadforms.enumerate_reduced_forms", "quadforms._reciprocals",
+        }
         assert TABLE_LIMIT == 1 << 24 and quadforms._RECIPROCALS_LIMIT == LIMITS["quadforms._reciprocals"]
 
     @pytest.mark.parametrize("name", sorted(TABLE_CACHES))
