@@ -252,16 +252,16 @@ def check_heegner_window(count: int = 50) -> CriterionResult:
 def check_discrepancy_engine(multisets: int = 500, q_max: int = 2003, h_max: int = 200) -> CriterionResult:
     """Sweep formula equals the endpoint oracle; Erdos-Turan holds for every root sequence.
 
-    A root sequence's points are t/q, so its |S_h| come from one FFT of its
-    integer root counts.
+    A root sequence's points are t/q, so its exact discrepancy and its |S_h|
+    (one FFT) both come from its integer root counts.
     """
     from .equidist import (
+        count_discrepancy,
         discrepancy,
         discrepancy_oracle,
         erdos_turan_bound,
         grid_exponential_sums,
         prime_root_counts,
-        prime_root_points,
     )
 
     rng = np.random.default_rng(123)
@@ -277,13 +277,12 @@ def check_discrepancy_engine(multisets: int = 500, q_max: int = 2003, h_max: int
     et_violations = 0
     sequences = 0
     for q in primes_between(5, q_max).tolist():
-        pts = prime_root_points(q, q)
-        if pts.size == 0:
+        counts = prime_root_counts(q, q)
+        if not counts.any():
             continue
         sequences += 1
-        d_val = discrepancy(pts).value
-        sums = grid_exponential_sums(prime_root_counts(q, q), h_max)
-        bounds = erdos_turan_bound(sums, pts.size)
+        d_val = count_discrepancy(counts)[0] / q
+        bounds = erdos_turan_bound(grid_exponential_sums(counts, h_max), int(counts.sum()))
         if np.any(d_val > bounds * (1 + 1e-12) + 1e-9):
             et_violations += 1
     passed = worst_gap <= 1e-12 and et_violations == 0

@@ -2,47 +2,24 @@
 
 Discrepancy here is the unnormalised supremum over half-open intervals
 [alpha, beta) of |count - (beta - alpha) * N| for a multiset of points in
-[0, 1).  The production algorithm is the sorted sweep
-D = N * (D_plus + D_minus); its ground truth is an O(C^2) oracle that
-evaluates the count deviation on every pair of critical endpoints (point
-values and their left limits, realised with strict/non-strict counting).
+[0, 1).  A root sequence is an int64 count vector c, the point t/q taken c[t]
+times, and ``count_discrepancy`` gives its q * D exactly.  Float multisets take
+the sorted sweep D = N * (D_plus + D_minus), checked by an O(C^2) oracle over
+all pairs of critical endpoints (point values and their left limits).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
-from .modular import legendre_table, log_ordered, read_products, residue_roots, root_table
-from .primes import sieve_primes
+from .modular import legendre_table, log_tables
+from .primes import iter_prime_blocks, sieve_primes
 from .weights import slack_factor
-
-# Prime pairs (p, r) that ``product_root_points`` reads: ``delta_q`` peaks at
-# about 40 B per pair, so 2^22 pairs hold about 160 MiB.
-PRODUCT_PAIR_LIMIT = 1 << 22
-
-
-@dataclass(frozen=True)
-class PointMultiset:
-    """Sorted points in [0, 1), duplicates allowed."""
-
-    points: np.ndarray
-
-    @classmethod
-    def from_values(cls, values) -> "PointMultiset":
-        arr = np.sort(np.asarray(values, dtype=np.float64))
-        if arr.size and (arr[0] < 0.0 or arr[-1] >= 1.0):
-            raise ValueError("points must lie in [0, 1)")
-        arr.flags.writeable = False
-        return cls(arr)
-
-    @property
-    def size(self) -> int:
-        return int(self.points.size)
 
 
 @dataclass(frozen=True)
@@ -61,12 +38,6 @@ class DiscrepancyReport:
         return self.value / self.envelope if self.envelope else math.inf
 
 
-def _as_sorted(points) -> np.ndarray:
-    if isinstance(points, PointMultiset):
-        return points.points
-    return np.sort(np.asarray(points, dtype=np.float64))
-
-
 def discrepancy(points) -> DiscrepancyReport:
     """Extreme discrepancy via the sorted sweep D = N * (D_plus + D_minus).
 
@@ -74,7 +45,7 @@ def discrepancy(points) -> DiscrepancyReport:
     deviations; the right endpoint is approached as a left limit when the
     supremum is not attained.
     """
-    xs = _as_sorted(points)
+    xs = np.sort(np.asarray(points, dtype=np.float64))
     n = xs.size
     if n == 0:
         return DiscrepancyReport(0, 0.0, (0.0, 0.0))
@@ -96,7 +67,7 @@ def discrepancy_oracle(points) -> float:
     every point value t, plus the interval ends; the second kind realises the
     left-limit endpoints exactly.  O(C^2) in the number of candidates.
     """
-    xs = _as_sorted(points)
+    xs = np.sort(np.asarray(points, dtype=np.float64))
     n = xs.size
     if n == 0:
         return 0.0
@@ -131,7 +102,7 @@ def point_exponential_sums(points, h_max: int) -> np.ndarray:
     ``grid_exponential_sums``, which reads the same sums for points t/q off
     one FFT.
     """
-    xs = _as_sorted(points)
+    xs = np.sort(np.asarray(points, dtype=np.float64))
     out = np.empty(h_max, dtype=np.float64)
     for h in range(1, h_max + 1):
         out[h - 1] = abs(np.sum(np.exp(2j * np.pi * h * xs)))
@@ -155,31 +126,72 @@ def grid_exponential_sums(counts, h_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _residue_counts(limit: float, q: int) -> np.ndarray:
+    """h[s] = #{primes p <= limit, p = s (mod q)} as int64, sieved block by block; h[0] = 0."""
+    hist = np.zeros(q, dtype=np.int64)
+    for block in iter_prime_blocks(int(limit)):
+        hist += np.bincount(block % q, minlength=q)
+    hist[0] = 0
+    return hist
+
+
+def _root_counts(hist: np.ndarray) -> np.ndarray:
+    """c[t] = hist[t^2 mod q], the root counts of a residue histogram (hist[0] = 0, so c[0] = 0)."""
+    return hist[np.arange(hist.size) ** 2 % hist.size]
+
+
 def prime_root_counts(p_limit: float, q: int) -> np.ndarray:
     """c[t] = number of primes p <= P, p a nonzero residue mod q, with t^2 = p (mod q), as int64."""
-    residues = sieve_primes(int(p_limit)) % q
-    roots = residue_roots(residues[residues != 0], q)
-    return np.bincount(roots, minlength=q)
+    return _root_counts(_residue_counts(p_limit, q))
 
 
-def prime_root_points(p_limit: float, q: int) -> PointMultiset:
-    """Multiset {x/q : x^2 = p (mod q), p prime <= P, p a residue mod q}."""
-    counts = prime_root_counts(p_limit, q)
-    return PointMultiset.from_values(np.repeat(np.arange(q), counts) / q)
+def prime_root_points(p_limit: float, q: int) -> np.ndarray:
+    """Sorted points x/q, x^2 = p (mod q), over primes p <= P nonzero mod q: the float oracle of the counts."""
+    return np.repeat(np.arange(q), prime_root_counts(p_limit, q)) / q
 
 
-def product_root_points(p_limit: float, r_limit: float, q: int) -> PointMultiset:
-    """Multiset {x/q : x^2 = p*r (mod q)} over ordered prime pairs p <= P, r <= R.
+def product_root_counts(p_limit: float, r_limit: float, q: int) -> np.ndarray:
+    """c[t] = number of ordered prime pairs p <= P, r <= R with t^2 = p r != 0 (mod q), as int64.
 
-    Multiplicity is preserved: distinct pairs with the same product residue
-    contribute separate copies of both roots.  Refuses over PRODUCT_PAIR_LIMIT pairs.
+    In discrete logs the histogram of p r is the cyclic convolution over Z/(q - 1) of those of
+    p and r: one FFT product of length 2^k >= 2(q - 1), rounded.  Percival, Math. Comp. 72
+    (2003), Thm 5.1 bounds its error by |a| |b| ((1 + eps)^3k (1 + eps sqrt 5)^(3k + 1)
+    (1 + beta)^3k - 1), with eps = 2^-53 and beta = 2^-50 bounding the error of numpy's roots
+    of unity (the tests check it); a bound >= 1/2 is refused (SizeGuardError).
     """
-    p_primes, r_primes = sieve_primes(int(p_limit)), sieve_primes(int(r_limit))
-    if p_primes.size * r_primes.size > PRODUCT_PAIR_LIMIT:
-        raise SizeGuardError(f"product roots of {p_primes.size} x {r_primes.size} prime pairs refused")
-    roots = read_products(log_ordered(root_table(q)), p_primes, r_primes)
-    roots = roots[roots > 0]  # drops the non-residues (-1) and the products 0 mod q
-    return PointMultiset.from_values(np.concatenate([roots, q - roots]) / q)
+    pw, _ = log_tables(q)
+    a, b = _residue_counts(p_limit, q)[pw], _residue_counts(r_limit, q)[pw]
+    k, eps, beta = (2 * q - 3).bit_length(), 2.0**-53, 2.0**-50
+    growth = 3 * k * (math.log1p(eps) + math.log1p(beta)) + (3 * k + 1) * math.log1p(eps * 5**0.5)
+    bound = float(np.linalg.norm(a) * np.linalg.norm(b)) * math.expm1(growth)
+    if bound >= 0.5:
+        raise SizeGuardError(f"product counts mod {q}: FFT rounding bound {bound:.3g} >= 1/2")
+    linear = np.fft.ifft(np.fft.fft(a, 1 << k) * np.fft.fft(b, 1 << k)).real[: 2 * (q - 1)]
+    hist = np.zeros(q, dtype=np.int64)
+    hist[pw] = np.rint(linear).astype(np.int64).reshape(2, q - 1).sum(axis=0)
+    return _root_counts(hist)
+
+
+def count_discrepancy(counts) -> tuple[int, tuple[int, int]]:
+    """q * D, exactly, of the points t/q taken counts[t] times (q = len(counts)), and a witness.
+
+    With n = sum(counts), U(t) = counts[:t + 1].sum() and B(t) = U(t) - counts[t], q * D is
+    max - min over the candidates 0, q B(t) - n t (number 2t) and q U(t) - n t (2t + 1).  The
+    witness lo <= hi is their argmin and argmax, in order, and it realises q * D:
+    |q * counts[(lo + 1) // 2 : (hi + 1) // 2].sum() - n * (hi // 2 - lo // 2)| = q * D."""
+    counts = np.asarray(counts, dtype=np.int64)
+    q, n = counts.size, int(counts.sum())
+    if q * n >= 1 << 63:
+        raise SizeGuardError(f"q n = {q * n} overflows the exact discrepancy")
+    upto, nt = np.cumsum(counts), n * np.arange(q, dtype=np.int64)
+    dev = np.stack([q * (upto - counts) - nt, q * upto - nt], axis=1).ravel()  # dev[0] = 0: candidate 0
+    lo, hi = int(np.argmin(dev)), int(np.argmax(dev))
+    return int(dev[hi]) - int(dev[lo]), (min(lo, hi), max(lo, hi))
+
+
+def _count_report(counts: np.ndarray, envelope: float) -> DiscrepancyReport:
+    q, (qd, (lo, hi)) = counts.size, count_discrepancy(counts)
+    return DiscrepancyReport(int(counts.sum()), qd / q, (lo // 2 / q, hi // 2 / q), envelope)
 
 
 def root_discrepancy_envelope(p_limit: float, q: int) -> float:
@@ -203,15 +215,14 @@ def product_discrepancy_envelope(p_limit: float, r_limit: float, q: int) -> floa
 
 
 def gamma_q(p_limit: float, q: int) -> DiscrepancyReport:
-    """Exact discrepancy of the prime-root multiset together with its envelope."""
-    report = discrepancy(prime_root_points(p_limit, q))
-    return replace(report, envelope=root_discrepancy_envelope(p_limit, q))
+    """Exact discrepancy of the prime-root counts together with its envelope."""
+    return _count_report(prime_root_counts(p_limit, q), root_discrepancy_envelope(p_limit, q))
 
 
 def delta_q(p_limit: float, r_limit: float, q: int) -> DiscrepancyReport:
-    """Exact discrepancy of the product-root multiset together with its envelope."""
-    report = discrepancy(product_root_points(p_limit, r_limit, q))
-    return replace(report, envelope=product_discrepancy_envelope(p_limit, r_limit, q))
+    """Exact discrepancy of the product-root counts together with its envelope."""
+    counts = product_root_counts(p_limit, r_limit, q)
+    return _count_report(counts, product_discrepancy_envelope(p_limit, r_limit, q))
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +310,10 @@ def eos_coverage(q: int, p_limit: float, r_limit: float, s_limit: int) -> Covera
     """
     if q > 5000:
         raise SizeGuardError("coverage scan restricted to q <= 5000")
-    ps = sieve_primes(int(p_limit)) % q
-    rs = sieve_primes(int(r_limit)) % q
+    rs = np.flatnonzero(_residue_counts(r_limit, q))
     marked = np.zeros(q, dtype=bool)
-    for p in np.unique(ps):
-        marked[(int(p) * np.unique(rs)) % q] = True
-    marked[0] = False
+    for p in np.flatnonzero(_residue_counts(p_limit, q)):
+        marked[int(p) * rs % q] = True
     squares = np.unique(np.arange(1, min(int(s_limit), q) + 1, dtype=np.int64) ** 2 % q)
     squares = squares[squares != 0]
     covered = np.zeros(q, dtype=bool)

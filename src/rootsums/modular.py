@@ -239,7 +239,8 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def log_ordered(table: np.ndarray) -> np.ndarray:
     """The read-only buffer of ``read_products`` for a table of prime length q: table[g^k]
-    for two periods of k, then 2q - 1 copies of table[0] (4q - 3 entries)."""
+    for two periods of k, then 2q - 1 copies of table[0] (4q - 3 entries).  Its readers are
+    the complex phase tables; residue counts take the log order pw alone (``log_tables``)."""
     pw, _ = log_tables(len(table))
     buf = np.concatenate([table[pw], table[pw], np.full(2 * len(table) - 1, table[0])])
     buf.flags.writeable = False

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -297,12 +298,20 @@ class TestOthers:
             rows = list(csv.DictReader(fh))
         assert [r["P"] for r in rows] == ["50"]
 
-    def test_discrepancy_refuses_too_many_prime_pairs(self, tmp_path, capsys):
-        """pi(100) * pi(3 * 10^6) = 25 * 216816 prime pairs are over the limit: exit 3, no rows."""
+    def test_discrepancy_reads_many_prime_pairs(self, tmp_path):
+        """pi(100) * pi(3 * 10^6) = 25 * 216816 prime pairs are counted, not listed: the row is delta_q's."""
+        from rootsums.cli import _fmt
+        from rootsums.equidist import delta_q
+
         out = tmp_path / "disc.csv"
-        assert run(["discrepancy", "--qset", "101", "--P", "100", "--R", "3000000", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "refused: product roots of 25 x 216816 prime pairs refused\n"
-        assert not out.exists()
+        assert run(["discrepancy", "--qset", "101", "--P", "100", "--R", "3000000", "--out", str(out)]) == 0
+        with out.open() as fh:
+            row = list(csv.DictReader(fh))[-1]
+        report = delta_q(100, 3000000, 101)
+        assert row["R"] == "3000000" and row["n_points"] == str(report.n_points)
+        assert [row["D"], row["envelope"], row["ratio"]] == [
+            _fmt(report.value), _fmt(report.envelope), _fmt(report.ratio)
+        ]
 
     def test_coverage_action(self, tmp_path):
         out = tmp_path / "cov.json"
@@ -463,6 +472,25 @@ class TestSetup:
         for name in ("bilinear", "lattice", "equidist", "quadforms", "expsums",
                      "splitprimes", "acceptance"):
             assert f"rootsums.{name}" not in out
+
+    def test_benchmark_names_resolve_in_the_package(self):
+        """Every per-layer metric of BENCHMARK.json names module.attr[.attr] plus a kind;
+        the tracer's work counters and the two run-level extras name no attribute."""
+        root = Path(rootsums.__file__).parents[2]
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        loader = importlib.util.spec_from_file_location("perfbench_tracer", root / "perfbench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(tracer)
+        skipped = set(tracer.WORK_METRICS) | {"trace.overhead_s", "csv_rows_thread_variant"}
+        names = [m["name"] for m in spec["per_layer"] if m["name"] not in skipped]
+        assert len(skipped) == 5 and "weights.WeightVector.make.self_s" in names
+        for name in names:
+            module, *attrs, _kind = name.split(".")
+            obj = importlib.import_module(f"rootsums.{module}")
+            for attr in attrs:
+                assert hasattr(obj, attr), name
+                obj = getattr(obj, attr)
+            assert callable(obj), name
 
     def test_benchmark_selftest_passes(self):
         """The benchmark's own checks, so that renaming or un-caching a traced function fails here."""

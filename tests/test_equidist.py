@@ -1,16 +1,20 @@
 """Exact discrepancy, Erdos-Turan, root sequences and coverage."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootsums import equidist
 from rootsums.equidist import (
-    PRODUCT_PAIR_LIMIT,
-    PointMultiset,
+    count_discrepancy,
     delta_q,
     discrepancy,
     discrepancy_oracle,
@@ -24,8 +28,7 @@ from rootsums.equidist import (
     prime_root_points,
     prime_sum_from_weighted,
     product_discrepancy_envelope,
-    product_discrepancy_sweep,
-    product_root_points,
+    product_root_counts,
     root_discrepancy_envelope,
     s_q_sum,
 )
@@ -84,9 +87,41 @@ class TestDiscrepancy:
             discrepancy_oracle(doubled), abs=1e-12
         )
 
-    def test_multiset_validation(self):
-        with pytest.raises(ValueError):
-            PointMultiset.from_values([0.1, 1.0])
+
+def brute_count_discrepancy(counts) -> Fraction:
+    """sup |count - length * n| over every interval between grid points i/q <= j/q,
+    each end open or closed, counted point by point: O(q^2) intervals."""
+    q, n = len(counts), sum(counts)
+    best = Fraction(0)
+    for i in range(q + 1):
+        for j in range(i, q + 1):
+            for ends in ((), (i,), (j,), (i, j)):
+                inside = {t for t in (*range(i + 1, j), *ends) if t < q}
+                count = sum(counts[t] for t in inside)
+                best = max(best, abs(count - Fraction(j - i, q) * n))
+    return best
+
+
+class TestCountDiscrepancy:
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=30))
+    @example([0, 0, 0])
+    @example([0])
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force_oracle_and_witness(self, counts):
+        q, n = len(counts), sum(counts)
+        qd, (lo, hi) = count_discrepancy(counts)
+        assert isinstance(qd, int) and Fraction(qd, q) == brute_count_discrepancy(counts)
+        points = np.repeat(np.arange(q), counts) / q
+        assert abs(qd / q - discrepancy_oracle(points)) <= 1e-12 * n
+        # the witness realises q D exactly
+        inside = sum(counts[(lo + 1) // 2 : (hi + 1) // 2])
+        assert 0 <= lo <= hi < 2 * q and abs(q * inside - n * (hi // 2 - lo // 2)) == qd
+
+    def test_int64_guard_on_both_sides(self):
+        most = (1 << 63) // 3  # the largest n with q n < 2^63 at q = 3
+        assert count_discrepancy([0, most, 0])[0] == 3 * most  # every point at 1/3: D = n
+        with pytest.raises(SizeGuardError, match="overflows"):
+            count_discrepancy([0, most + 1, 0])
 
 
 class TestErdosTuran:
@@ -152,7 +187,7 @@ class TestRootSequences:
     def test_points_are_the_sorted_roots(self, q):
         residues = sieve_primes(q) % q
         expected = np.sort(residue_roots(residues[residues != 0], q) / q)
-        assert prime_root_points(q, q).points.tolist() == expected.tolist()
+        assert prime_root_points(q, q).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("q", [5, 23, 101])
     def test_counts_are_root_multiplicities(self, q):
@@ -163,7 +198,7 @@ class TestRootSequences:
 
     def test_small_example(self):
         pts = prime_root_points(5, 23)
-        assert np.allclose(np.sort(pts.points * 23), [5, 7, 16, 18])
+        assert np.allclose(pts * 23, [5, 7, 16, 18])
 
     def test_empty_below_two(self):
         assert prime_root_points(1, 23).size == 0
@@ -171,7 +206,7 @@ class TestRootSequences:
     def test_product_multiset_size(self):
         q = 23
         p_limit = r_limit = 13
-        pts = product_root_points(p_limit, r_limit, q)
+        counts = product_root_counts(p_limit, r_limit, q)
         leg = legendre_table(q)
         ps = sieve_primes(p_limit)
         count = sum(
@@ -180,51 +215,85 @@ class TestRootSequences:
             for r in sieve_primes(r_limit)
             if leg[int(p) * int(r) % q] == 1
         )
-        assert pts.size == 2 * count
+        assert counts.sum() == 2 * count
 
     @pytest.mark.parametrize("q", [3, 5, 23, 29, 101])
     def test_root_multisets_match_brute_force(self, q):
-        """Both multisets equal a loop over x in F_q collecting x/q for each prime (pair)."""
+        """The prime points and the product counts equal a loop over x in F_q for each prime (pair)."""
         ps = [int(p) for p in sieve_primes(40)]
         rs = [int(r) for r in sieve_primes(30)]
         prime_expected = sorted(
             x / q for p in ps if p % q for x in range(q) if x * x % q == p % q
         )
-        product_expected = sorted(
-            x / q
-            for p in ps
-            for r in rs
-            if p * r % q
-            for x in range(q)
-            if x * x % q == p * r % q
+        product_expected = [0] * q
+        for p in ps:
+            for r in rs:
+                for x in range(q):
+                    if p * r % q and x * x % q == p * r % q:
+                        product_expected[x] += 1
+        assert prime_root_points(40, q).tolist() == prime_expected
+        counts = product_root_counts(40, 30, q)
+        assert counts.dtype == np.int64 and counts.tolist() == product_expected
+
+    @staticmethod
+    def _percival_bound(q: int, norm_a: float, norm_b: float) -> float:
+        """|a| |b| ((1 + e)^3k (1 + e sqrt 5)^(3k + 1) (1 + b)^3k - 1), e = 2^-53, b = 2^-50,
+        at the FFT length 2^k: the least power of two >= 2(q - 1)."""
+        k = (2 * q - 3).bit_length()
+        e, b = 2.0**-53, 2.0**-50
+        growth = 3 * k * (math.log1p(e) + math.log1p(b)) + (3 * k + 1) * math.log1p(e * math.sqrt(5))
+        return norm_a * norm_b * math.expm1(growth)
+
+    def test_fft_rounding_guard_on_both_sides(self, monkeypatch):
+        """Uniform histograms v on the q - 1 nonzero residues: every product residue,
+        and so every nonzero root, counts (q - 1) v^2 while the bound is under 1/2."""
+        q = 101
+        edge = math.sqrt(0.5 / self._percival_bound(q, q - 1, 1.0))  # bound = 1/2 at v = edge
+        for v, refused in ((int(edge), False), (int(edge) + 1, True)):
+            hist = np.full(q, v, dtype=np.int64)
+            hist[0] = 0
+            monkeypatch.setattr(equidist, "_residue_counts", lambda limit, q, hist=hist: hist)
+            if refused:
+                with pytest.raises(SizeGuardError, match="FFT rounding bound"):
+                    product_root_counts(10, 10, q)
+            else:
+                counts = product_root_counts(10, 10, q)
+                assert counts[0] == 0 and np.all(counts[1:] == (q - 1) * v * v)
+
+    def test_numpy_fft_meets_the_stated_root_error(self):
+        """The FFT of e_1 reproduces the roots of unity exp(-2 pi i k / N) within beta = 2^-50
+        (reference in extended precision) at every power-of-two length up to 2^16."""
+        pi = 4 * np.arctan(np.longdouble(1))
+        for k in range(1, 17):
+            size = 1 << k
+            unit = np.zeros(size)
+            unit[1] = 1.0
+            roots = np.fft.fft(unit)
+            angle = 2 * pi * np.arange(size, dtype=np.longdouble) / size
+            err = np.hypot(
+                (roots.real - np.cos(angle)).astype(np.float64), (roots.imag + np.sin(angle)).astype(np.float64)
+            )
+            assert err.max() <= 2.0**-50, k
+
+    def test_product_counts_in_bounded_memory(self):
+        """delta_q at P = R = 10^5, q = 1009 reads 9592^2 prime pairs; as counts its peak RSS
+        (ru_maxrss, in a fresh interpreter) grows by under 32 MiB over the import."""
+        code = (
+            "import resource\n"
+            "from rootsums.equidist import delta_q\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "report = delta_q(10**5, 10**5, 1009)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(report.n_points, (after - before) // 1024)\n"
         )
-        assert prime_root_points(40, q).points.tolist() == prime_expected
-        assert product_root_points(40, 30, q).points.tolist() == product_expected
-
-    def test_product_pair_guard_on_both_sides(self, monkeypatch):
-        """pi(P) * pi(R) pairs at the limit are read; one pair more is refused before the read."""
-        pairs = len(sieve_primes(40)) * len(sieve_primes(30))
-        expected = product_root_points(40, 30, 101).points
-        monkeypatch.setattr(equidist, "PRODUCT_PAIR_LIMIT", pairs)
-        assert np.array_equal(product_root_points(40, 30, 101).points, expected)
-        monkeypatch.setattr(equidist, "PRODUCT_PAIR_LIMIT", pairs - 1)
-
-        def never(*args, **kwargs):
-            raise AssertionError("read the grid before refusing")
-
-        monkeypatch.setattr(equidist, "read_products", never)
-        with pytest.raises(SizeGuardError, match="12 x 10 prime pairs"):
-            product_root_points(40, 30, 101)
-
-    def test_product_sweep_stays_far_below_the_pair_limit(self):
-        """The calibrated sweep reads at most 31 x 31 pairs per modulus, over 4000 times below the limit."""
-        rows = product_discrepancy_sweep()
-        most = max(len(sieve_primes(row["P"])) * len(sieve_primes(row["R"])) for row in rows)
-        assert most == 31 * 31 and 4000 * most < PRODUCT_PAIR_LIMIT == 1 << 22
+        env = dict(os.environ, PYTHONPATH=str(Path(equidist.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        n_points, grown_mib = map(int, out.stdout.split())
+        assert n_points == 91991002 and grown_mib < 32
 
     def test_ramified_prime_excluded(self):
         pts = prime_root_points(23, 23)
-        assert 0.0 not in pts.points
+        assert 0.0 not in pts
 
     def test_gamma_report(self):
         report = gamma_q(1009, 1009)
