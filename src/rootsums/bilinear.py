@@ -95,7 +95,7 @@ def bilinear_weyl_sum(inst: BilinearInstance) -> complex:
     rows = inst.a * inst.h % q * inst.h % q * (m % q)
     alpha, beta = inst.alpha.coeffs, inst.beta.coeffs
     width = _column_width(len(m), len(n))
-    if width == len(n):  # one block: the fresh read costs less than the chunked out= read
+    if width == len(n):  # one block: no workspace block or partial-product vector to allocate
         return complex(alpha @ read_products(buf, rows, n) @ beta)
     block = np.empty((len(m), width), dtype=np.complex128)
     v = np.empty(len(n), dtype=np.complex128)

@@ -12,8 +12,9 @@ index is formed.
 
 A sweep keeps its block working set resident: one workspace per modulus (a
 complex and a float block in one allocation, next to the modulus's constant
-columns, Legendre symbols and the log-ordered buffers of its two tables,
-uncached, so they go with the modulus), refilled for every block through
+columns, Legendre symbols and the log-ordered buffers of the tables it reads,
+the unit roots and, for Salie sums, the root phases; uncached, so they go
+with the modulus), refilled for every block through
 ``read_products(..., out=)`` and in-place ufuncs, so the FFT output is the
 only fresh block-sized array.  With a block's worth of fresh arrays,
 glibc gave the freed heap back to the OS after every block and faulted it in
@@ -203,7 +204,7 @@ class _Workspace(NamedTuple):
     units: np.ndarray  # every n in [1, q)
     chi: np.ndarray  # the Legendre symbols (x/q) as float64
     exp_buf: np.ndarray  # log_ordered(exp_table(q))
-    phase_buf: np.ndarray  # log_ordered(sqrt_phase_table(q))
+    phase_buf: np.ndarray | None  # log_ordered(sqrt_phase_table(q)); Salie sweeps only
     grid: np.ndarray  # flat complex128: the FFT input, then the closed form
     modulus: np.ndarray  # flat float64: the moduli of a block
 
@@ -212,10 +213,11 @@ class _Workspace(NamedTuple):
 # rows.  It is larger than what a block adds on top (the FFT output and the
 # read's small chunks), so glibc's trim threshold, twice the largest block it
 # has freed, covers the lot and the heap is not given back to the OS after
-# each modulus.
-def _workspace(q: int, rows: int) -> _Workspace:
+# each modulus.  Only the Salie closed form reads the root-phase table, so a
+# Gauss workspace builds neither it nor its buffer.
+def _workspace(q: int, rows: int, phase: bool = False) -> _Workspace:
     x = np.arange(q, dtype=np.int64)
-    buffers = (log_ordered(exp_table(q)), log_ordered(sqrt_phase_table(q)))
+    buffers = (log_ordered(exp_table(q)), log_ordered(sqrt_phase_table(q)) if phase else None)
     floats = np.empty(3 * rows * q)
     grid, modulus = floats[: 2 * rows * q].view(np.complex128), floats[2 * rows * q :]
     return _Workspace(x * x, x[1:], legendre_table(q).astype(np.float64), *buffers, grid, modulus)
@@ -253,7 +255,7 @@ def salie_rows(q: int, m: np.ndarray, work: _Workspace | None = None) -> tuple[n
     inverse FFT with norm="forward" sums every row, and the workspace holds
     the FFT input and then ``closed``.  The closed form reads T_2(mn) = T[4mn].
     """
-    work = _workspace(q, len(m)) if work is None else work
+    work = _workspace(q, len(m), phase=True) if work is None else work
     direct = read_products(work.exp_buf, m, inverse_table(q), _grid(work.grid, len(m), q))
     direct *= work.chi
     direct = np.fft.ifft(direct, axis=1, norm="forward")[:, 1:]
@@ -293,7 +295,7 @@ def salie_all(q: int) -> tuple[float, float]:
     """
     check_all_pairs(q)
     chi = legendre_table(q)[1:]
-    work = _workspace(q, min((q - 1) // 2, _block_rows(q)))  # the m of one Legendre class
+    work = _workspace(q, min((q - 1) // 2, _block_rows(q)), phase=True)  # m of one Legendre class
     err = vanish = 0.0
     for sign in (1, -1):
         column_max = np.zeros(q - 1)

@@ -5,7 +5,11 @@ stay exact for any odd prime modulus below 2**62.  Four cached tables
 (Legendre values, inverses, smallest square roots, and the powers and
 discrete logarithms of the least primitive root) cover q <= TABLE_LIMIT and
 are the one place where residue structure is computed in bulk; the tests
-cross-check them against the scalar routines.
+cross-check them against the scalar routines.  ``read_products`` is the one
+read of a table on a product grid: it gathers from the table's
+``log_ordered`` buffer straight into its destination, with takes that need
+no bounds check because ``log_tables`` checks the range of its logs once,
+when it builds them.
 
 Every memoised table of the package is declared with ``table_cache``, the
 one cache policy: TABLE_CACHE_SIZE entries, read-only results and a size
@@ -223,6 +227,8 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     nonzero residue has a discrete logarithm.  0 has none: lg[0] = 2(q-1)
     points past the two periods in the buffer of ``read_products``, into its
     run of table[0].  pw is built in O(log q) doubling steps, pw[k:2k] = pw[:k] * g^k.
+    lg passes ``_check_log_range`` once, when it is built, and so every read
+    of ``read_products`` is in range.
     """
     g = primitive_root(q)
     pw = np.empty(q - 1, dtype=np.int64)
@@ -234,7 +240,19 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
         k, step = 2 * k, step * step % q
     lg = np.full(q, 2 * (q - 1), dtype=np.int64)
     lg[pw] = np.arange(q - 1, dtype=np.int64)
+    _check_log_range(lg)
     return pw, lg
+
+
+def _check_log_range(lg: np.ndarray) -> None:
+    """Raise unless lg[0] = 2(q - 1) and every other entry lies in [0, q - 2], q = len(lg).
+
+    Then every sum lg[r] + lg[c] lies in [0, 4(q - 1)], the index range of a
+    buffer of 4q - 3 entries, which is what ``read_products`` relies on.
+    """
+    q = len(lg)
+    if lg[0] != 2 * (q - 1) or lg[1:].min() < 0 or lg[1:].max() > q - 2:
+        raise ValueError(f"discrete logs of modulus {q} out of range")
 
 
 def log_ordered(table: np.ndarray) -> np.ndarray:
@@ -247,7 +265,8 @@ def log_ordered(table: np.ndarray) -> np.ndarray:
     return buf
 
 
-# Entries per bounds-checked take of read_products(..., out=).
+# Entries per take of read_products: the chunk's int64 index stays small, and
+# no grid-sized index is formed.
 _READ_CHUNK = 1 << 13
 
 
@@ -263,28 +282,28 @@ def read_products(
     run of table[0].  No len(rows) x len(cols) index is formed; each entry is
     the table element, bit for bit.
 
-    With ``out`` (shape (len(rows), len(cols)), buf's dtype) the grid is
-    written there and ``out`` is returned, so a sweep can refill one resident
-    block; it is read with bounds-checked takes from buf, a few rows at a time.
+    The grid is gathered straight into ``out`` (shape (len(rows), len(cols)),
+    buf's dtype), so a sweep can refill one resident block, or into a fresh
+    array when ``out`` is None; either is returned.  The rows are read a few
+    at a time, each chunk with one take(mode="clip"), which writes into its
+    destination where mode="raise" would buffer a copy of it.  Nothing is
+    clipped: ``log_tables`` checks once that lg[0] = 2(q - 1) and every other
+    log lies in [0, q - 2], so every index lg[r] + lg[c] lies in
+    [0, 4(q - 1)] = [0, len(buf) - 1].
     """
     q = (len(buf) + 3) // 4
     if len(buf) != 4 * q - 3:
         raise ValueError(f"a log-ordered buffer has 4q - 3 entries, not {len(buf)}")
     _, lg = log_tables(q)
     if out is None:
-        # hankel[i, j] = buf[i + j], bounds-checked; sliding_window_view costs more per call
-        hankel = np.ndarray((2 * q - 1, 2 * q - 1), buf.dtype, buf, 0, buf.strides * 2)
-        return hankel[lg[rows % q][:, None], lg[cols % q]]
-    if out.shape != (len(rows), len(cols)) or out.dtype != buf.dtype:
+        out = np.empty((len(rows), len(cols)), buf.dtype)
+    elif out.shape != (len(rows), len(cols)) or out.dtype != buf.dtype:
         raise ValueError(f"out must be {buf.dtype} of shape {(len(rows), len(cols))}")
-    # take(mode="raise") into out works on a copy of out, so rows are read in
-    # chunks of about _READ_CHUNK entries: that copy and the chunk's int64
-    # index stay small, and no grid-sized array is allocated.
     row_logs, col_logs = lg[rows % q], lg[cols % q]
     step = max(1, _READ_CHUNK // max(1, len(col_logs)))
     for start in range(0, len(row_logs), step):
         index = np.add.outer(row_logs[start : start + step], col_logs)
-        buf.take(index, out=out[start : start + step], mode="raise")
+        buf.take(index, out=out[start : start + step], mode="clip")
     return out
 
 

@@ -20,6 +20,9 @@ from .calibration import SLACK_EXPONENT
 from .errors import SizeGuardError
 
 _PAIR_LIMIT = 1 << 26  # largest support^2 handled by exact pair accumulation
+# The values of random_pm1, indexed by integers(0, 2): the same draws and the
+# same generator state as rng.choice([-1.0, 1.0]), at about half the cost.
+_PM1 = np.array([-1.0, 1.0])
 
 
 class WeightVector:
@@ -58,7 +61,7 @@ class WeightVector:
 
     @classmethod
     def random_pm1(cls, q: int, start: int, rng: np.random.Generator) -> "WeightVector":
-        return cls(q, start, rng.choice([-1.0, 1.0], size=start))
+        return cls(q, start, _PM1[rng.integers(0, 2, size=start)])
 
     @classmethod
     def random_phase(cls, q: int, start: int, rng: np.random.Generator) -> "WeightVector":

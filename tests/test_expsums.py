@@ -266,6 +266,18 @@ def test_sweeps_leave_the_cached_phase_buffer_alone():
     assert sqrt_phase_buffer.cache_info() == before
 
 
+def test_gauss_sums_build_no_root_phase_table():
+    """Only the Salie closed form reads the root-phase table: the Gauss rows and sweep
+    build neither it nor its buffer, and the Salie sweep builds it once."""
+    sqrt_phase_table.cache_clear()
+    for q in (3, 101, 997):
+        gauss_all(q)
+        gauss_rows(q, np.arange(1, min(q, 5)))
+    assert sqrt_phase_table.cache_info().misses == 0
+    salie_all(101)
+    assert sqrt_phase_table.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("sweep", [gauss_all, salie_all], ids=["gauss", "salie"])
 def test_sweeps_hold_no_full_matrix(sweep):
     """At q = 997 one (q-1) x q complex128 matrix is 15.2 MiB; a sweep peaks under 4 MiB."""

@@ -7,15 +7,17 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rootsums
 from rootsums.errors import SizeGuardError
 from rootsums.expsums import exp_table, salie_closed_form, sqrt_phase_table
 from rootsums.modular import (
+    _READ_CHUNK,
     TABLE_CACHE_SIZE,
     TABLE_LIMIT,
+    _check_log_range,
     e_q,
     eps_q,
     inv_mod,
@@ -33,10 +35,26 @@ from rootsums.modular import (
     table_cache,
     tonelli_shanks,
 )
-from rootsums import primes, quadforms
+from rootsums import modular, primes, quadforms
 from rootsums.primes import is_prime, iter_prime_blocks, primes_between, sieve_primes
 
 SMALL_PRIMES = [int(q) for q in sieve_primes(500) if q % 2 == 1]
+ODD_PRIMES_3000 = [int(q) for q in sieve_primes(3000) if q % 2 == 1]
+
+
+@st.composite
+def product_reads(draw):
+    """(table, rows, cols) for an odd prime q < 3000: a complex or int64 table of length q
+    and int64 factors with 0, negatives and multiples of q among them.  The column count is
+    small or at _READ_CHUNK - 1, _READ_CHUNK or _READ_CHUNK + 1, the last read a row per chunk."""
+    q = draw(st.sampled_from(ODD_PRIMES_3000))
+    table = draw(st.sampled_from([exp_table(q), sqrt_phase_table(q), root_table(q), np.arange(q) * 3 - q]))
+    factor = st.one_of(st.integers(-3 * q, 3 * q), st.integers(-3, 3).map(lambda k: k * q))
+    rows = np.array(draw(st.lists(factor, max_size=6)), dtype=np.int64)
+    width = draw(st.sampled_from([1, 2, 7, _READ_CHUNK - 1, _READ_CHUNK, _READ_CHUNK + 1]))
+    head = np.array(draw(st.lists(factor, min_size=1, max_size=8)), dtype=np.int64)
+    tail = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-3 * q, 3 * q + 1, width)
+    return table, rows, np.concatenate([head, tail])[:width]
 
 
 class TestKronecker:
@@ -230,6 +248,40 @@ class TestTables:
                 assert read_products(buf, rows, cols, out=out) is out
                 assert np.array_equal(out, got)
                 assert (wide[:, :2] == -7).all() and (wide[:, -1] == -7).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(product_reads())
+    def test_read_products_property(self, read):
+        """The fresh read, a read into out= and one into a strided view all equal the int64
+        index product read of the table, and a read into a view writes nothing around it."""
+        table, rows, cols = read
+        buf = log_ordered(table)
+        expected = table[np.multiply.outer(rows, cols) % len(table)]
+        got = read_products(buf, rows, cols)
+        assert got.dtype == table.dtype and np.array_equal(got, expected)
+        out = np.empty((len(rows), len(cols)), table.dtype)
+        assert read_products(buf, rows, cols, out=out) is out and np.array_equal(out, expected)
+        # a view with a row stride of two rows and a column stride of two entries
+        wide = np.full((2 * len(rows), 2 * len(cols) + 1), -7, dtype=table.dtype)
+        view = wide[::2, 1::2]
+        assert read_products(buf, rows, cols, out=view) is view and np.array_equal(view, expected)
+        assert (wide[1::2] == -7).all() and (wide[:, ::2] == -7).all()
+
+    @pytest.mark.parametrize("q", [3, 5, 101, 4001, 8009])
+    def test_log_range_is_checked_when_built(self, q, monkeypatch):
+        """log_tables checks lg's range, so a sum of two logs indexes a buffer of 4q - 3;
+        each way a copy of lg can leave that range raises."""
+        checked = []
+        monkeypatch.setattr(modular, "_check_log_range", lambda lg: checked.append(lg.copy()))
+        _, lg = log_tables.__wrapped__(q)  # the uncached build
+        assert len(checked) == 1 and np.array_equal(checked[0], lg)
+        monkeypatch.undo()
+        _check_log_range(lg)
+        for at, value in ((0, 2 * q - 3), (0, 2 * q - 1), (1, -1), (q - 1, q - 1), (q // 2, 2 * (q - 1))):
+            bad = lg.copy()
+            bad[at] = value
+            with pytest.raises(ValueError, match="out of range"):
+                _check_log_range(bad)
 
     @pytest.mark.parametrize("q", [3, 7, 211, 4003])
     def test_a_table_is_not_a_buffer(self, q):

@@ -52,6 +52,18 @@ class TestWeightVector:
         assert beta.value_at(4) == 0.0
         assert beta.value_at(1) == 0.0
 
+    def test_pm1_draws_what_choice_draws(self):
+        """random_pm1 gives rng.choice([-1.0, 1.0])'s array and leaves the generator in its
+        state, so every seeded stream, and the draw after it, is unchanged."""
+        for seed in range(400):
+            for start in (1, 2, 3, 5, 16, 31, 64, 127, 300):
+                ours, oracle = np.random.default_rng([seed, start]), np.random.default_rng([seed, start])
+                got = WeightVector.random_pm1(2 * start + 1, start, ours).coeffs
+                expected = oracle.choice([-1.0, 1.0], size=start)
+                assert np.array_equal(got, expected)
+                assert ours.bit_generator.state == oracle.bit_generator.state
+                assert ours.random() == oracle.random()
+
     @given(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=3))
     @settings(max_examples=50)
     def test_norm_inequality_holds_for_random_weights(self, start, kind_idx):
