@@ -7,8 +7,14 @@ extraction.  The kernel depends on (m, n) only through amn, and the twist
 folds into the row multiplier, since T_h(amn) = T(h^2 amn) for the one
 root-phase table T of the modulus; so the M x N kernel is read from the
 cached buffer of T, ``read_products(sqrt_phase_buffer(q), a h^2 m, n)``.
-``bilinear_weyl_sum`` contracts it in column blocks as they are read, so a
-cell costs O(M*N) time and O(M*width) memory, never a whole M x N grid.
+``weyl_group_sums`` evaluates a group of cells sharing (q, M, N): small
+kernels are read several at once, with one read of the stacked row
+multipliers, and each is contracted on its own slice by the zgemv a lone
+kernel gets, so W keeps its bits; a kernel above 4 MiB is read and contracted
+in column blocks, never held whole.  A cell costs O(M*N) time.
+``bilinear_weyl_sum`` is the one-cell case, and ``weyl_sweep`` runs the
+seeded grid one group at a time: seed states, weight stacks and their norms
+for the whole group, then one group read.
 
 Around W sit the pieces the bound analysis decomposes it into: the
 character-restricted sums R_j, the root correlation sums A_{h,lambda,a},
@@ -26,7 +32,16 @@ import numpy as np
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_buffer, sqrt_phase_table
 from .modular import eps_q, inv_mod, legendre_table, read_products, residue_roots
-from .weights import WeightVector, dyadic_starts, slack_factor
+from .weights import (
+    WEIGHT_CLASSES,
+    WeightVector,
+    dyadic_starts,
+    entropy_words,
+    seed_states,
+    seeded_rngs,
+    slack_factor,
+    weight_norms,
+)
 
 _CURVE_SUM_LIMIT = 2048
 # Bytes of one column block of a Weyl kernel: 128 columns at M = 2048, so the
@@ -76,33 +91,60 @@ def _column_width(rows: int, cols: int) -> int:
 
 
 def bilinear_weyl_sum(inst: BilinearInstance) -> complex:
-    """W evaluated against the root-phase table: O(M*N) time, O(M*width) memory.
+    """W evaluated against the root-phase table: the one-cell case of ``weyl_group_sums``."""
+    c = inst.a * inst.h % inst.q * inst.h % inst.q
+    alpha, beta = inst.alpha.coeffs[None], inst.beta.coeffs[None]
+    return complex(weyl_group_sums(inst.q, [c], inst.m_start, inst.n_start, alpha, beta)[0])
 
-    W = (alpha @ K) @ beta for the M x N kernel K.  A kernel above
-    _KERNEL_BLOCK_BYTES is read in blocks of ``width`` columns into one
-    workspace, and each block is contracted with alpha as it is read, so no
-    M x N grid is held.  Only columns are split, never the sum over m, and the
-    widths are powers of two >= 4 dividing N, a power of two: then every entry
-    of alpha @ K is the same float as the unblocked product (OpenBLAS's zgemv
-    sums each column alike for those widths, but not for widths 1 or 2, nor
-    for other N, which stay one block).  W is therefore bit for bit the
-    unblocked W, and the final dot with beta runs once over the whole vector.
+
+def weyl_group_sums(
+    q: int, c: list[int] | np.ndarray, m_start: int, n_start: int, alpha: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """W for a group of cells sharing (q, M, N): cell i has the row multiplier
+    c[i] = a h^2 and the weights alpha[i] (on [M, 2M)) and beta[i] (on [N, 2N)).
+
+    Each W is (alpha[i] @ K_i) @ beta[i] for the M x N kernel K_i, O(M*N) time.
+    Kernels of at most _KERNEL_BLOCK_BYTES are read as many whole at a time as
+    fit in that many bytes, with one ``read_products`` whose rows are the
+    group's stacked row multipliers, into one workspace; each cell is then
+    contracted on its own contiguous M x N slice by the same zgemv and dot as a
+    kernel read alone, so W is bit for bit the one-cell W.  (A batched matmul
+    or einsum would take another BLAS path and other bits.)
+
+    A larger kernel is read in blocks of ``width`` columns into one workspace,
+    and each block is contracted with alpha as it is read, so no M x N grid is
+    held.  Only columns are split, never the sum over m, and the widths are
+    powers of two >= 4 dividing N, a power of two: then every entry of
+    alpha @ K is the same float as the unblocked product (OpenBLAS's zgemv sums
+    each column alike for those widths, but not for widths 1 or 2, nor for other
+    N, which stay one block).  W is therefore bit for bit the unblocked W, and
+    the final dot with beta runs once over the whole vector.
     """
-    q = inst.q
-    m = np.arange(inst.m_start, 2 * inst.m_start, dtype=np.int64)
-    n = np.arange(inst.n_start, 2 * inst.n_start, dtype=np.int64)
+    m = np.arange(m_start, 2 * m_start, dtype=np.int64)
+    n = np.arange(n_start, 2 * n_start, dtype=np.int64)
     buf = sqrt_phase_buffer(q)
-    rows = inst.a * inst.h % q * inst.h % q * (m % q)
-    alpha, beta = inst.alpha.coeffs, inst.beta.coeffs
-    width = _column_width(len(m), len(n))
-    if width == len(n):  # one block: no workspace block or partial-product vector to allocate
-        return complex(alpha @ read_products(buf, rows, n) @ beta)
-    block = np.empty((len(m), width), dtype=np.complex128)
-    v = np.empty(len(n), dtype=np.complex128)
-    for start in range(0, len(n), width):
-        read_products(buf, rows, n[start : start + width], out=block)
-        np.matmul(alpha, block, out=v[start : start + width])
-    return complex(v @ beta)
+    c = np.asarray(c, dtype=np.int64)
+    sums = np.empty(len(c), dtype=np.complex128)
+    width = _column_width(m_start, n_start)
+    if width < n_start:
+        block = np.empty((m_start, width), dtype=np.complex128)
+        v = np.empty(n_start, dtype=np.complex128)
+        for i in range(len(c)):
+            rows = c[i] * (m % q)
+            for start in range(0, n_start, width):
+                read_products(buf, rows, n[start : start + width], out=block)
+                np.matmul(alpha[i], block, out=v[start : start + width])
+            sums[i] = v @ beta[i]
+        return sums
+    per_read = max(1, _KERNEL_BLOCK_BYTES // (16 * m_start * n_start))
+    work = np.empty((min(per_read, len(c)) * m_start, n_start), dtype=np.complex128)
+    for first in range(0, len(c), per_read):
+        rows = np.multiply.outer(c[first : first + per_read], m % q)
+        kernels = read_products(buf, rows.ravel(), n, out=work[: rows.size])
+        kernels = kernels.reshape(len(rows), m_start, n_start)
+        for i, kernel in enumerate(kernels, first):
+            sums[i] = alpha[i] @ kernel @ beta[i]
+    return sums
 
 
 def rj_sum(j: int, inst: BilinearInstance) -> float:
@@ -424,36 +466,59 @@ def weyl_sweep(
         starts = dyadic_starts(q)
         for m_start in [s for s in starts if only_m in (None, s)]:
             for n_start in [s for s in starts if only_n in (None, s)]:
-                for kind_idx, kind in enumerate(kinds):
-                    for k in range(instances):
-                        rng = np.random.default_rng(
-                            [seed, q, m_start, n_start, kind_idx, k]
-                        )
-                        a = int(rng.integers(1, q))
-                        h = int(rng.integers(1, q))
-                        alpha = WeightVector.make(kind, q, m_start, rng)
-                        beta = WeightVector.make(kind, q, n_start, rng)
-                        inst = BilinearInstance(q, a, h, alpha, beta)
-                        measured = abs(bilinear_weyl_sum(inst))
-                        env1, env2 = weyl_envelopes(
-                            alpha.norm2, beta.norm_inf, beta.norm1, m_start, n_start, q
-                        )
-                        rows.append(
-                            {
-                                "q": q,
-                                "M": m_start,
-                                "N": n_start,
-                                "kind": kind,
-                                "seed": k,
-                                "a": a,
-                                "h": h,
-                                "measured": measured,
-                                "envelope1": env1,
-                                "envelope2": env2,
-                                "ratio1": measured / env1,
-                                "ratio2": measured / env2,
-                            }
-                        )
+                rows += _weyl_group(q, m_start, n_start, kinds, instances, seed)
+    return rows
+
+
+def _weyl_group(
+    q: int, m_start: int, n_start: int, kinds: tuple[str, ...], instances: int, seed: int
+) -> list[dict]:
+    """The sweep's rows of one (q, M, N): ``instances`` cells of each weight class.
+
+    Cell (kind_idx, k) draws a, h, alpha and beta, in that order, from
+    default_rng([seed, q, M, N, kind_idx, k]); the generators start from
+    ``seed_states`` computed for the whole group at once.  The weights go
+    into one stack per side, which ``weight_norms`` and ``weyl_group_sums``
+    read per group.
+    """
+    cells = [(kind, kind_idx, k) for kind_idx, kind in enumerate(kinds) for k in range(instances)]
+    prefix = entropy_words((seed, q, m_start, n_start))
+    words = np.empty((len(cells), len(prefix) + 2), dtype=np.uint32)
+    words[:, : len(prefix)] = prefix
+    words[:, len(prefix) :] = [cell[1:] for cell in cells]  # kind_idx and k: one word each
+    alpha = np.empty((len(cells), m_start), dtype=np.complex128)
+    beta = np.empty((len(cells), n_start), dtype=np.complex128)
+    twists = []
+    for i, ((kind, _, _), rng) in enumerate(zip(cells, seeded_rngs(seed_states(words)))):
+        twists.append((int(rng.integers(1, q)), int(rng.integers(1, q))))
+        alpha[i] = WEIGHT_CLASSES[kind](rng, m_start)
+        beta[i] = WEIGHT_CLASSES[kind](rng, n_start)
+    norm2_alpha = weight_norms(alpha)[2].tolist()
+    norm_inf_beta, norm1_beta, _ = (norm.tolist() for norm in weight_norms(beta))
+    c = [a * h % q * h % q for a, h in twists]
+    sums = weyl_group_sums(q, c, m_start, n_start, alpha, beta).tolist()
+    rows = []
+    for i, (kind, _, k) in enumerate(cells):
+        measured = abs(sums[i])
+        env1, env2 = weyl_envelopes(
+            norm2_alpha[i], norm_inf_beta[i], norm1_beta[i], m_start, n_start, q
+        )
+        rows.append(
+            {
+                "q": q,
+                "M": m_start,
+                "N": n_start,
+                "kind": kind,
+                "seed": k,
+                "a": twists[i][0],
+                "h": twists[i][1],
+                "measured": measured,
+                "envelope1": env1,
+                "envelope2": env2,
+                "ratio1": measured / env1,
+                "ratio2": measured / env2,
+            }
+        )
     return rows
 
 

@@ -205,10 +205,13 @@ def cmd_bilinear(args) -> int:
         args.out,
     )
     for (q, kind), group in sorted(cells.items()):
+        worst1 = max(group, key=lambda r: r["ratio1"])
+        worst2 = max(group, key=lambda r: r["ratio2"])
         _summary(
             f"q={q} kind={kind} cells={len(group)} "
-            f"max_ratio1={max(r['ratio1'] for r in group):.6g} "
-            f"max_ratio2={max(r['ratio2'] for r in group):.6g}"
+            f"max_ratio1={worst1['ratio1']:.6g} max_ratio2={worst2['ratio2']:.6g} "
+            f"worst1={worst1['M']},{worst1['N']},{worst1['seed']} "
+            f"worst2={worst2['M']},{worst2['N']},{worst2['seed']}"
         )
     return 0
 

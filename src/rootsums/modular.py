@@ -247,8 +247,8 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_log_range(lg: np.ndarray) -> None:
     """Raise unless lg[0] = 2(q - 1) and every other entry lies in [0, q - 2], q = len(lg).
 
-    Then every sum lg[r] + lg[c] lies in [0, 4(q - 1)], the index range of a
-    buffer of 4q - 3 entries, which is what ``read_products`` relies on.
+    Then every sum lg[r] + lg[c] lies in [0, 4(q - 1)], inside the index range
+    of a buffer of 4q - 2 entries, which is what ``read_products`` relies on.
     """
     q = len(lg)
     if lg[0] != 2 * (q - 1) or lg[1:].min() < 0 or lg[1:].max() > q - 2:
@@ -257,10 +257,12 @@ def _check_log_range(lg: np.ndarray) -> None:
 
 def log_ordered(table: np.ndarray) -> np.ndarray:
     """The read-only buffer of ``read_products`` for a table of prime length q: table[g^k]
-    for two periods of k, then 2q - 1 copies of table[0] (4q - 3 entries).  Its readers are
-    the complex phase tables; residue counts take the log order pw alone (``log_tables``)."""
+    for two periods of k, then 2q copies of table[0] (4q - 2 entries).  The last copy is
+    never read; it makes the length even, so no table of odd prime length passes for a
+    buffer.  Its readers are the complex phase tables; residue counts take the log order
+    pw alone (``log_tables``)."""
     pw, _ = log_tables(len(table))
-    buf = np.concatenate([table[pw], table[pw], np.full(2 * len(table) - 1, table[0])])
+    buf = np.concatenate([table[pw], table[pw], np.full(2 * len(table), table[0])])
     buf.flags.writeable = False
     return buf
 
@@ -275,8 +277,8 @@ def read_products(
 ) -> np.ndarray:
     """table[rows[i] * cols[j] mod q] for every (i, j), read from buf = ``log_ordered(table)``.
 
-    q = (len(buf) + 3) // 4 is prime, and a buf of another length than 4q - 3
-    (such as a table of length q = 3 mod 4) raises ValueError.  In discrete
+    q = (len(buf) + 2) // 4 is prime, and a buf of another length than 4q - 2
+    (such as a table, whose length is an odd prime) raises ValueError.  In discrete
     logs a product-grid read is a Hankel matrix: entry (i, j) is
     buf[lg[rows[i]] + lg[cols[j]]], where lg[0] = 2(q - 1) points into the
     run of table[0].  No len(rows) x len(cols) index is formed; each entry is
@@ -289,11 +291,11 @@ def read_products(
     destination where mode="raise" would buffer a copy of it.  Nothing is
     clipped: ``log_tables`` checks once that lg[0] = 2(q - 1) and every other
     log lies in [0, q - 2], so every index lg[r] + lg[c] lies in
-    [0, 4(q - 1)] = [0, len(buf) - 1].
+    [0, 4(q - 1)] = [0, len(buf) - 2].
     """
-    q = (len(buf) + 3) // 4
-    if len(buf) != 4 * q - 3:
-        raise ValueError(f"a log-ordered buffer has 4q - 3 entries, not {len(buf)}")
+    q = (len(buf) + 2) // 4
+    if len(buf) != 4 * q - 2:
+        raise ValueError(f"a log-ordered buffer has 4q - 2 entries, not {len(buf)}")
     _, lg = log_tables(q)
     if out is None:
         out = np.empty((len(rows), len(cols)), buf.dtype)

@@ -13,6 +13,7 @@ reduced to the representative in [1, q].
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -48,31 +49,27 @@ class WeightVector:
         self.q = q
         self.start = start
         self.coeffs = coeffs
-        mags = np.abs(coeffs)
-        self.norm_inf = float(mags.max()) if start else 0.0
-        self.norm1 = float(mags.sum())
-        self.norm2 = float(math.sqrt(float((mags * mags).sum())))
-        if self.norm2**2 > self.norm_inf * self.norm1 * (1 + 1e-9) + 1e-12:
-            raise ValueError("norm inconsistency: ||b||_2^2 > ||b||_inf * ||b||_1")
+        norm_inf, norm1, norm2 = weight_norms(coeffs[None])
+        self.norm_inf, self.norm1, self.norm2 = float(norm_inf[0]), float(norm1[0]), float(norm2[0])
 
     @classmethod
     def indicator(cls, q: int, start: int) -> "WeightVector":
-        return cls(q, start, np.ones(start))
+        return cls.make("indicator", q, start, None)
 
     @classmethod
     def random_pm1(cls, q: int, start: int, rng: np.random.Generator) -> "WeightVector":
-        return cls(q, start, _PM1[rng.integers(0, 2, size=start)])
+        return cls.make("pm1", q, start, rng)
 
     @classmethod
     def random_phase(cls, q: int, start: int, rng: np.random.Generator) -> "WeightVector":
-        return cls(q, start, np.exp(2j * np.pi * rng.random(start)))
+        return cls.make("phase", q, start, rng)
 
     @classmethod
-    def make(cls, kind: str, q: int, start: int, rng: np.random.Generator) -> "WeightVector":
+    def make(cls, kind: str, q: int, start: int, rng: np.random.Generator | None) -> "WeightVector":
         """A vector of the named class in ``WEIGHT_CLASSES``; ``rng`` draws the random ones."""
         if kind not in WEIGHT_CLASSES:
             raise ValueError(f"unknown weight class {kind!r}")
-        return WEIGHT_CLASSES[kind](q, start, rng)
+        return cls(q, start, WEIGHT_CLASSES[kind](rng, start))
 
     def value_at(self, residue: int) -> complex:
         """Weight of a residue in [1, q]; zero off the support window."""
@@ -81,12 +78,131 @@ class WeightVector:
         return 0.0 + 0.0j
 
 
-# Every weight class by name, with its builder (q, start, rng) -> WeightVector.
+# Every weight class by name, with its coefficient draw (rng, start) -> array of
+# ``start`` weights.  Each draw takes its numbers from ``rng`` alone, in a fixed
+# order (the indicator takes none), so a seeded stream fixes the weights; a sweep
+# may draw into rows of a stack and get the arrays ``WeightVector.make`` holds.
 WEIGHT_CLASSES = {
-    "indicator": lambda q, start, rng: WeightVector.indicator(q, start),
-    "pm1": WeightVector.random_pm1,
-    "phase": WeightVector.random_phase,
+    "indicator": lambda rng, start: np.ones(start),
+    "pm1": lambda rng, start: _PM1[rng.integers(0, 2, size=start)],
+    "phase": lambda rng, start: np.exp(2j * np.pi * rng.random(start)),
 }
+
+
+def weight_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(||b||_inf, ||b||_1, ||b||_2) of every row b of a 2-D stack of weights.
+
+    Raises ValueError if a row breaks the Cauchy-Schwarz consistency
+    ||b||_2^2 <= ||b||_inf * ||b||_1.  Each reduction runs along the rows'
+    contiguous axis, which numpy sums pairwise per row exactly as it sums the
+    row on its own, so every norm is bit for bit that of the row alone.
+    """
+    mags = np.abs(stack)
+    norm_inf = mags.max(axis=1)
+    norm1 = mags.sum(axis=1)
+    norm2 = np.sqrt((mags * mags).sum(axis=1))
+    if np.any(norm2**2 > norm_inf * norm1 * (1 + 1e-9) + 1e-12):
+        raise ValueError("norm inconsistency: ||b||_2^2 > ||b||_inf * ||b||_1")
+    return norm_inf, norm1, norm2
+
+
+# ---------------------------------------------------------------------------
+# Seeded streams.  A sweep seeds each cell's generator with a list of ints, as
+# default_rng(entropy) would; the SeedSequence hash behind that is computed here
+# for many lists at once, since numpy's runs one list per call in Python.
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): its hashmix
+# multipliers, its mix multipliers and the xorshift of both, on uint32 words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def entropy_words(values) -> list[int]:
+    """The uint32 words SeedSequence makes of a list of non-negative ints: each
+    int's words from the least significant up, one word (0) for 0.  Raises
+    ValueError for a negative int, as SeedSequence does."""
+    words = []
+    for value in values:
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    return words
+
+
+def seed_states(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for every row of a
+    (B, L) array of entropy words (``entropy_words``), as a (B, 4) uint64 array.
+
+    numpy's algorithm, run on all rows at once: hashmix the words into a pool of
+    four, mix every pool word into every other, mix in the words past the
+    fourth, then hash the pool out into eight uint32 words, read in pairs as
+    little-endian uint64.  The hash constants follow one fixed sequence,
+    whatever the words, so they are Python ints shared by every row.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(len(words), dtype=np.uint32)
+    length = words.shape[1]
+    pool = [hashmix(words[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    state = np.empty((len(words), 2 * _POOL_SIZE), dtype="<u4")
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """A seed sequence that hands out one precomputed ``generate_state(4, uint64)``:
+    PCG64 seeded with it starts where PCG64 seeded with the SeedSequence would."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = np.ascontiguousarray(state, dtype=np.uint64)  # PCG64 reads its raw words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, np.dtype(dtype)) != (_POOL_SIZE, np.dtype(np.uint64)):
+            raise ValueError("a precomputed seed state serves PCG64's generate_state(4, uint64) only")
+        return self.state
+
+
+def seeded_rngs(states: np.ndarray) -> list[np.random.Generator]:
+    """The generator default_rng(entropy) gives, for each row of ``seed_states``."""
+    # PCG64 takes any registered ISeedSequence.  Registering is idempotent, and
+    # done here rather than at import, since importing numpy.random costs about
+    # 6 MiB that a run drawing no random numbers (``sums``) does not need.
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
+    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
 
 
 def square_residues(q: int, j: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from rootsums.bilinear import BilinearInstance, bilinear_weyl_sum, weyl_envelopes
 from rootsums.expsums import exp_table
 from rootsums.primes import sieve_primes
+from rootsums.weights import WeightVector, dyadic_starts
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +19,40 @@ def phase_table_oracle():
         return table
 
     return twisted_phase_table
+
+
+@pytest.fixture(scope="session")
+def weyl_sweep_oracle():
+    """The oracle for ``weyl_sweep``: every cell on its own, from its own default_rng
+    through WeightVector.make and bilinear_weyl_sum to weyl_envelopes."""
+
+    def per_cell_sweep(q_values, kinds=("indicator", "pm1", "phase"), instances=20, seed=42,
+                       only_m=None, only_n=None):
+        rows = []
+        for q in q_values:
+            starts = dyadic_starts(q)
+            for m_start in [s for s in starts if only_m in (None, s)]:
+                for n_start in [s for s in starts if only_n in (None, s)]:
+                    for kind_idx, kind in enumerate(kinds):
+                        for k in range(instances):
+                            rng = np.random.default_rng([seed, q, m_start, n_start, kind_idx, k])
+                            a = int(rng.integers(1, q))
+                            h = int(rng.integers(1, q))
+                            alpha = WeightVector.make(kind, q, m_start, rng)
+                            beta = WeightVector.make(kind, q, n_start, rng)
+                            measured = abs(bilinear_weyl_sum(BilinearInstance(q, a, h, alpha, beta)))
+                            env1, env2 = weyl_envelopes(
+                                alpha.norm2, beta.norm_inf, beta.norm1, m_start, n_start, q
+                            )
+                            rows.append({
+                                "q": q, "M": m_start, "N": n_start, "kind": kind, "seed": k,
+                                "a": a, "h": h, "measured": measured,
+                                "envelope1": env1, "envelope2": env2,
+                                "ratio1": measured / env1, "ratio2": measured / env2,
+                            })
+        return rows
+
+    return per_cell_sweep
 
 
 @pytest.fixture(scope="session")

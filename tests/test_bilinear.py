@@ -31,11 +31,19 @@ from rootsums.bilinear import (
     variety_count,
     variety_multiplicity,
     weyl_envelopes,
+    weyl_sweep,
 )
 from rootsums import bilinear
 from rootsums.errors import SizeGuardError
 from rootsums.expsums import sqrt_phase_buffer, sqrt_phase_table
-from rootsums.modular import inv_mod, legendre_table, log_ordered, residue_roots, sqrt_mod
+from rootsums.modular import (
+    inv_mod,
+    legendre_table,
+    log_ordered,
+    read_products,
+    residue_roots,
+    sqrt_mod,
+)
 from rootsums.weights import (
     WeightVector,
     admissible_square_members,
@@ -179,6 +187,50 @@ class TestWeylSum:
         curve_sum_sigma_incomplete((1, 2, 3, 5), 5, 3, 1.0, 4, 101)
         after = sqrt_phase_buffer.cache_info()
         assert (after.hits, after.misses) == (before.hits + 4, before.misses)
+
+
+class TestWeylSweepGroups:
+    """weyl_sweep reads and contracts a (q, M, N) group at once; every row is the
+    per-cell oracle's, ==."""
+
+    def test_quick_grid_is_the_per_cell_sweep(self, weyl_sweep_oracle):
+        grid = {"q_values": (101, 211), "instances": 5}  # verify --quick's grid
+        assert weyl_sweep(**grid) == weyl_sweep_oracle(**grid)
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 5])
+    def test_seeds_past_one_word(self, seed, weyl_sweep_oracle):
+        """A seed of two or three uint32 words seeds each cell as default_rng does."""
+        grid = {"q_values": (101,), "instances": 2, "seed": seed}
+        assert weyl_sweep(**grid) == weyl_sweep_oracle(**grid)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            weyl_sweep(q_values=(11,), instances=1, seed=-1)
+
+    def test_small_blocks_run_every_read_path(self, weyl_sweep_oracle, monkeypatch):
+        """With 4 KiB blocks (256 entries) the q = 211 grid reads groups in part
+        (M N = 32: reads of 8 and then 1 of its 9 kernels), one kernel at a time
+        (M N = 256) and in column blocks of 4 (M = N = 64); every row is still the
+        oracle's at the default block size."""
+        grid = {"q_values": (211,), "instances": 3}
+        expected = weyl_sweep_oracle(**grid)
+        reads = []
+
+        def spy(buf, rows, cols, out=None):
+            reads.append((len(rows), len(cols)))
+            return read_products(buf, rows, cols, out=out)
+
+        monkeypatch.setattr(bilinear, "_KERNEL_BLOCK_BYTES", 1 << 12)
+        assert weyl_sweep(**grid) == expected
+        monkeypatch.setattr(bilinear, "read_products", spy)
+        for (m_start, n_start), shapes in (
+            ((4, 8), [(8 * 4, 8), (4, 8)]),
+            ((16, 16), [(16, 16)] * 9),
+            ((64, 64), [(64, 4)] * 16 * 9),
+        ):
+            reads.clear()
+            weyl_sweep(**grid, only_m=m_start, only_n=n_start)
+            assert reads == shapes
 
 
 class TestEnvelopes:

@@ -140,10 +140,12 @@ class TestEnergy:
 class TestBilinear:
     def test_csv_identical_across_blas_thread_counts(self, tmp_path):
         """No cell of the bilinear sweep depends on how many threads BLAS runs: neither the
-        one-block cells of q <= 1009 nor a 1024 x 1024 cell, streamed in four column blocks."""
-        argv = ["bilinear", "sweep", "--qset", "101,499,1009", "--instances", "2", "--seed", "42"]
+        group-read cells of q <= 1009, of every weight class, nor a 1024 x 1024 cell,
+        streamed in four column blocks."""
+        argv = ["bilinear", "sweep", "--qset", "101,499,1009", "--weights", "indicator,pm1,phase",
+                "--instances", "2", "--seed", "42"]
         outputs = outputs_at_blas_thread_counts(argv, tmp_path)
-        assert outputs[0].count(b"\n") == 1087  # the header and 1,086 cells
+        assert outputs[0].count(b"\n") == 1087  # the header and 3 x 362 cells
         assert outputs[0] == outputs[1]
         argv = ["bilinear", "sweep", "--qset", "4001", "--M", "1024", "--N", "1024", "--instances", "2"]
         outputs = outputs_at_blas_thread_counts(argv, tmp_path)
@@ -219,6 +221,10 @@ class TestBilinear:
         pm1 = [r for r in rows if r["kind"] == "pm1"]
         assert f"cells={len(pm1)} " in lines[1]
         assert f"max_ratio1={max(float(r['ratio1']) for r in pm1):.6g} " in lines[1]
+        # each ratio's worst cell is named M,N,seed; a tie goes to the first row
+        for ratio in ("ratio1", "ratio2"):
+            worst = max(pm1, key=lambda r: float(r[ratio]))
+            assert f"worst{ratio[-1]}={worst['M']},{worst['N']},{worst['seed']}" in lines[1].split()
         assert "kind=" not in captured.out
 
 
@@ -326,10 +332,15 @@ class TestOthers:
         base = ["bilinear", "sweep", "--qset", "101,211", "--weights", "pm1", "--instances", "2"]
         assert run(base + ["--out", str(full)]) == 0
         computed = []
-        weyl_sum = bilinear.bilinear_weyl_sum
-        monkeypatch.setattr(bilinear, "bilinear_weyl_sum", lambda inst: computed.append(inst) or weyl_sum(inst))
+        group_sums = bilinear.weyl_group_sums
+
+        def spy(q, c, m_start, n_start, alpha, beta):
+            computed.extend((q, m_start, n_start) for _ in c)
+            return group_sums(q, c, m_start, n_start, alpha, beta)
+
+        monkeypatch.setattr(bilinear, "weyl_group_sums", spy)
         assert run(base + ["--M", "64", "--N", "8", "--out", str(cell)]) == 0
-        assert len(computed) == 2
+        assert computed == [(211, 64, 8)] * 2
         lines = full.read_text().splitlines()
         selected = [line for line in lines[1:] if line.split(",")[1:3] == ["64", "8"]]
         assert len(selected) == 2

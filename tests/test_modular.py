@@ -236,7 +236,7 @@ class TestTables:
         by_hand = sqrt_phase_table(q) * (1 + 2j)
         for table in (exp_table(q), sqrt_phase_table(q), root_table(q), by_hand, np.arange(q) - 5):
             buf = log_ordered(table)
-            assert buf.shape == (4 * q - 3,) and buf.dtype == table.dtype and not buf.flags.writeable
+            assert buf.shape == (4 * q - 2,) and buf.dtype == table.dtype and not buf.flags.writeable
             for rows, cols in grids:
                 got = read_products(buf, rows, cols)
                 assert got.shape == (len(rows), len(cols))
@@ -269,7 +269,7 @@ class TestTables:
 
     @pytest.mark.parametrize("q", [3, 5, 101, 4001, 8009])
     def test_log_range_is_checked_when_built(self, q, monkeypatch):
-        """log_tables checks lg's range, so a sum of two logs indexes a buffer of 4q - 3;
+        """log_tables checks lg's range, so a sum of two logs indexes a buffer of 4q - 2;
         each way a copy of lg can leave that range raises."""
         checked = []
         monkeypatch.setattr(modular, "_check_log_range", lambda lg: checked.append(lg.copy()))
@@ -285,15 +285,24 @@ class TestTables:
 
     @pytest.mark.parametrize("q", [3, 7, 211, 4003])
     def test_a_table_is_not_a_buffer(self, q):
-        """A table of prime length q = 3 (mod 4) has no length 4q' - 3, so reading it raises."""
+        """A table of prime length q = 3 (mod 4) has no length 4q' - 2, so reading it raises."""
         assert q % 4 == 3
         rows = cols = np.arange(4)
-        with pytest.raises(ValueError, match="4q - 3 entries"):
+        with pytest.raises(ValueError, match="4q - 2 entries"):
             read_products(sqrt_phase_table(q), rows, cols)
-        with pytest.raises(ValueError, match="4q - 3 entries"):
+        with pytest.raises(ValueError, match="4q - 2 entries"):
             read_products(sqrt_phase_table(q), rows, cols, out=np.empty((4, 4), complex))
         assert np.array_equal(read_products(log_ordered(sqrt_phase_table(q)), rows, cols),
                               sqrt_phase_table(q)[np.multiply.outer(rows, cols) % q])
+
+    def test_no_odd_prime_table_is_a_buffer(self, odd_primes_1000):
+        """A buffer has 4q - 2 entries, an even number, so no raw table of odd prime length
+        passes for one, whatever q mod 4; (41 + 3)/4 = 11 once let a table of 41 through."""
+        rows = cols = np.arange(3)
+        for q in odd_primes_1000:
+            for table in (exp_table(q), sqrt_phase_table(q)):
+                with pytest.raises(ValueError, match="4q - 2 entries"):
+                    read_products(table, rows, cols)
 
     def test_read_products_out_must_fit(self):
         """An out of the wrong shape (rows, columns or rank) or dtype raises; nothing is cast."""

@@ -19,19 +19,23 @@ from rootsums.weights import (
     energy_envelope_short,
     energy_pair_histogram,
     energy_quadruple_loop,
+    entropy_words,
     fourth_moment_envelope,
     q_fourth_moment,
     q_fourth_moment_indicator,
     q_lambda,
     q_table,
     q_table_indicator,
+    seed_states,
+    seeded_rngs,
     slack_factor,
     small_interval_energy_envelope,
     unweighted_energy,
     unweighted_energy_oracle,
+    weight_norms,
     window_energies,
 )
-from rootsums.modular import legendre_table
+from rootsums.modular import TABLE_LIMIT, legendre_table
 
 
 class TestWeightVector:
@@ -72,6 +76,80 @@ class TestWeightVector:
         kind = ["indicator", "pm1", "phase", "indicator"][kind_idx]
         beta = WeightVector.make(kind, q, start, rng)
         assert beta.norm2**2 <= beta.norm_inf * beta.norm1 * (1 + 1e-9) + 1e-12
+
+
+@st.composite
+def sweep_entropies(draw):
+    """Entropy lists of a sweep cell's shape [seed, q, M, N, kind_idx, k], seeds of one
+    to three uint32 words, q up to TABLE_LIMIT; several cells of one (seed, q, M, N)."""
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70)))
+    q = draw(st.integers(3, TABLE_LIMIT))
+    m_start, n_start = draw(st.integers(1, q // 2)), draw(st.integers(1, q // 2))
+    tails = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10**6)), min_size=1, max_size=6))
+    return [[seed, q, m_start, n_start, kind_idx, k] for kind_idx, k in tails]
+
+
+class TestSeedStates:
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_entropies())
+    def test_states_are_seed_sequence_states(self, entropies):
+        """Each row's state is SeedSequence's generate_state(4, uint64), and the generator
+        built on it draws what default_rng(entropy) draws."""
+        states = seed_states(np.array([entropy_words(e) for e in entropies]))
+        assert states.dtype == np.uint64 and states.shape == (len(entropies), 4)
+        for entropy, state, rng in zip(entropies, states, seeded_rngs(states)):
+            assert np.array_equal(state, np.random.SeedSequence(entropy).generate_state(4, np.uint64))
+            assert np.array_equal(rng.random(8), np.random.default_rng(entropy).random(8))
+
+    def test_words_split_as_seed_sequence_splits(self):
+        assert entropy_words([0, 5, 2**32 - 1, 2**32, 2**64 + 3]) == [0, 5, 2**32 - 1, 0, 1, 3, 0, 1]
+        for entropy in ([7], [1, 2, 3], [0] * 4, [2**96, 1, 2, 3, 4, 5, 6]):  # short and long lists
+            state = seed_states(np.array([entropy_words(entropy)]))[0]
+            assert np.array_equal(state, np.random.SeedSequence(entropy).generate_state(4, np.uint64))
+
+    def test_negative_seed_raises_as_default_rng_does(self):
+        for entropy in ([-1, 101, 1, 1, 0, 0], [42, 101, 1, 1, 0, -3]):
+            with pytest.raises(ValueError):
+                np.random.default_rng(entropy)
+            with pytest.raises(ValueError):
+                entropy_words(entropy)
+
+    def test_a_state_serves_pcg64_only(self):
+        (rng,) = seeded_rngs(seed_states(np.array([entropy_words([1, 2])])))
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(8)
+
+
+class TestWeightNorms:
+    @pytest.mark.parametrize("start", [1, 2, 7, 8, 9, 64, 129, 1024])
+    def test_stack_norms_are_the_row_norms_bit_for_bit(self, start):
+        """Each norm of a stack row is the float of that row reduced alone, and the
+        WeightVector's: compared as int64 bit patterns."""
+        rng = np.random.default_rng(start)
+        stack = np.stack([WeightVector.make(kind, 2 * start + 1, start, rng).coeffs
+                          for kind in ("indicator", "pm1", "phase") * 4])
+        stack[-1] *= 0.37 + 1.9j  # a row of magnitudes off 1
+        norms = weight_norms(stack)
+        for i, row in enumerate(stack):
+            mags = np.abs(row)
+            alone = np.array([mags.max(), mags.sum(), math.sqrt(float((mags * mags).sum()))])
+            vector = WeightVector(2 * start + 1, start, row)
+            held = np.array([vector.norm_inf, vector.norm1, vector.norm2])
+            got = np.array([norm[i] for norm in norms])
+            assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+            assert np.array_equal(held.view(np.int64), alone.view(np.int64))
+
+    def test_cauchy_schwarz_violation_raises(self, monkeypatch):
+        """No row of real weights breaks ||b||_2^2 <= ||b||_inf ||b||_1; a norm computed
+        twice too large does, and the stack, or the WeightVector, is refused."""
+        stack = np.ones((3, 5), dtype=np.complex128)
+        weight_norms(stack)
+        sqrt = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda x: 2 * sqrt(x))
+        with pytest.raises(ValueError, match="norm inconsistency"):
+            weight_norms(stack)
+        with pytest.raises(ValueError, match="norm inconsistency"):
+            WeightVector.indicator(11, 5)
 
 
 class TestPairHistogram:
