@@ -5,10 +5,10 @@ byte-identical output files at a fixed BLAS thread count.  The ``sums`` CSV
 is also byte-identical at 1 and at 2 BLAS threads, since no BLAS call
 computes it.
 Rows are emitted in sorted key order with a fixed column set, '.' decimals
-and no locale dependence.  ``bilinear sweep``, ``split thm12`` and ``forms``
-also print a short summary of their rows (worst ratios, least margin, mean
-window fraction) to stderr, so stdout and the --out file hold the rows
-alone.
+and no locale dependence.  ``sums``, ``bilinear sweep``, ``split thm12``,
+``forms`` and ``discrepancy`` also print a short summary of their rows
+(worst ratios, least margin, mean window fraction) to stderr, so stdout and
+the --out file hold the rows alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
 3 refused by a size guard.
@@ -82,6 +82,19 @@ def _qset(text: str) -> tuple[int, ...]:
     return qs
 
 
+def _cutoff(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"cutoff {text} is negative")
+    return int(text)
+
+
+def _exponents(text: str) -> tuple[float, ...]:
+    values = tuple(float(part) for part in text.split(","))
+    if not all(0 <= value < math.inf for value in values):
+        raise argparse.ArgumentTypeError(f"exponents {text} are not all finite and non-negative")
+    return values
+
+
 def _weight_classes(text: str) -> tuple[str, ...]:
     kinds = tuple(text.split(","))
     for i, kind in enumerate(kinds):
@@ -133,7 +146,6 @@ def cmd_energy(args) -> int:
 
     from .weights import (
         WeightVector,
-        dyadic_starts,
         energy_envelope_short,
         q_table,
         table_energy,
@@ -282,44 +294,34 @@ def cmd_split(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
-    from .equidist import delta_q, eos_coverage, gamma_q
+    from .equidist import delta_q, eos_coverage, gamma_q, residue_counts
 
     if args.action == "coverage":
         (q,) = args.qset
-        report = eos_coverage(
-            q, args.P or q, args.R or q, args.S or q
-        )
-        _write_json(
-            {
-                "q": report.q,
-                "covered": report.covered,
-                "fraction": report.fraction,
-                "missing_count": len(report.missing),
-                "threshold_ratio": report.threshold_ratio,
-            },
-            args.out,
-        )
+        report = vars(eos_coverage(q, args.P or q, args.R or q, args.S or q)).copy()
+        report["missing_count"] = len(report.pop("missing"))
+        _write_json(report, args.out)
         return 0
+    cutoffs = {q: [args.P] if args.P else [int(round(q**e)) for e in args.p_exponents] for q in args.qset}
+    readers: dict[int, list[int]] = {}  # cutoff -> the moduli whose histograms one walk of it fills
+    for q, limits in cutoffs.items():
+        for limit in sorted({*limits, args.R} - {0}):  # R = 0: no product rows
+            readers.setdefault(limit, []).append(q)
+    hists = {(limit, q): h for limit, qs in readers.items() for q, h in zip(qs, residue_counts(limit, qs))}
     rows = []
-    for q in args.qset:
-        p_values = [args.P] if args.P else [int(round(q**e)) for e in args.p_exponents]
-        for p_limit in p_values:
-            reports = [("", gamma_q(p_limit, q))]
+    for q, limits in cutoffs.items():
+        for p_limit in limits:
+            reports = [("", gamma_q(hists[p_limit, q], p_limit))]
             if args.R:
-                reports.append((args.R, delta_q(p_limit, args.R, q)))
+                reports.append((args.R, delta_q(hists[p_limit, q], hists[args.R, q], p_limit, args.R)))
             rows += [
-                {
-                    "q": q,
-                    "P": p_limit,
-                    "R": r,
-                    "n_points": report.n_points,
-                    "D": report.value,
-                    "envelope": report.envelope,
-                    "ratio": report.ratio,
-                }
+                {"q": q, "P": p_limit, "R": r, "n_points": report.n_points, "D": report.value,
+                 "envelope": report.envelope, "ratio": report.ratio}
                 for r, report in reports
             ]
     _write_rows(rows, ["q", "P", "R", "n_points", "D", "envelope", "ratio"], args.out)
+    worst = max(rows, key=lambda r: r["ratio"])
+    _summary(f"rows={len(rows)} max_ratio={worst['ratio']:.6g} worst={worst['q']},{worst['P']},{worst['R']}")
     return 0
 
 
@@ -404,15 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discrepancy", help="discrepancy of root sequences vs envelopes")
     p.add_argument("action", nargs="?", default="gamma", choices=["gamma", "coverage"])
     p.add_argument("--qset", type=_qset, default="503,1009")
-    p.add_argument(
-        "--p-exponents",
-        default="0.7,0.85,1.0",
-        type=lambda s: tuple(float(x) for x in s.split(",")),
-        dest="p_exponents",
-    )
-    p.add_argument("--P", type=int, default=0, help="fixed prime cutoff (overrides exponents)")
-    p.add_argument("--R", type=int, default=0)
-    p.add_argument("--S", type=int, default=0, help="square cutoff for the coverage action")
+    p.add_argument("--p-exponents", default="0.7,0.85,1.0", type=_exponents, dest="p_exponents")
+    p.add_argument("--P", type=_cutoff, default=0, help="fixed prime cutoff (overrides exponents)")
+    p.add_argument("--R", type=_cutoff, default=0)
+    p.add_argument("--S", type=_cutoff, default=0, help="square cutoff for the coverage action")
     add_common(p, seed=False)
     p.set_defaults(func=cmd_discrepancy)
 

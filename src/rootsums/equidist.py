@@ -3,9 +3,11 @@
 Discrepancy here is the unnormalised supremum over half-open intervals
 [alpha, beta) of |count - (beta - alpha) * N| for a multiset of points in
 [0, 1).  A root sequence is an int64 count vector c, the point t/q taken c[t]
-times, and ``count_discrepancy`` gives its q * D exactly.  Float multisets take
-the sorted sweep D = N * (D_plus + D_minus), checked by an O(C^2) oracle over
-all pairs of critical endpoints (point values and their left limits).
+times, read off residue histograms of the primes (``residue_counts``, one walk
+per cutoff), and ``count_discrepancy`` gives its q * D exactly.  Float
+multisets take the sorted sweep D = N * (D_plus + D_minus), checked by an
+O(C^2) oracle over all pairs of critical endpoints (point values and their
+left limits).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_table
-from .modular import legendre_table, log_tables
+from .modular import log_tables
 from .primes import iter_prime_blocks, sieve_primes
 from .weights import slack_factor
 
@@ -126,13 +128,20 @@ def grid_exponential_sums(counts, h_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _residue_counts(limit: float, q: int) -> np.ndarray:
-    """h[s] = #{primes p <= limit, p = s (mod q)} as int64, sieved block by block; h[0] = 0."""
-    hist = np.zeros(q, dtype=np.int64)
+def residue_counts(limit: float, moduli) -> list[np.ndarray]:
+    """h[s] = #{primes p <= limit, p = s (mod q)} as int64 for each q of ``moduli``, h[0] = 0.
+
+    The one step from a prime cutoff to counts: a single walk of ``iter_prime_blocks``, one
+    ``np.bincount`` per block and modulus, so memory is O(sum of moduli + one block).  pi(limit)
+    is h.sum() + (q <= limit) for any of the moduli.
+    """
+    hists = [np.zeros(q, dtype=np.int64) for q in moduli]
     for block in iter_prime_blocks(int(limit)):
-        hist += np.bincount(block % q, minlength=q)
-    hist[0] = 0
-    return hist
+        for hist in hists:
+            hist += np.bincount(block % hist.size, minlength=hist.size)
+    for hist in hists:
+        hist[0] = 0
+    return hists
 
 
 def _root_counts(hist: np.ndarray) -> np.ndarray:
@@ -142,7 +151,7 @@ def _root_counts(hist: np.ndarray) -> np.ndarray:
 
 def prime_root_counts(p_limit: float, q: int) -> np.ndarray:
     """c[t] = number of primes p <= P, p a nonzero residue mod q, with t^2 = p (mod q), as int64."""
-    return _root_counts(_residue_counts(p_limit, q))
+    return _root_counts(residue_counts(p_limit, (q,))[0])
 
 
 def prime_root_points(p_limit: float, q: int) -> np.ndarray:
@@ -150,8 +159,8 @@ def prime_root_points(p_limit: float, q: int) -> np.ndarray:
     return np.repeat(np.arange(q), prime_root_counts(p_limit, q)) / q
 
 
-def product_root_counts(p_limit: float, r_limit: float, q: int) -> np.ndarray:
-    """c[t] = number of ordered prime pairs p <= P, r <= R with t^2 = p r != 0 (mod q), as int64.
+def product_root_counts(hist_p: np.ndarray, hist_r: np.ndarray) -> np.ndarray:
+    """c[t] = number of ordered pairs (p, r) of the two residue histograms with t^2 = p r != 0 (mod q).
 
     In discrete logs the histogram of p r is the cyclic convolution over Z/(q - 1) of those of
     p and r: one FFT product of length 2^k >= 2(q - 1), rounded.  Percival, Math. Comp. 72
@@ -159,8 +168,9 @@ def product_root_counts(p_limit: float, r_limit: float, q: int) -> np.ndarray:
     (1 + beta)^3k - 1), with eps = 2^-53 and beta = 2^-50 bounding the error of numpy's roots
     of unity (the tests check it); a bound >= 1/2 is refused (SizeGuardError).
     """
+    q = hist_p.size
     pw, _ = log_tables(q)
-    a, b = _residue_counts(p_limit, q)[pw], _residue_counts(r_limit, q)[pw]
+    a, b = hist_p[pw], hist_r[pw]
     k, eps, beta = (2 * q - 3).bit_length(), 2.0**-53, 2.0**-50
     growth = 3 * k * (math.log1p(eps) + math.log1p(beta)) + (3 * k + 1) * math.log1p(eps * 5**0.5)
     bound = float(np.linalg.norm(a) * np.linalg.norm(b)) * math.expm1(growth)
@@ -197,9 +207,7 @@ def _count_report(counts: np.ndarray, envelope: float) -> DiscrepancyReport:
 def root_discrepancy_envelope(p_limit: float, q: int) -> float:
     """Envelope (q^{61/1760} P^{61/66} + q^{13/110} P^{9/11}) q^{o(1)} for the
     prime-root discrepancy."""
-    body = q ** (61.0 / 1760.0) * p_limit ** (61.0 / 66.0) + q ** (13.0 / 110.0) * p_limit ** (
-        9.0 / 11.0
-    )
+    body = q ** (61.0 / 1760.0) * p_limit ** (61.0 / 66.0) + q ** (13.0 / 110.0) * p_limit ** (9.0 / 11.0)
     return body * slack_factor(q)
 
 
@@ -214,15 +222,15 @@ def product_discrepancy_envelope(p_limit: float, r_limit: float, q: int) -> floa
     return body * slack_factor(q)
 
 
-def gamma_q(p_limit: float, q: int) -> DiscrepancyReport:
-    """Exact discrepancy of the prime-root counts together with its envelope."""
-    return _count_report(prime_root_counts(p_limit, q), root_discrepancy_envelope(p_limit, q))
+def gamma_q(hist: np.ndarray, p_limit: float) -> DiscrepancyReport:
+    """Exact discrepancy of the prime-root counts of a residue histogram (primes <= P) and its envelope."""
+    return _count_report(_root_counts(hist), root_discrepancy_envelope(p_limit, hist.size))
 
 
-def delta_q(p_limit: float, r_limit: float, q: int) -> DiscrepancyReport:
-    """Exact discrepancy of the product-root counts together with its envelope."""
-    counts = product_root_counts(p_limit, r_limit, q)
-    return _count_report(counts, product_discrepancy_envelope(p_limit, r_limit, q))
+def delta_q(hist_p: np.ndarray, hist_r: np.ndarray, p_limit: float, r_limit: float) -> DiscrepancyReport:
+    """Exact discrepancy of the product-root counts of two residue histograms and its envelope."""
+    counts = product_root_counts(hist_p, hist_r)
+    return _count_report(counts, product_discrepancy_envelope(p_limit, r_limit, hist_p.size))
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +239,14 @@ def delta_q(p_limit: float, r_limit: float, q: int) -> DiscrepancyReport:
 
 
 def s_q_sum(h: int, p_limit: float, q: int) -> complex:
-    """S_q(h, P) = sum over residue primes p <= P of sum_{x^2 = p} e_q(h x) = T[h^2 p]."""
+    """S_q(h, P) = sum over residue primes p <= P of sum_{x^2 = p} e_q(h x) = sum_s hist[s] T[h^2 s].
+
+    T vanishes at non-residues and hist[0] = 0, so the residue histogram of the primes is all it reads.
+    """
     if h % q == 0:
         raise ValueError("need gcd(h, q) = 1")
-    primes = sieve_primes(int(p_limit))
-    if primes.size == 0:
-        return 0.0 + 0.0j
-    leg = legendre_table(q)
-    residues = primes[leg[primes % q] == 1] % q
-    return complex(np.sum(sqrt_phase_table(q)[h * h % q * residues % q]))
+    (hist,) = residue_counts(p_limit, (q,))
+    return complex(np.dot(hist, sqrt_phase_table(q)[h * h % q * np.arange(q) % q]))
 
 
 def _lambda_terms(h: int, n: int, q: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -310,12 +317,12 @@ def eos_coverage(q: int, p_limit: float, r_limit: float, s_limit: int) -> Covera
     """
     if q > 5000:
         raise SizeGuardError("coverage scan restricted to q <= 5000")
-    rs = np.flatnonzero(_residue_counts(r_limit, q))
+    hists = {limit: residue_counts(limit, (q,))[0] for limit in {int(p_limit), int(r_limit)}}
+    rs = np.flatnonzero(hists[int(r_limit)])
     marked = np.zeros(q, dtype=bool)
-    for p in np.flatnonzero(_residue_counts(p_limit, q)):
+    for p in np.flatnonzero(hists[int(p_limit)]):
         marked[int(p) * rs % q] = True
     squares = np.unique(np.arange(1, min(int(s_limit), q) + 1, dtype=np.int64) ** 2 % q)
-    squares = squares[squares != 0]
     covered = np.zeros(q, dtype=bool)
     base = np.nonzero(marked)[0]
     for t in squares:
@@ -324,13 +331,7 @@ def eos_coverage(q: int, p_limit: float, r_limit: float, s_limit: int) -> Covera
     hit = int(np.count_nonzero(covered))
     missing = tuple(int(v) for v in np.nonzero(~covered)[0][1:])
     threshold = (p_limit * r_limit) ** (3.0 / 16.0) * s_limit / q ** (9.0 / 8.0)
-    return CoverageReport(
-        q=q,
-        covered=hit,
-        fraction=hit / (q - 1),
-        missing=missing,
-        threshold_ratio=threshold,
-    )
+    return CoverageReport(q, hit, hit / (q - 1), missing, threshold)
 
 
 def gamma_sweep(
@@ -342,8 +343,9 @@ def gamma_sweep(
     for q in q_values:
         for expo in exponents:
             p_limit = int(round(q**expo))
-            report = gamma_q(p_limit, q)
-            trivial = 2.0 * len(sieve_primes(p_limit))
+            (hist,) = residue_counts(p_limit, (q,))
+            report = gamma_q(hist, p_limit)
+            trivial = 2.0 * (int(hist.sum()) + (q <= p_limit))  # 2 pi(P)
             rows.append(
                 {
                     "q": q,
@@ -368,7 +370,8 @@ def product_discrepancy_sweep(
     for q in q_values:
         for expo in exponents:
             limit = int(round(q**expo))
-            report = delta_q(limit, limit, q)
+            (hist,) = residue_counts(limit, (q,))
+            report = delta_q(hist, hist, limit, limit)
             rows.append(
                 {
                     "q": q,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rootsums import equidist
 from rootsums.bilinear import BilinearInstance, bilinear_weyl_sum, weyl_envelopes
 from rootsums.expsums import exp_table
 from rootsums.primes import sieve_primes
@@ -68,3 +69,17 @@ def odd_primes_1000():
 @pytest.fixture
 def rng():
     return np.random.default_rng(2026)
+
+
+@pytest.fixture
+def prime_walks(monkeypatch):
+    """The cutoffs that ``equidist`` walks the primes to, one entry per walk, in call order."""
+    walks = []
+    walk = equidist.iter_prime_blocks
+
+    def spy(limit):
+        walks.append(limit)
+        return walk(limit)
+
+    monkeypatch.setattr(equidist, "iter_prime_blocks", spy)
+    return walks

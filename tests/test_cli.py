@@ -307,17 +307,86 @@ class TestOthers:
     def test_discrepancy_reads_many_prime_pairs(self, tmp_path):
         """pi(100) * pi(3 * 10^6) = 25 * 216816 prime pairs are counted, not listed: the row is delta_q's."""
         from rootsums.cli import _fmt
-        from rootsums.equidist import delta_q
+        from rootsums.equidist import delta_q, residue_counts
 
         out = tmp_path / "disc.csv"
         assert run(["discrepancy", "--qset", "101", "--P", "100", "--R", "3000000", "--out", str(out)]) == 0
         with out.open() as fh:
             row = list(csv.DictReader(fh))[-1]
-        report = delta_q(100, 3000000, 101)
+        report = delta_q(*residue_counts(100, (101,)), *residue_counts(3000000, (101,)), 100, 3000000)
         assert row["R"] == "3000000" and row["n_points"] == str(report.n_points)
         assert [row["D"], row["envelope"], row["ratio"]] == [
             _fmt(report.value), _fmt(report.envelope), _fmt(report.ratio)
         ]
+
+    # sha256 of the --out bytes, computed before the discrepancy command read residue histograms
+    DISCREPANCY_DIGESTS = {
+        "gamma-and-delta": (
+            ["discrepancy", "--qset", "101,211", "--R", "500"],
+            "4ea83cf17f2096e5a54eddf1e5f8cfd5026a894de2bdeaa6ec2f3aa1fc68592d",
+        ),
+        "fixed-cutoffs": (
+            ["discrepancy", "--qset", "101", "--P", "2000", "--R", "2000"],
+            "ccd9dc1538f231c6623f064c230d4c4663623eabe354249bd2226f1a440f95f1",
+        ),
+        "coverage": (
+            ["discrepancy", "coverage", "--qset", "101"],
+            "c5cd6cae2c1147331e26d204fde4dd77ec43d06c2a479240dcf93290e59e285e",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(DISCREPANCY_DIGESTS))
+    def test_discrepancy_bytes_are_pinned(self, name, tmp_path):
+        argv, digest = self.DISCREPANCY_DIGESTS[name]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv,walks",
+        [
+            (["discrepancy", "--qset", "101,211", "--P", "1000000", "--R", "1000000"], [10**6]),
+            (["discrepancy", "--qset", "101,211", "--P", "1000000", "--R", "2000000"], [10**6, 2 * 10**6]),
+            (["discrepancy", "--qset", "101,211", "--R", "500"], [25, 51, 101, 500, 42, 95, 211]),
+            (["discrepancy", "coverage", "--qset", "101"], [101]),
+        ],
+        ids=["P=R", "P<R", "exponents", "coverage"],
+    )
+    def test_discrepancy_walks_each_cutoff_once(self, argv, walks, prime_walks, tmp_path):
+        """One walk of the primes per distinct cutoff, shared by every modulus that reads it."""
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert prime_walks == walks
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["discrepancy", "--P", "-5"], ["discrepancy", "--R", "-3"],
+         ["discrepancy", "coverage", "--qset", "101", "--S", "-2"],
+         ["discrepancy", "--p-exponents", "0.7,-1"]],
+        ids=["P", "R", "S", "p-exponents"],
+    )
+    def test_discrepancy_refuses_negative_cutoffs(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        flag = argv[-2]
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_discrepancy_summary_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "disc.csv"
+        assert run(["discrepancy", "--qset", "101,211", "--R", "500", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        worst = max(rows, key=lambda r: float(r["ratio"]))  # a tie goes to the first row
+        assert captured.err.splitlines() == [
+            f"rows=12 max_ratio={float(worst['ratio']):.6g} worst={worst['q']},{worst['P']},{worst['R']}"
+        ]
+        assert "max_ratio" not in captured.out
+        # without --out, stdout is the CSV alone
+        assert run(["discrepancy", "--qset", "101,211", "--R", "500"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.replace("\r\n", "\n") == out.read_text().replace("\r\n", "\n")
+        assert captured.err.startswith("rows=12 ")
 
     def test_coverage_action(self, tmp_path):
         out = tmp_path / "cov.json"

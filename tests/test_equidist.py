@@ -1,5 +1,7 @@
 """Exact discrepancy, Erdos-Turan, root sequences and coverage."""
 
+import ast
+import inspect
 import math
 import os
 import subprocess
@@ -29,10 +31,13 @@ from rootsums.equidist import (
     prime_sum_from_weighted,
     product_discrepancy_envelope,
     product_root_counts,
+    residue_counts,
     root_discrepancy_envelope,
     s_q_sum,
 )
+from rootsums import primes
 from rootsums.errors import SizeGuardError
+from rootsums.expsums import sqrt_phase_table
 from rootsums.modular import legendre_table, residue_roots
 from rootsums.primes import sieve_primes
 from rootsums.weights import slack_factor
@@ -182,6 +187,59 @@ class TestGridExponentialSums:
         assert grid_exponential_sums([0, 0, 3], 4) == pytest.approx([3.0] * 4)
 
 
+class TestResidueCounts:
+    @pytest.mark.parametrize("limit", [-3, 0, 1, 2, 3, 200, 5000])
+    def test_one_histogram_per_modulus(self, limit, monkeypatch):
+        """Every modulus's histogram equals a count over the whole sieve, from blocks of 64
+        integers, and each gives pi(limit) = h.sum() + (q <= limit)."""
+        monkeypatch.setattr(primes, "_BLOCK", 64)
+        moduli = (3, 5, 101, 211, 7919)
+        ps = sieve_primes(limit)
+        hists = residue_counts(limit, moduli)
+        assert len(hists) == len(moduli)
+        for q, hist in zip(moduli, hists):
+            expected = np.bincount(ps % q, minlength=q)
+            expected[0] = 0
+            assert hist.dtype == np.int64 and hist.tolist() == expected.tolist()
+            assert int(hist.sum()) + (q <= limit) == ps.size
+
+    def test_each_cutoff_is_walked_once(self, prime_walks):
+        residue_counts(10**4, (3, 101, 211))
+        assert prime_walks == [10**4]
+
+    def test_sweeps_walk_once_per_cell(self, prime_walks):
+        """gamma_sweep and product_discrepancy_sweep walk each (q, exponent) cutoff once."""
+        from rootsums.equidist import gamma_sweep, product_discrepancy_sweep
+
+        rows = product_discrepancy_sweep()
+        assert prime_walks == [r["P"] for r in rows] and len(rows) == 6
+        prime_walks.clear()
+        rows = gamma_sweep(q_values=(503, 1009), exponents=(0.7, 1.0))
+        assert prime_walks == [r["P"] for r in rows] and len(rows) == 4
+
+    @pytest.mark.parametrize("p_limit,r_limit,walks", [(101, 101, 1), (50, 80, 2)])
+    def test_coverage_walks_each_distinct_cutoff_once(self, p_limit, r_limit, walks, prime_walks):
+        eos_coverage(101, p_limit, r_limit, 10)
+        assert sorted(prime_walks) == sorted({p_limit, r_limit}) and len(prime_walks) == walks
+
+    def test_gamma_sweep_trivial_bound_is_two_pi(self):
+        from rootsums.equidist import gamma_sweep
+
+        for row in gamma_sweep(q_values=(23, 101), exponents=(0.5, 1.0, 1.5)):
+            assert row["trivial_bound"] == 2.0 * sieve_primes(row["P"]).size
+
+    def test_only_the_lambda_terms_sieve_whole(self):
+        """Every other prime cutoff in equidist goes through residue_counts' block walk."""
+        tree = ast.parse(inspect.getsource(equidist))
+        callers = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, ast.Name) and n.id == "sieve_primes" for n in ast.walk(node))
+        }
+        assert callers == {"_lambda_terms"}
+
+
 class TestRootSequences:
     @pytest.mark.parametrize("q", [5, 23, 1009, 2003])
     def test_points_are_the_sorted_roots(self, q):
@@ -206,7 +264,8 @@ class TestRootSequences:
     def test_product_multiset_size(self):
         q = 23
         p_limit = r_limit = 13
-        counts = product_root_counts(p_limit, r_limit, q)
+        (hist,) = residue_counts(p_limit, (q,))
+        counts = product_root_counts(hist, hist)
         leg = legendre_table(q)
         ps = sieve_primes(p_limit)
         count = sum(
@@ -232,7 +291,7 @@ class TestRootSequences:
                     if p * r % q and x * x % q == p * r % q:
                         product_expected[x] += 1
         assert prime_root_points(40, q).tolist() == prime_expected
-        counts = product_root_counts(40, 30, q)
+        counts = product_root_counts(*residue_counts(40, (q,)), *residue_counts(30, (q,)))
         assert counts.dtype == np.int64 and counts.tolist() == product_expected
 
     @staticmethod
@@ -244,7 +303,7 @@ class TestRootSequences:
         growth = 3 * k * (math.log1p(e) + math.log1p(b)) + (3 * k + 1) * math.log1p(e * math.sqrt(5))
         return norm_a * norm_b * math.expm1(growth)
 
-    def test_fft_rounding_guard_on_both_sides(self, monkeypatch):
+    def test_fft_rounding_guard_on_both_sides(self):
         """Uniform histograms v on the q - 1 nonzero residues: every product residue,
         and so every nonzero root, counts (q - 1) v^2 while the bound is under 1/2."""
         q = 101
@@ -252,12 +311,11 @@ class TestRootSequences:
         for v, refused in ((int(edge), False), (int(edge) + 1, True)):
             hist = np.full(q, v, dtype=np.int64)
             hist[0] = 0
-            monkeypatch.setattr(equidist, "_residue_counts", lambda limit, q, hist=hist: hist)
             if refused:
                 with pytest.raises(SizeGuardError, match="FFT rounding bound"):
-                    product_root_counts(10, 10, q)
+                    product_root_counts(hist, hist)
             else:
-                counts = product_root_counts(10, 10, q)
+                counts = product_root_counts(hist, hist)
                 assert counts[0] == 0 and np.all(counts[1:] == (q - 1) * v * v)
 
     def test_numpy_fft_meets_the_stated_root_error(self):
@@ -280,9 +338,10 @@ class TestRootSequences:
         (ru_maxrss, in a fresh interpreter) grows by under 32 MiB over the import."""
         code = (
             "import resource\n"
-            "from rootsums.equidist import delta_q\n"
+            "from rootsums.equidist import delta_q, residue_counts\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "report = delta_q(10**5, 10**5, 1009)\n"
+            "(hist,) = residue_counts(10**5, (1009,))\n"
+            "report = delta_q(hist, hist, 10**5, 10**5)\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "print(report.n_points, (after - before) // 1024)\n"
         )
@@ -296,14 +355,15 @@ class TestRootSequences:
         assert 0.0 not in pts
 
     def test_gamma_report(self):
-        report = gamma_q(1009, 1009)
+        report = gamma_q(*residue_counts(1009, (1009,)), 1009)
         assert report.envelope == root_discrepancy_envelope(1009, 1009)
         poly = 1009 ** (61 / 1760) * 1009 ** (61 / 66) + 1009 ** (13 / 110) * 1009 ** (9 / 11)
         assert report.envelope / slack_factor(1009) == pytest.approx(poly)
         assert 0 <= report.ratio < 1
 
     def test_delta_trivial_ceiling(self):
-        report = delta_q(20, 20, 101)
+        (hist,) = residue_counts(20, (101,))
+        report = delta_q(hist, hist, 20, 20)
         assert report.value <= report.n_points
         assert report.envelope == product_discrepancy_envelope(20, 20, 101)
         poly = 101**0.125 * 400 ** (19 / 24) * (20 ** (7 / 48) / 101 ** (1 / 16) + 1) ** 2
@@ -320,7 +380,42 @@ class TestRootSequences:
             assert 0 <= r["ratio"] < 1
 
 
+def s_q_sum_oracle(h: int, p_limit: float, q: int) -> tuple[complex, int]:
+    """The whole-sieve S_q(h, P): T[h^2 p] summed over the list of residue primes p <= P, and
+    the number of terms."""
+    ps = sieve_primes(int(p_limit))
+    residues = ps[legendre_table(q)[ps % q] == 1] % q
+    return complex(np.sum(sqrt_phase_table(q)[h * h % q * residues % q])), residues.size
+
+
 class TestPrimeSums:
+    @pytest.mark.parametrize(
+        "q,p_limit", [(23, 5), (23, 1.5), (23, 500), (101, 2000), (211, 1500), (101, 10**6)]
+    )
+    def test_histogram_sum_matches_the_whole_sieve(self, q, p_limit):
+        """Both sums add n values of modulus <= 2 (the oracle as a list of n, the histogram
+        through a dot of q products), so each part of each is off by at most gamma_k * 2n,
+        gamma_k = k u / (1 - k u), u = 2^-53, k <= n and k <= q, and the two differ by at
+        most 2 sqrt 2 n (gamma_n + gamma_q) <= 3 n (n + q) 2^-53."""
+        for h in (1, 2, 5):
+            oracle, n = s_q_sum_oracle(h, p_limit, q)
+            assert abs(s_q_sum(h, p_limit, q) - oracle) <= 3 * n * (n + q) * 2.0**-53
+
+    def test_in_bounded_memory(self):
+        """s_q_sum at P = 10^7 walks the primes block by block: its peak RSS (ru_maxrss, in a
+        fresh interpreter) grows by under 8 MiB over the import."""
+        code = (
+            "import resource\n"
+            "from rootsums.equidist import s_q_sum\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "value = s_q_sum(1, 10**7, 101)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) // 1024)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(equidist.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 8
+
     def test_small_value(self):
         expected = 2 * math.cos(10 * math.pi / 23) + 2 * math.cos(14 * math.pi / 23)
         assert s_q_sum(1, 5, 23) == pytest.approx(expected, abs=1e-12)

@@ -26,7 +26,7 @@ from rootsums.expsums import (
     sqrt_phase_buffer,
     sqrt_phase_table,
 )
-from rootsums.modular import eps_q, inverse_table, kronecker, legendre_table
+from rootsums.modular import eps_q, inverse_table, kronecker, legendre_table, root_table
 from rootsums.primes import sieve_primes
 
 PRIMES = [int(q) for q in sieve_primes(200) if q >= 5]
@@ -111,6 +111,76 @@ class TestSalie:
     def test_all_pairs_guard(self):
         with pytest.raises(SizeGuardError):
             salie_all(4099)
+
+
+class TestIdentitiesInZZeta:
+    """The Salie and Gauss identities checked exactly, as integer vectors in Z[zeta_q].
+
+    sum_k c_k zeta^k has the coefficient vector c, and 1 + zeta + ... + zeta^(q-1) = 0 is the
+    only relation between the powers of zeta, so two vectors name the same element exactly
+    when their difference is a multiple of (1, ..., 1).  The Gauss sum
+    eps_q sqrt(q) = sum_t (t/q) zeta^t, so zeta^s eps_q sqrt(q) has the vector k -> ((k - s)/q).
+    """
+
+    MODULI = [int(q) for q in sieve_primes(99) if q > 2]
+
+    @staticmethod
+    def salie_vectors(q: int) -> tuple[np.ndarray, np.ndarray]:
+        """(direct, closed) integer vectors, indexed [m - 1, n - 1, k], for all m, n in [1, q).
+
+        direct: c_k = sum over x != 0 with m x + n xbar = k of (x/q).
+        closed: d_k = (n/q) sum over y^2 = mn of ((k - 2y)/q), the vector of the closed form
+        (n/q) eps_q sqrt(q) sum_y zeta^(2y); the roots are y and q - y, or none.
+        """
+        chi = legendre_table(q).astype(np.int64)
+        units = np.arange(1, q)
+        m, n = units[:, None, None], units[None, :, None]
+        k = (m * units + n * inverse_table(q)[units]) % q  # x runs along the last axis
+        cells = ((m - 1) * (q - 1) + n - 1) * q + k
+        signs = np.broadcast_to(chi[units], k.shape)
+        size = (q - 1) ** 2 * q
+        direct = np.bincount(cells[signs == 1], minlength=size) - np.bincount(cells[signs == -1], minlength=size)
+        y = root_table(q)[m * n % q]  # shape (q - 1, q - 1, 1); -1 where mn is a non-residue
+        t = np.arange(q)
+        closed = chi[n] * (chi[(t - 2 * y) % q] + chi[(t + 2 * y) % q]) * (y >= 0)
+        return direct.reshape(q - 1, q - 1, q), closed
+
+    @staticmethod
+    def gauss_vectors(q: int) -> tuple[np.ndarray, np.ndarray]:
+        """(direct, closed) integer vectors, indexed [a - 1, b, k], for a in [1, q), b in [0, q).
+
+        direct: c_k = #{x : a x^2 + b x = k}.
+        closed: d_k = (a/q) ((k - s)/q), s = -(4a)^-1 b^2, the vector of the closed form
+        (a/q) eps_q sqrt(q) zeta^s.
+        """
+        chi = legendre_table(q).astype(np.int64)
+        x = np.arange(q)
+        a, b = np.arange(1, q)[:, None, None], x[None, :, None]
+        cells = ((a - 1) * q + b) * q + (a * x * x + b * x) % q
+        direct = np.bincount(cells.ravel(), minlength=(q - 1) * q * q).reshape(q - 1, q, q)
+        s = -inverse_table(q)[4 * a % q] * b * b % q
+        return direct, chi[a] * chi[(x - s) % q]
+
+    @staticmethod
+    def mismatches(direct: np.ndarray, closed: np.ndarray) -> np.ndarray:
+        """The (row, column) pairs whose difference is not a multiple of (1, ..., 1)."""
+        diff = direct - closed
+        return np.argwhere(np.any(diff != diff[..., :1], axis=-1))
+
+    @pytest.mark.parametrize("family", ["salie", "gauss"])
+    def test_identity_holds_exactly_below_100(self, family):
+        vectors = self.salie_vectors if family == "salie" else self.gauss_vectors
+        for q in self.MODULI:
+            bad = self.mismatches(*vectors(q))
+            assert bad.size == 0, (q, bad[:3].tolist())
+
+    @pytest.mark.parametrize("q", [3, 23, 97])
+    def test_vectors_evaluate_to_the_sums(self, q):
+        """Read at zeta = e_q(1), the vectors are the direct and closed sums of the sweeps."""
+        zeta = exp_table(q)
+        for vectors, rows in ((self.salie_vectors, salie_rows), (self.gauss_vectors, gauss_rows)):
+            for vector, value in zip(vectors(q), rows(q, np.arange(1, q))):
+                assert np.max(np.abs(vector.astype(np.float64) @ zeta - value)) <= 1e-9
 
 
 class TestPhaseTable:
