@@ -7,11 +7,11 @@ extraction.  The kernel depends on (m, n) only through amn, and the twist
 folds into the row multiplier, since T_h(amn) = T(h^2 amn) for the one
 root-phase table T of the modulus; so the M x N kernel is read from the
 cached buffer of T, ``read_products(sqrt_phase_buffer(q), a h^2 m, n)``.
-``weyl_group_sums`` evaluates a group of cells sharing (q, M, N): small
-kernels are read several at once, with one read of the stacked row
-multipliers, and each is contracted on its own slice by the zgemv a lone
-kernel gets, so W keeps its bits; a kernel above 4 MiB is read and contracted
-in column blocks, never held whole.  A cell costs O(M*N) time.
+``weyl_group_sums`` evaluates a group of cells sharing (q, M, N) in one loop
+over chunks of cells and blocks of columns: small kernels are read several
+at once, with one read of the stacked row multipliers, a kernel above 4 MiB
+alone in column blocks, never held whole; each cell is contracted by the
+zgemv a lone kernel gets, so W keeps its bits.  A cell costs O(M*N) time.
 ``bilinear_weyl_sum`` is the one-cell case, and ``weyl_sweep`` runs the
 seeded grid one group at a time: seed states, weight stacks and their norms
 for the whole group, then one group read.
@@ -80,14 +80,16 @@ class BilinearInstance:
         return self.beta.start
 
 
-def _column_width(rows: int, cols: int) -> int:
-    """Columns per block of a rows x cols kernel: all of them, unless cols is a
-    power of two and the kernel exceeds _KERNEL_BLOCK_BYTES; then the largest
-    power of two >= 4 whose block fits (or 4)."""
-    if 16 * rows * cols <= _KERNEL_BLOCK_BYTES or cols & (cols - 1):
-        return cols
-    fit = _KERNEL_BLOCK_BYTES // (16 * rows)
-    return min(cols, max(4, 1 << (fit.bit_length() - 1)))
+def _read_shape(rows: int, cols: int) -> tuple[int, int]:
+    """(cells, columns) per read of rows x cols kernels.  A kernel of at most
+    _KERNEL_BLOCK_BYTES is read whole, as many at a time as fit in that many
+    bytes.  A larger one is read alone: whole if cols is no power of two, else
+    in the largest power-of-two width >= 4 whose block fits (or 4)."""
+    width = cols
+    if 16 * rows * cols > _KERNEL_BLOCK_BYTES and not cols & (cols - 1):
+        fit = _KERNEL_BLOCK_BYTES // (16 * rows)
+        width = min(cols, max(4, 1 << (fit.bit_length() - 1)))
+    return max(1, _KERNEL_BLOCK_BYTES // (16 * rows * width)), width
 
 
 def bilinear_weyl_sum(inst: BilinearInstance) -> complex:
@@ -104,46 +106,35 @@ def weyl_group_sums(
     c[i] = a h^2 and the weights alpha[i] (on [M, 2M)) and beta[i] (on [N, 2N)).
 
     Each W is (alpha[i] @ K_i) @ beta[i] for the M x N kernel K_i, O(M*N) time.
-    Kernels of at most _KERNEL_BLOCK_BYTES are read as many whole at a time as
-    fit in that many bytes, with one ``read_products`` whose rows are the
-    group's stacked row multipliers, into one workspace; each cell is then
-    contracted on its own contiguous M x N slice by the same zgemv and dot as a
-    kernel read alone, so W is bit for bit the one-cell W.  (A batched matmul
-    or einsum would take another BLAS path and other bits.)
-
-    A larger kernel is read in blocks of ``width`` columns into one workspace,
-    and each block is contracted with alpha as it is read, so no M x N grid is
-    held.  Only columns are split, never the sum over m, and the widths are
-    powers of two >= 4 dividing N, a power of two: then every entry of
-    alpha @ K is the same float as the unblocked product (OpenBLAS's zgemv sums
-    each column alike for those widths, but not for widths 1 or 2, nor for other
-    N, which stay one block).  W is therefore bit for bit the unblocked W, and
-    the final dot with beta runs once over the whole vector.
+    One loop reads chunks of cells and, in each chunk, blocks of columns, in
+    the shape of ``_read_shape``: one ``read_products`` per block, whose rows
+    are the chunk's stacked row multipliers, into one workspace.  Each cell's
+    slice is contracted with alpha[i] by the zgemv a lone kernel gets (a batched
+    matmul or einsum would take another BLAS path and other bits), and after
+    the chunk's last block the dot with beta[i] runs once.  A kernel above
+    _KERNEL_BLOCK_BYTES is never held whole: it is read alone, in column blocks
+    whose widths are powers of two >= 4 dividing N, a power of two.  Every
+    entry of alpha @ K is then the same float as the unblocked product
+    (OpenBLAS's zgemv sums each column alike for those widths, but not for
+    widths 1 or 2, nor for other N, which stay one block), so W is bit for bit
+    the one-cell, one-block W.
     """
-    m = np.arange(m_start, 2 * m_start, dtype=np.int64)
+    m = np.arange(m_start, 2 * m_start, dtype=np.int64) % q
     n = np.arange(n_start, 2 * n_start, dtype=np.int64)
     buf = sqrt_phase_buffer(q)
     c = np.asarray(c, dtype=np.int64)
     sums = np.empty(len(c), dtype=np.complex128)
-    width = _column_width(m_start, n_start)
-    if width < n_start:
-        block = np.empty((m_start, width), dtype=np.complex128)
-        v = np.empty(n_start, dtype=np.complex128)
-        for i in range(len(c)):
-            rows = c[i] * (m % q)
-            for start in range(0, n_start, width):
-                read_products(buf, rows, n[start : start + width], out=block)
-                np.matmul(alpha[i], block, out=v[start : start + width])
-            sums[i] = v @ beta[i]
-        return sums
-    per_read = max(1, _KERNEL_BLOCK_BYTES // (16 * m_start * n_start))
-    work = np.empty((min(per_read, len(c)) * m_start, n_start), dtype=np.complex128)
-    for first in range(0, len(c), per_read):
-        rows = np.multiply.outer(c[first : first + per_read], m % q)
-        kernels = read_products(buf, rows.ravel(), n, out=work[: rows.size])
-        kernels = kernels.reshape(len(rows), m_start, n_start)
-        for i, kernel in enumerate(kernels, first):
-            sums[i] = alpha[i] @ kernel @ beta[i]
+    cells, width = _read_shape(m_start, n_start)
+    work = np.empty((min(cells, len(c)) * m_start, width), dtype=np.complex128)
+    for first in range(0, len(c), cells):
+        rows = np.multiply.outer(c[first : first + cells], m).ravel()
+        v = np.empty((rows.size // m_start, n_start), dtype=np.complex128)
+        for start in range(0, n_start, width):
+            kernels = read_products(buf, rows, n[start : start + width], out=work[: rows.size])
+            for i, kernel in enumerate(kernels.reshape(len(v), m_start, width)):
+                np.matmul(alpha[first + i], kernel, out=v[i, start : start + width])
+        for i, row in enumerate(v, first):
+            sums[i] = row @ beta[i]
     return sums
 
 
@@ -461,6 +452,8 @@ def weyl_sweep(
     selected cells are computed; each cell's seed stream depends on the cell
     alone, so its rows are those of the full sweep.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be positive, not {instances}")
     rows = []
     for q in q_values:
         starts = dyadic_starts(q)

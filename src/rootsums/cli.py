@@ -82,10 +82,15 @@ def _qset(text: str) -> tuple[int, ...]:
     return qs
 
 
-def _cutoff(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"cutoff {text} is negative")
-    return int(text)
+def _int_from(low: int):
+    """The argparse type of an int >= low: 0 for cutoffs and seeds, 1 for counts."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is less than {low}")
+        return int(text)
+
+    parse.__name__ = "int"  # so that a non-integer reads "invalid int value"
+    return parse
 
 
 def _exponents(text: str) -> tuple[float, ...]:
@@ -302,7 +307,9 @@ def cmd_discrepancy(args) -> int:
         report["missing_count"] = len(report.pop("missing"))
         _write_json(report, args.out)
         return 0
-    cutoffs = {q: [args.P] if args.P else [int(round(q**e)) for e in args.p_exponents] for q in args.qset}
+    # exponents that round to one cutoff give one row (a row names no exponent)
+    cutoffs = {q: [args.P] if args.P else list(dict.fromkeys(int(round(q**e)) for e in args.p_exponents))
+               for q in args.qset}
     readers: dict[int, list[int]] = {}  # cutoff -> the moduli whose histograms one walk of it fills
     for q, limits in cutoffs.items():
         for limit in sorted({*limits, args.R} - {0}):  # R = 0: no product rows
@@ -356,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, seed=True):
         p.add_argument("--out", help="output file (CSV for sweeps, JSON for single queries)")
         if seed:
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--seed", type=_int_from(0), default=42)
 
     p = sub.add_parser("sums", help="Gauss/Salie identity deviations per modulus")
     p.add_argument("--qmin", type=int, default=3)
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", nargs="?", default="sweep", choices=["sweep"])
     p.add_argument("--qset", type=_qset, default="101,211,499")
     p.add_argument("--weights", type=_weight_classes, default="indicator,pm1,phase")
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=_int_from(1), default=20)
     p.add_argument("--M", type=int, help="restrict to one dyadic M")
     p.add_argument("--N", type=int, help="restrict to one dyadic N")
     add_common(p)
@@ -407,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", nargs="?", default="gamma", choices=["gamma", "coverage"])
     p.add_argument("--qset", type=_qset, default="503,1009")
     p.add_argument("--p-exponents", default="0.7,0.85,1.0", type=_exponents, dest="p_exponents")
-    p.add_argument("--P", type=_cutoff, default=0, help="fixed prime cutoff (overrides exponents)")
-    p.add_argument("--R", type=_cutoff, default=0)
-    p.add_argument("--S", type=_cutoff, default=0, help="square cutoff for the coverage action")
+    p.add_argument("--P", type=_int_from(0), default=0, help="fixed prime cutoff (overrides exponents)")
+    p.add_argument("--R", type=_int_from(0), default=0)
+    p.add_argument("--S", type=_int_from(0), default=0, help="square cutoff for the coverage action")
     add_common(p, seed=False)
     p.set_defaults(func=cmd_discrepancy)
 
@@ -427,6 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "discrepancy" and args.action == "coverage" and len(args.qset) != 1:
         parser.error("discrepancy coverage takes one modulus in --qset")
+    if args.command == "lattice" and args.qmax < 11:
+        parser.error(f"lattice draws primes from [11, --qmax], and --qmax {args.qmax} < 11")
     if args.command == "bilinear":
         for flag, start in (("--M", args.M), ("--N", args.N)):
             if start is not None and not any(start in dyadic_starts(q) for q in args.qset):

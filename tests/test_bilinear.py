@@ -13,7 +13,7 @@ from rootsums import calibration
 from rootsums.bilinear import (
     _KERNEL_BLOCK_BYTES,
     BilinearInstance,
-    _column_width,
+    _read_shape,
     a_sum,
     a_sum_all,
     balanced_curve_parameters,
@@ -31,6 +31,7 @@ from rootsums.bilinear import (
     variety_count,
     variety_multiplicity,
     weyl_envelopes,
+    weyl_group_sums,
     weyl_sweep,
 )
 from rootsums import bilinear
@@ -129,7 +130,7 @@ class TestWeylSum:
         ]
         if q == 4001:
             cells += [(1000, 1024), (1000, 1000)]
-            blocks = [n_start // _column_width(m_start, n_start) for m_start, n_start in cells]
+            blocks = [n_start // _read_shape(m_start, n_start)[1] for m_start, n_start in cells]
             assert (blocks[0], blocks[-2], blocks[-1]) == (4, 4, 1)
         leg = legendre_table(q)
         for k, (m_start, n_start) in enumerate(cells):
@@ -166,6 +167,35 @@ class TestWeylSum:
             tracemalloc.stop()
         assert peak < 2 * _KERNEL_BLOCK_BYTES
 
+    def test_large_group_holds_no_kernel(self, rng):
+        """A group of 8 cells at q = 8009, M = N = 2048 (512 MiB of kernels) peaks under two
+        blocks, and each W is its cell's W computed alone, ==."""
+        q, start = 8009, 2048
+        cells = [
+            BilinearInstance(
+                q, int(rng.integers(1, q)), int(rng.integers(1, q)),
+                WeightVector.random_phase(q, start, rng), WeightVector.random_phase(q, start, rng),
+            )
+            for _ in range(8)
+        ]
+        c = [inst.a * inst.h % q * inst.h % q for inst in cells]
+        alpha = np.stack([inst.alpha.coeffs for inst in cells])
+        beta = np.stack([inst.beta.coeffs for inst in cells])
+        expected = [bilinear_weyl_sum(inst) for inst in cells]
+        tracemalloc.start()
+        try:
+            sums = weyl_group_sums(q, c, start, start, alpha, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _KERNEL_BLOCK_BYTES
+        assert sums.tolist() == expected
+
+    @pytest.mark.parametrize("instances", [0, -2])
+    def test_sweep_needs_a_positive_instance_count(self, instances):
+        with pytest.raises(ValueError, match="instances"):
+            weyl_sweep(q_values=(101,), instances=instances)
+
 
     def test_cells_read_the_cached_phase_buffer(self, rng):
         """Every kernel read (a one-block and a streamed Weyl cell, R_j, a curve row) takes
@@ -179,7 +209,7 @@ class TestWeylSum:
         streamed = BilinearInstance(
             q, 3, 5, WeightVector.random_phase(q, 1024, rng), WeightVector.random_pm1(q, 1024, rng)
         )
-        assert _column_width(1024, 1024) < 1024
+        assert _read_shape(1024, 1024)[1] < 1024
         before = sqrt_phase_buffer.cache_info()
         bilinear_weyl_sum(one_block)
         bilinear_weyl_sum(streamed)

@@ -371,6 +371,18 @@ class TestOthers:
         flag = argv[-2]
         assert f"argument {flag}: " in capsys.readouterr().err
 
+    def test_discrepancy_writes_each_cutoff_once(self, tmp_path, capsys):
+        """At q = 3 the exponents 0.85 and 1.0 both round to P = 3, which gives one row;
+        the cutoffs keep their first-seen order."""
+        out = tmp_path / "disc.csv"
+        assert run(["discrepancy", "--qset", "3", "--out", str(out)]) == 0
+        with out.open() as fh:
+            assert [r["P"] for r in csv.DictReader(fh)] == ["2", "3"]
+        assert capsys.readouterr().err.startswith("rows=2 ")
+        assert run(["discrepancy", "--qset", "101", "--p-exponents", "1.0,0.5,1.0", "--out", str(out)]) == 0
+        with out.open() as fh:
+            assert [r["P"] for r in csv.DictReader(fh)] == ["101", "10"]
+
     def test_discrepancy_summary_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "disc.csv"
         assert run(["discrepancy", "--qset", "101,211", "--R", "500", "--out", str(out)]) == 0
@@ -474,6 +486,33 @@ class TestOthers:
             run(argv)
         assert exc.value.code == 2
         assert "is repeated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_instances_must_be_positive(self, instances, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bilinear", "sweep", "--qset", "101", "--instances", instances])
+        assert exc.value.code == 2
+        assert "argument --instances: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bilinear", "sweep", "--qset", "101", "--seed", "-1"], ["lattice", "--seed", "-3"],
+         ["energy", "--seed", "-1"]],
+        ids=["bilinear", "lattice", "energy"],
+    )
+    def test_seed_must_be_non_negative(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "argument --seed: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("qmax", ["10", "2", "-1"])
+    def test_lattice_needs_a_prime_from_11(self, qmax, capsys):
+        """The lattice sweep draws its moduli from the primes in [11, --qmax]."""
+        with pytest.raises(SystemExit) as exc:
+            run(["lattice", "--qmax", qmax])
+        assert exc.value.code == 2
+        assert "--qmax" in capsys.readouterr().err
 
     def test_coverage_needs_one_modulus(self, capsys):
         with pytest.raises(SystemExit) as exc:
