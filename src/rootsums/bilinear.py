@@ -5,16 +5,17 @@ The main object is
 evaluated against a precomputed root-phase table, never by per-term root
 extraction.  The kernel depends on (m, n) only through amn, and the twist
 folds into the row multiplier, since T_h(amn) = T(h^2 amn) for the one
-root-phase table T of the modulus; so the M x N kernel is read from the
-cached buffer of T, ``read_products(sqrt_phase_buffer(q), a h^2 m, n)``.
-``weyl_group_sums`` evaluates a group of cells sharing (q, M, N) in one loop
-over chunks of cells and blocks of columns: small kernels are read several
-at once, with one read of the stacked row multipliers, a kernel above 4 MiB
-alone in column blocks, never held whole; each cell is contracted by the
-zgemv a lone kernel gets, so W keeps its bits.  A cell costs O(M*N) time.
-``bilinear_weyl_sum`` is the one-cell case, and ``weyl_sweep`` runs the
-seeded grid one group at a time: seed states, weight stacks and their norms
-for the whole group, then one group read.
+root-phase table T of the modulus; so the M x N kernel is T read on the
+products c m n, c = a h^2, from the cached buffer of T.  In discrete logs
+every cell of a (q, M, N) group reads the same grid lg m + lg n, shifted by
+lg c: ``weyl_group_sums`` walks blocks of columns, builds that grid once per
+block (``modular.log_grid``), and reads each cell's block with one shifted
+take, contracted by the zgemv a lone kernel gets, so W keeps its bits.  A
+large kernel is streamed in column blocks of 3 MiB with their grid, never
+held whole.  A cell costs O(M*N) time.  ``bilinear_weyl_sum`` is the
+one-cell case, and ``weyl_sweep`` runs the seeded grid one group at a time:
+seed states, weight stacks and their norms for the whole group, then one
+group read.
 
 Around W sit the pieces the bound analysis decomposes it into: the
 character-restricted sums R_j, the root correlation sums A_{h,lambda,a},
@@ -31,7 +32,15 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_buffer, sqrt_phase_table
-from .modular import eps_q, inv_mod, legendre_table, read_products, residue_roots
+from .modular import (
+    eps_q,
+    inv_mod,
+    legendre_table,
+    log_grid,
+    log_tables,
+    read_products,
+    residue_roots,
+)
 from .weights import (
     WEIGHT_CLASSES,
     WeightVector,
@@ -44,12 +53,17 @@ from .weights import (
 )
 
 _CURVE_SUM_LIMIT = 2048
-# Bytes of one column block of a Weyl kernel: 128 columns at M = 2048, so the
-# largest cell holds 4 MiB instead of its 64 MiB kernel.  On the large-cell
-# sweep (q = 4001, 8009) 512 KiB blocks ran slower than the unblocked kernel,
-# with more short reads and contractions per cell, and 16 MiB blocks nearly
-# doubled the peak RSS (80 against 44 MiB).
-_KERNEL_BLOCK_BYTES = 1 << 22
+# Bytes of one column block of a Weyl kernel and its log grid, _ENTRY_BYTES per
+# entry (the complex128 entry and its int64 index): 64 columns at M = 2048, so the
+# largest cell holds 2 MiB of kernel and 1 MiB of grid instead of its 64 MiB
+# kernel.  On the large-cell sweep (q = 4001, 8009, one process, ru_maxrss) the
+# peak RSS read 47.2 MiB with blocks twice as wide, 44.3 MiB with these and
+# 42.9 MiB with half as wide, at about the same time (the per-cell read it
+# replaced held a 4 MiB kernel block and read 44.8 MiB).  Blocks of 512 KiB of
+# kernel ran slower than the unblocked kernel, with more short reads and
+# contractions per cell.
+_KERNEL_BLOCK_BYTES = 3 << 20
+_ENTRY_BYTES = 24
 # Bytes of the selected kernel that ``rj_sum`` reads whole: 64 MiB, the whole
 # kernel of a 2048 x 2048 cell, so every cell with M * N <= 2^22 is read.
 _RJ_KERNEL_BYTES = 1 << 26
@@ -80,16 +94,14 @@ class BilinearInstance:
         return self.beta.start
 
 
-def _read_shape(rows: int, cols: int) -> tuple[int, int]:
-    """(cells, columns) per read of rows x cols kernels.  A kernel of at most
-    _KERNEL_BLOCK_BYTES is read whole, as many at a time as fit in that many
-    bytes.  A larger one is read alone: whole if cols is no power of two, else
-    in the largest power-of-two width >= 4 whose block fits (or 4)."""
-    width = cols
-    if 16 * rows * cols > _KERNEL_BLOCK_BYTES and not cols & (cols - 1):
-        fit = _KERNEL_BLOCK_BYTES // (16 * rows)
-        width = min(cols, max(4, 1 << (fit.bit_length() - 1)))
-    return max(1, _KERNEL_BLOCK_BYTES // (16 * rows * width)), width
+def _column_width(rows: int, cols: int) -> int:
+    """Columns per block of a rows x cols kernel and its log grid: all of them if
+    they fit in _KERNEL_BLOCK_BYTES or cols is no power of two, else the largest
+    power-of-two width >= 4 whose block fits (or 4)."""
+    if _ENTRY_BYTES * rows * cols <= _KERNEL_BLOCK_BYTES or cols & (cols - 1):
+        return cols
+    fit = _KERNEL_BLOCK_BYTES // (_ENTRY_BYTES * rows)
+    return min(cols, max(4, 1 << (max(fit, 1).bit_length() - 1)))
 
 
 def bilinear_weyl_sum(inst: BilinearInstance) -> complex:
@@ -106,35 +118,36 @@ def weyl_group_sums(
     c[i] = a h^2 and the weights alpha[i] (on [M, 2M)) and beta[i] (on [N, 2N)).
 
     Each W is (alpha[i] @ K_i) @ beta[i] for the M x N kernel K_i, O(M*N) time.
-    One loop reads chunks of cells and, in each chunk, blocks of columns, in
-    the shape of ``_read_shape``: one ``read_products`` per block, whose rows
-    are the chunk's stacked row multipliers, into one workspace.  Each cell's
-    slice is contracted with alpha[i] by the zgemv a lone kernel gets (a batched
-    matmul or einsum would take another BLAS path and other bits), and after
-    the chunk's last block the dot with beta[i] runs once.  A kernel above
-    _KERNEL_BLOCK_BYTES is never held whole: it is read alone, in column blocks
-    whose widths are powers of two >= 4 dividing N, a power of two.  Every
-    entry of alpha @ K is then the same float as the unblocked product
-    (OpenBLAS's zgemv sums each column alike for those widths, but not for
-    widths 1 or 2, nor for other N, which stay one block), so W is bit for bit
-    the one-cell, one-block W.
+    K_i depends on i only through the log of c[i], so one loop walks blocks of
+    columns, in the width of ``_column_width``, and builds the group's
+    ``log_grid`` of the block once; each cell's block of K_i is then one take
+    of the buffer shifted by lg[c[i]], into one workspace, contracted with
+    alpha[i] by the zgemv a lone kernel gets (a batched matmul or einsum would
+    take another BLAS path and other bits).  After the last block the dot with
+    beta[i] runs once.  A kernel above _KERNEL_BLOCK_BYTES is never held
+    whole: it is read in column blocks whose widths are powers of two >= 4
+    dividing N, a power of two.  Every entry of alpha @ K is then the same
+    float as the unblocked product (OpenBLAS's zgemv sums each column alike
+    for those widths, but not for widths 1 or 2, nor for other N, which stay
+    one block), so W is bit for bit the one-block W.
     """
-    m = np.arange(m_start, 2 * m_start, dtype=np.int64) % q
+    m = np.arange(m_start, 2 * m_start, dtype=np.int64)
     n = np.arange(n_start, 2 * n_start, dtype=np.int64)
     buf = sqrt_phase_buffer(q)
-    c = np.asarray(c, dtype=np.int64)
-    sums = np.empty(len(c), dtype=np.complex128)
-    cells, width = _read_shape(m_start, n_start)
-    work = np.empty((min(cells, len(c)) * m_start, width), dtype=np.complex128)
-    for first in range(0, len(c), cells):
-        rows = np.multiply.outer(c[first : first + cells], m).ravel()
-        v = np.empty((rows.size // m_start, n_start), dtype=np.complex128)
-        for start in range(0, n_start, width):
-            kernels = read_products(buf, rows, n[start : start + width], out=work[: rows.size])
-            for i, kernel in enumerate(kernels.reshape(len(v), m_start, width)):
-                np.matmul(alpha[first + i], kernel, out=v[i, start : start + width])
-        for i, row in enumerate(v, first):
-            sums[i] = row @ beta[i]
+    _, lg = log_tables(q)
+    shifts = lg[np.asarray(c, dtype=np.int64) % q].tolist()
+    width = _column_width(m_start, n_start)
+    work = np.empty((m_start, width), dtype=np.complex128)
+    v = np.empty((len(shifts), n_start), dtype=np.complex128)
+    for start in range(0, n_start, width):
+        grid = log_grid(m, n[start : start + width], q)
+        for i, shift in enumerate(shifts):
+            buf[shift:].take(grid, out=work, mode="clip")
+            np.matmul(alpha[i], work, out=v[i, start : start + width])
+        del grid  # the next block's grid is not built beside this one
+    sums = np.empty(len(shifts), dtype=np.complex128)
+    for i, row in enumerate(v):
+        sums[i] = row @ beta[i]
     return sums
 
 

@@ -373,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="additive energy and fourth moments over dyadic windows")
     p.add_argument("--qset", type=_qset, default="101")
-    p.add_argument("--jcount", type=int, default=3)
+    p.add_argument("--jcount", type=_int_from(1), default=3)
     p.add_argument("--weights", default="indicator", choices=WEIGHT_CLASSES)
     add_common(p)
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("lattice", help="congruence dichotomy and Minkowski sweep")
     p.add_argument("--qmax", type=int, default=499)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_int_from(1), default=1000)
     add_common(p)
     p.set_defaults(func=cmd_lattice)
 
@@ -396,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forms", help="class numbers, L(1,chi) both ways, window fractions")
     p.add_argument("--qmin", type=int, default=100003)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--truncation", type=int, default=10**6)
+    p.add_argument("--count", type=_int_from(1), default=50)
+    p.add_argument("--truncation", type=_int_from(1), default=10**6)
     add_common(p, seed=False)
     p.set_defaults(func=cmd_forms)
 

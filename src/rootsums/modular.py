@@ -9,7 +9,8 @@ cross-check them against the scalar routines.  ``read_products`` is the one
 read of a table on a product grid: it gathers from the table's
 ``log_ordered`` buffer straight into its destination, with takes that need
 no bounds check because ``log_tables`` checks the range of its logs once,
-when it builds them.
+when it builds them.  ``log_grid`` is the same read with the logs of the
+grid reduced, so one grid serves every row multiplier through a shifted take.
 
 Every memoised table of the package is declared with ``table_cache``, the
 one cache policy: TABLE_CACHE_SIZE entries, read-only results and a size
@@ -307,6 +308,36 @@ def read_products(
         index = np.add.outer(row_logs[start : start + step], col_logs)
         buf.take(index, out=out[start : start + step], mode="clip")
     return out
+
+
+def log_grid(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
+    """The int64 grid L of the logs of rows[i] * cols[j], reduced mod q - 1, with
+    L = 2(q - 1) where rows[i] or cols[j] is 0 (mod q).
+
+    A product-grid read shifted by the log of a multiplier c: for buf =
+    ``log_ordered(table)``, buf[lg[c]:].take(L) is read_products(buf, c * rows % q,
+    cols), entry for entry, since lg[c] + L is the log of c * rows[i] * cols[j]
+    within the first two periods, or a point in the run of table[0] when the
+    product is 0.  So cells that differ only in c share one L.  lg[c] and L both
+    lie in [0, q - 2] or at 2(q - 1), so every index lies in
+    [0, 4(q - 1)] = [0, len(buf) - 2] and a take(mode="clip") clips nothing.
+
+    L is built a few rows at a time, as read_products reads: each chunk is the
+    sum of two logs in [0, 2q - 4], reduced as min(s, s - (q - 1)) in uint64,
+    where s - (q - 1) wraps past every log for s < q - 1.
+    """
+    _, lg = log_tables(q)
+    logs = lg.view(np.uint64)
+    row_logs, col_logs = logs[rows % q], logs[cols % q]
+    grid = np.empty((len(row_logs), len(col_logs)), dtype=np.uint64)
+    step = max(1, _READ_CHUNK // max(1, len(col_logs)))
+    for start in range(0, len(row_logs), step):
+        part = grid[start : start + step]
+        np.add.outer(row_logs[start : start + step], col_logs, out=part)
+        np.minimum(part, part - np.uint64(q - 1), out=part)
+    grid[row_logs == 2 * (q - 1)] = 2 * (q - 1)
+    grid[:, col_logs == 2 * (q - 1)] = 2 * (q - 1)
+    return grid.view(np.int64)
 
 
 def residue_roots(residues: np.ndarray, q: int) -> np.ndarray:

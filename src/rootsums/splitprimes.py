@@ -148,14 +148,12 @@ def effective_split_count(q: int) -> EffectiveCountReport:
     for n in range(1, t + 1):
         value = principal_form_value(n, q)
         for p in factorize(value, base):
-            if is_split(p, q) != "split":
+            seen = collected if p <= q else excluded
+            if p not in seen and is_split(p, q) != "split":  # each distinct factor once
                 raise AssertionError(
                     f"prime {p} divides P({n}) for q={q} but is not split"
                 )
-            if p <= q:
-                collected.add(p)
-            else:
-                excluded.add(p)
+            seen.add(p)
     bound = EFFECTIVE_CONSTANT * t / math.log(q)
     omega = len(collected)
     return EffectiveCountReport(

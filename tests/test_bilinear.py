@@ -13,7 +13,7 @@ from rootsums import calibration
 from rootsums.bilinear import (
     _KERNEL_BLOCK_BYTES,
     BilinearInstance,
-    _read_shape,
+    _column_width,
     a_sum,
     a_sum_all,
     balanced_curve_parameters,
@@ -40,8 +40,8 @@ from rootsums.expsums import sqrt_phase_buffer, sqrt_phase_table
 from rootsums.modular import (
     inv_mod,
     legendre_table,
+    log_grid,
     log_ordered,
-    read_products,
     residue_roots,
     sqrt_mod,
 )
@@ -121,7 +121,7 @@ class TestWeylSum:
     def test_log_gather_is_the_direct_gather_bit_for_bit(self, q, phase_table_oracle):
         """W and R_j equal the same products over table[a*m*n % q] exactly, up to M = N at the top.
 
-        At q = 4001 the top cell and (1000, 1024) stream four column blocks each, and
+        At q = 4001 the top cell and (1000, 1024) stream eight column blocks each, and
         (1000, 1000), whose N is no power of two, is read as one block of 15 MiB.
         """
         top = dyadic_starts(q)[-1]
@@ -130,8 +130,8 @@ class TestWeylSum:
         ]
         if q == 4001:
             cells += [(1000, 1024), (1000, 1000)]
-            blocks = [n_start // _read_shape(m_start, n_start)[1] for m_start, n_start in cells]
-            assert (blocks[0], blocks[-2], blocks[-1]) == (4, 4, 1)
+            blocks = [n_start // _column_width(m_start, n_start) for m_start, n_start in cells]
+            assert (blocks[0], blocks[-2], blocks[-1]) == (8, 8, 1)
         leg = legendre_table(q)
         for k, (m_start, n_start) in enumerate(cells):
             rng = np.random.default_rng([q, k])
@@ -191,6 +191,12 @@ class TestWeylSum:
         assert peak < 2 * _KERNEL_BLOCK_BYTES
         assert sums.tolist() == expected
 
+    def test_column_blocks_are_at_least_four_wide(self):
+        """A column of more than a block's entries still reads four columns at a time."""
+        rows = _KERNEL_BLOCK_BYTES // bilinear._ENTRY_BYTES
+        assert [_column_width(r, 1024) for r in (rows // 8, rows, 2 * rows, 8 * rows)] == [8, 4, 4, 4]
+        assert _column_width(8 * rows, 3) == 3
+
     @pytest.mark.parametrize("instances", [0, -2])
     def test_sweep_needs_a_positive_instance_count(self, instances):
         with pytest.raises(ValueError, match="instances"):
@@ -209,7 +215,7 @@ class TestWeylSum:
         streamed = BilinearInstance(
             q, 3, 5, WeightVector.random_phase(q, 1024, rng), WeightVector.random_pm1(q, 1024, rng)
         )
-        assert _read_shape(1024, 1024)[1] < 1024
+        assert _column_width(1024, 1024) < 1024
         before = sqrt_phase_buffer.cache_info()
         bilinear_weyl_sum(one_block)
         bilinear_weyl_sum(streamed)
@@ -238,29 +244,34 @@ class TestWeylSweepGroups:
             weyl_sweep(q_values=(11,), instances=1, seed=-1)
 
     def test_small_blocks_run_every_read_path(self, weyl_sweep_oracle, monkeypatch):
-        """With 4 KiB blocks (256 entries) the q = 211 grid reads groups in part
-        (M N = 32: reads of 8 and then 1 of its 9 kernels), one kernel at a time
-        (M N = 256) and in column blocks of 4 (M = N = 64); every row is still the
-        oracle's at the default block size."""
+        """With blocks of 64 or 256 entries the q = 211 grid reads small kernels whole
+        and larger ones in column blocks of 4 and more; every row is still the oracle's
+        at the default block size.  Each group builds one log grid per column block,
+        whichever of its 9 cells reads it: at 256 entries, one (4, 8) and one (16, 16)
+        grid, and 16 grids of (64, 4) for M = N = 64."""
         grid = {"q_values": (211,), "instances": 3}
         expected = weyl_sweep_oracle(**grid)
-        reads = []
+        starts = dyadic_starts(211)
+        grids = []
 
-        def spy(buf, rows, cols, out=None):
-            reads.append((len(rows), len(cols)))
-            return read_products(buf, rows, cols, out=out)
+        def spy(rows, cols, q):
+            grids.append((len(rows), len(cols)))
+            return log_grid(rows, cols, q)
 
-        monkeypatch.setattr(bilinear, "_KERNEL_BLOCK_BYTES", 1 << 12)
-        assert weyl_sweep(**grid) == expected
-        monkeypatch.setattr(bilinear, "read_products", spy)
+        monkeypatch.setattr(bilinear, "log_grid", spy)
+        for entries in (64, 256):
+            monkeypatch.setattr(bilinear, "_KERNEL_BLOCK_BYTES", entries * bilinear._ENTRY_BYTES)
+            grids.clear()
+            assert weyl_sweep(**grid) == expected
+            assert len(grids) == sum(n // _column_width(m, n) for m in starts for n in starts)
         for (m_start, n_start), shapes in (
-            ((4, 8), [(8 * 4, 8), (4, 8)]),
-            ((16, 16), [(16, 16)] * 9),
-            ((64, 64), [(64, 4)] * 16 * 9),
+            ((4, 8), [(4, 8)]),
+            ((16, 16), [(16, 16)]),
+            ((64, 64), [(64, 4)] * 16),
         ):
-            reads.clear()
+            grids.clear()
             weyl_sweep(**grid, only_m=m_start, only_n=n_start)
-            assert reads == shapes
+            assert grids == shapes
 
 
 class TestEnvelopes:

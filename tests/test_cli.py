@@ -506,6 +506,20 @@ class TestOthers:
         assert exc.value.code == 2
         assert "argument --seed: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["forms", "--truncation", "-5"], ["forms", "--truncation", "0"], ["forms", "--count", "0"],
+         ["forms", "--count", "-2"], ["lattice", "--samples", "-1"], ["lattice", "--samples", "0"],
+         ["energy", "--jcount", "0"], ["energy", "--jcount", "-3"]],
+        ids=["truncation-neg", "truncation-0", "count-0", "count-neg", "samples-neg", "samples-0",
+             "jcount-0", "jcount-neg"],
+    )
+    def test_counts_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: {argv[-1]} is less than 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("qmax", ["10", "2", "-1"])
     def test_lattice_needs_a_prime_from_11(self, qmax, capsys):
         """The lattice sweep draws its moduli from the primes in [11, --qmax]."""

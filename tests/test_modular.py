@@ -24,6 +24,7 @@ from rootsums.modular import (
     inverse_table,
     kronecker,
     legendre_table,
+    log_grid,
     log_ordered,
     log_tables,
     primitive_root,
@@ -55,6 +56,21 @@ def product_reads(draw):
     head = np.array(draw(st.lists(factor, min_size=1, max_size=8)), dtype=np.int64)
     tail = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-3 * q, 3 * q + 1, width)
     return table, rows, np.concatenate([head, tail])[:width]
+
+
+@st.composite
+def shifted_grids(draw):
+    """(q, rows, cols, shifts) for an odd prime q < 500: int64 factors and shifts with 0,
+    negatives and multiples of q among them.  The column count is small or above half of
+    _READ_CHUNK or above all of it, so the grid is built in one chunk or a row at a time."""
+    q = draw(st.sampled_from(SMALL_PRIMES))
+    factor = st.one_of(st.integers(-3 * q, 3 * q), st.integers(-3, 3).map(lambda k: k * q))
+    rows = np.array(draw(st.lists(factor, max_size=6)), dtype=np.int64)
+    width = draw(st.sampled_from([1, 2, 7, _READ_CHUNK // 2 + 1, _READ_CHUNK + 1]))
+    head = np.array(draw(st.lists(factor, min_size=1, max_size=8)), dtype=np.int64)
+    tail = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-3 * q, 3 * q + 1, width)
+    shifts = draw(st.lists(st.one_of(st.just(0), factor), min_size=1, max_size=4))
+    return q, rows, np.concatenate([head, tail])[:width], shifts
 
 
 class TestKronecker:
@@ -266,6 +282,24 @@ class TestTables:
         view = wide[::2, 1::2]
         assert read_products(buf, rows, cols, out=view) is view and np.array_equal(view, expected)
         assert (wide[1::2] == -7).all() and (wide[:, ::2] == -7).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(shifted_grids())
+    def test_log_grid_is_a_shifted_product_read(self, grid_read):
+        """For every shift c, the take of the buffer shifted by lg[c] at log_grid(rows, cols)
+        is read_products(buf, c * rows % q, cols) byte for byte, and its largest index
+        lg[c] + max(L) is at most len(buf) - 2, so mode="clip" clips nothing."""
+        q, rows, cols, shifts = grid_read
+        grid = log_grid(rows, cols, q)
+        assert grid.dtype == np.int64 and grid.shape == (len(rows), len(cols))
+        _, lg = log_tables(q)
+        for table in (sqrt_phase_table(q), np.arange(q) * 3 - q):
+            buf = log_ordered(table)
+            for c in shifts:
+                got = buf[lg[c % q] :].take(grid, mode="clip")
+                assert got.tobytes() == read_products(buf, c * rows % q, cols).tobytes()
+                if grid.size:
+                    assert 0 <= grid.min() and lg[c % q] + grid.max() <= len(buf) - 2
 
     @pytest.mark.parametrize("q", [3, 5, 101, 4001, 8009])
     def test_log_range_is_checked_when_built(self, q, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rootsums import modular, quadforms, splitprimes
 from rootsums.modular import kronecker
-from rootsums.primes import sieve_primes, valuation
+from rootsums.primes import factorize, sieve_primes, valuation
 from rootsums.splitprimes import (
     EFFECTIVE_CONSTANT,
     construction_range,
@@ -180,6 +180,27 @@ class TestEffectiveCount:
             effective_split_count(71)
         with pytest.raises(ValueError):
             effective_split_count(19)  # = 3 (mod 16) but below 67
+
+    @pytest.mark.parametrize("q", [67, 787, 9907])
+    def test_each_distinct_factor_is_checked_once(self, q, monkeypatch):
+        """is_split runs once per distinct prime factor of P(1..t), not once per value
+        it divides, and a factor reported non-split still fails the construction."""
+        calls = []
+        check = splitprimes.is_split
+
+        def spy(p, modulus):
+            calls.append(p)
+            return check(p, modulus)
+
+        monkeypatch.setattr(splitprimes, "is_split", spy)
+        rep = effective_split_count(q)
+        values = [principal_form_value(n, q) for n in range(1, rep.t + 1)]
+        factors = set().union(*(factorize(value) for value in values))
+        assert sorted(calls) == sorted(factors)
+        assert set(rep.split_primes) | set(rep.excluded_above_q) == factors
+        monkeypatch.setattr(splitprimes, "is_split", lambda p, modulus: "inert" if p == max(factors) else "split")
+        with pytest.raises(AssertionError, match=f"prime {max(factors)} divides"):
+            effective_split_count(q)
 
     def test_sweep_small_range(self):
         reports = effective_sweep(67, 1000)
