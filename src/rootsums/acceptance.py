@@ -26,19 +26,23 @@ class CriterionResult:
     passed: bool
     detail: dict = field(default_factory=dict)
     seconds: float = 0.0
+    # CPU seconds of the whole process over the criterion, every thread counted
+    # (BLAS threads included); printed by ``line``, not written by ``verify --out``.
+    cpu_seconds: float = 0.0
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         info = ", ".join(f"{k}={v}" for k, v in self.detail.items())
-        return f"[{status}] {self.name} ({self.seconds:.1f}s) {info}"
+        return f"[{status}] {self.name} ({self.seconds:.1f}s, cpu {self.cpu_seconds:.1f}s) {info}"
 
 
 def _timed(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> CriterionResult:
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         result = fn(*args, **kwargs)
         result.seconds = time.perf_counter() - start
+        result.cpu_seconds = time.process_time() - cpu_start
         return result
 
     return wrapper

@@ -3,7 +3,9 @@
 Every sweep is seeded and deterministic: identical flags and seed produce
 byte-identical output files at a fixed BLAS thread count.  The ``sums`` CSV
 is also byte-identical at 1 and at 2 BLAS threads, since no BLAS call
-computes it.
+computes it.  The ``bilinear sweep`` contraction runs on one BLAS thread
+whatever OPENBLAS_NUM_THREADS says, where numpy's bundled OpenBLAS is found
+(``bilinear.weyl_group_sums``), and gives the bits of a 2-thread run.
 Rows are emitted in sorted key order with a fixed column set, '.' decimals
 and no locale dependence.  ``sums``, ``bilinear sweep``, ``split thm12``,
 ``forms`` and ``discrepancy`` also print a short summary of their rows

@@ -45,10 +45,15 @@ def is_split(p: int, q: int) -> str:
     table path of ``splitting_types``.  p = 2 ramifies when q = 1 (mod 4),
     where the discriminant is -4q; otherwise it splits iff q = 7 (mod 8).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if q % 2 == 0 or not is_prime(q):
         raise ValueError(f"need an odd prime q, got {q}")
+    return _splitting_type(p, q)
+
+
+def _splitting_type(p: int, q: int) -> str:
+    """``is_split`` for a q already known to be an odd prime; p is still checked."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p == q or (p == 2 and q % 4 == 1):
         return "ramified"
     return "split" if kronecker(-q, p) == 1 else "inert"
@@ -134,8 +139,9 @@ def effective_split_count(q: int) -> EffectiveCountReport:
     """Factor P(1..t), verify every prime factor is split, and compare omega to the bound.
 
     Any prime factor failing the splitting test is a hard error, since that
-    would falsify the construction itself.  Factors above q exist only near
-    n = t; they are split too but are excluded from omega so that
+    would falsify the construction itself.  q is checked once, here; each
+    distinct factor is checked prime and split once.  Factors above q exist
+    only near n = t; they are split too but are excluded from omega so that
     omega <= N_q(q) stays valid.
     """
     if q < 67 or not is_prime(q) or q % 16 != 3:
@@ -149,7 +155,7 @@ def effective_split_count(q: int) -> EffectiveCountReport:
         value = principal_form_value(n, q)
         for p in factorize(value, base):
             seen = collected if p <= q else excluded
-            if p not in seen and is_split(p, q) != "split":  # each distinct factor once
+            if p not in seen and _splitting_type(p, q) != "split":  # each distinct factor once
                 raise AssertionError(
                     f"prime {p} divides P({n}) for q={q} but is not split"
                 )

@@ -49,3 +49,10 @@ def test_heegner_window_enumerates_each_modulus_once():
     enumerate_reduced_forms.cache_clear()
     assert acceptance.check_heegner_window(count).passed
     assert enumerate_reduced_forms.cache_info().misses == count
+
+
+def test_line_reports_cpu_seconds():
+    """A criterion's line shows its CPU seconds, every thread counted, beside its wall seconds."""
+    result = acceptance.check_congruence_dichotomy()
+    assert result.cpu_seconds > 0
+    assert f"({result.seconds:.1f}s, cpu {result.cpu_seconds:.1f}s) " in result.line()

@@ -1,6 +1,8 @@
 """Bilinear Weyl sums: envelopes, decompositions, curve sums and correlations."""
 
 import cmath
+import contextlib
+import glob
 import math
 import tracemalloc
 
@@ -42,6 +44,7 @@ from rootsums.modular import (
     legendre_table,
     log_grid,
     log_ordered,
+    log_tables,
     residue_roots,
     sqrt_mod,
 )
@@ -154,11 +157,14 @@ class TestWeylSum:
                 assert rj_sum(j, inst) == expected
 
     def test_large_cell_holds_no_kernel(self, rng):
-        """At q = 8009, M = N = 2048 the kernel is 64 MiB; the streamed cell peaks under two blocks."""
+        """At q = 8009, M = N = 2048 the kernel is 64 MiB; the streamed cell peaks under two
+        blocks.  The modulus's tables are built first, so the peak is the cell's alone."""
         q = 8009
         inst = BilinearInstance(
             q, 5, 7, WeightVector.random_phase(q, 2048, rng), WeightVector.random_pm1(q, 2048, rng)
         )
+        sqrt_phase_buffer(q)
+        log_tables(q)
         tracemalloc.start()
         try:
             bilinear_weyl_sum(inst)
@@ -272,6 +278,82 @@ class TestWeylSweepGroups:
             grids.clear()
             weyl_sweep(**grid, only_m=m_start, only_n=n_start)
             assert grids == shapes
+
+
+@contextlib.contextmanager
+def blas_threads(count):
+    """Run the body at ``count`` OpenBLAS threads and yield the count getter; skip where
+    numpy's OpenBLAS is not found."""
+    blas = bilinear._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = blas
+    before = get()
+    set_(count)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+class TestOneBlasThread:
+    """``weyl_group_sums`` contracts on one BLAS thread, restores the count it found and
+    gives the bits of the unpinned read."""
+
+    @staticmethod
+    def group(rng, q=101, start=8, cells=3):
+        c = rng.integers(1, q, size=cells).tolist()
+        alpha = np.exp(2j * np.pi * rng.random((cells, start)))
+        beta = np.exp(2j * np.pi * rng.random((cells, start)))
+        return q, c, start, start, alpha, beta
+
+    def test_count_is_one_inside_and_restored_after(self, rng, monkeypatch):
+        """Every zgemv of the read sees one thread; after a return and after an error
+        raised inside the read the count is the one found before."""
+        args = self.group(rng)
+        seen = []
+        matmul = np.matmul
+        with blas_threads(2) as get:
+            before = get()
+
+            def spy(*a, **kw):
+                seen.append(get())
+                return matmul(*a, **kw)
+
+            monkeypatch.setattr(np, "matmul", spy)
+            weyl_group_sums(*args)
+            assert seen and set(seen) == {1}
+            assert get() == before
+
+            def fail(*a, **kw):
+                raise RuntimeError("forced inside the read")
+
+            monkeypatch.setattr(np, "matmul", fail)
+            with pytest.raises(RuntimeError, match="forced"):
+                weyl_group_sums(*args)
+            assert get() == before
+
+    def test_pinned_read_is_the_unpinned_read(self, monkeypatch):
+        """At two threads, a q = 4001, M = N = 1024 group of every weight class (eight
+        column blocks per cell) gives the same rows, ==, pinned and unpinned."""
+        grid = {"q_values": (4001,), "instances": 2, "only_m": 1024, "only_n": 1024}
+        with blas_threads(2):
+            pinned = weyl_sweep(**grid)
+            monkeypatch.setattr(bilinear, "_one_blas_thread", contextlib.nullcontext)
+            assert weyl_sweep(**grid) == pinned
+        assert len(pinned) == 6 and _column_width(1024, 1024) == 128
+
+    def test_no_library_found_leaves_w_unchanged(self, rng, monkeypatch):
+        """Where the lookup finds no OpenBLAS the pin does nothing, and W is the same."""
+        args = self.group(rng, q=4001, start=1024)
+        expected = weyl_group_sums(*args)
+        monkeypatch.setattr(glob, "glob", lambda pattern: [])
+        bilinear._openblas_threads.cache_clear()
+        try:
+            assert bilinear._openblas_threads() is None
+            assert weyl_group_sums(*args).tolist() == expected.tolist()
+        finally:
+            bilinear._openblas_threads.cache_clear()
 
 
 class TestEnvelopes:

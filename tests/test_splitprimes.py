@@ -183,24 +183,41 @@ class TestEffectiveCount:
 
     @pytest.mark.parametrize("q", [67, 787, 9907])
     def test_each_distinct_factor_is_checked_once(self, q, monkeypatch):
-        """is_split runs once per distinct prime factor of P(1..t), not once per value
-        it divides, and a factor reported non-split still fails the construction."""
+        """The splitting test runs once per distinct prime factor of P(1..t), not once
+        per value it divides, and a factor reported non-split still fails the construction."""
         calls = []
-        check = splitprimes.is_split
+        check = splitprimes._splitting_type
 
         def spy(p, modulus):
             calls.append(p)
             return check(p, modulus)
 
-        monkeypatch.setattr(splitprimes, "is_split", spy)
+        monkeypatch.setattr(splitprimes, "_splitting_type", spy)
         rep = effective_split_count(q)
         values = [principal_form_value(n, q) for n in range(1, rep.t + 1)]
         factors = set().union(*(factorize(value) for value in values))
         assert sorted(calls) == sorted(factors)
         assert set(rep.split_primes) | set(rep.excluded_above_q) == factors
-        monkeypatch.setattr(splitprimes, "is_split", lambda p, modulus: "inert" if p == max(factors) else "split")
+        monkeypatch.setattr(
+            splitprimes, "_splitting_type", lambda p, modulus: "inert" if p == max(factors) else "split"
+        )
         with pytest.raises(AssertionError, match=f"prime {max(factors)} divides"):
             effective_split_count(q)
+
+    @pytest.mark.parametrize("q", [67, 787, 9907])
+    def test_modulus_is_checked_prime_once(self, q, monkeypatch):
+        """One construction tests q for primality once, and each distinct factor once."""
+        calls = []
+        check = splitprimes.is_prime
+
+        def spy(n):
+            calls.append(n)
+            return check(n)
+
+        monkeypatch.setattr(splitprimes, "is_prime", spy)
+        rep = effective_split_count(q)
+        assert calls.count(q) == 1
+        assert sorted(calls) == sorted([q, *rep.split_primes, *rep.excluded_above_q])
 
     def test_sweep_small_range(self):
         reports = effective_sweep(67, 1000)
