@@ -50,7 +50,8 @@ def _timed(fn):
 
 @_timed
 def check_salie_identity(q_max: int = 200) -> CriterionResult:
-    """Direct Salie sums equal the closed form within IDENTITY_BUDGET*sqrt(q), exhaustively."""
+    """Direct Salie sums equal the closed form within IDENTITY_BUDGET*sqrt(q) and vanish where
+    (mn/q) = -1, at every pair m, n: exhaustive by exact substitution (``salie_all``)."""
     from .expsums import IDENTITY_BUDGET, salie_all
 
     worst = 0.0
@@ -69,7 +70,8 @@ def check_salie_identity(q_max: int = 200) -> CriterionResult:
 
 @_timed
 def check_gauss_identity(q_max: int = 200) -> CriterionResult:
-    """Direct Gauss sums equal the closed form and have modulus sqrt(q)."""
+    """Direct Gauss sums equal the closed form and have modulus sqrt(q) within
+    IDENTITY_BUDGET*sqrt(q), at every pair a, b: exhaustive by exact substitution (``gauss_all``)."""
     from .expsums import IDENTITY_BUDGET, gauss_all
 
     worst = 0.0

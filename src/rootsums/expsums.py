@@ -4,23 +4,12 @@ Every closed-form evaluation here is paired with a direct-summation oracle.
 ``gauss_rows`` and ``salie_rows`` build the direct and closed-form matrices
 for any set of rows.  Each row of a direct matrix is a length-q discrete
 Fourier transform, so one batched FFT sums a row in O(q log q) instead of
-O(q^2).  The exhaustive ``*_all`` sweeps return the maxima that the identity
-checks read: they walk every row of a modulus in blocks of about 512 KiB
-per matrix, so no q x q matrix is held, and moduli up to a few thousand are
-swept in seconds.  Each table read is ``modular.read_products``; no q x q
-index is formed.
-
-A sweep keeps its block working set resident: one workspace per modulus (a
-complex and a float block in one allocation, next to the modulus's constant
-columns, Legendre symbols and the log-ordered buffers of the tables it reads,
-the unit roots and, for Salie sums, the root phases; uncached, so they go
-with the modulus), refilled for every block through
-``read_products(..., out=)`` and in-place ufuncs, so the FFT output is the
-only fresh block-sized array.  With a block's worth of fresh arrays,
-glibc gave the freed heap back to the OS after every block and faulted it in
-again for the next (its dynamic trim threshold is twice the largest freed
-block): ``sums --qmax 1000`` took about 967k minor page faults, a third of
-its time, against about 86k with the workspace.
+O(q^2).  The exhaustive ``*_all`` checks return the maxima over every pair of
+coefficients that the identity checks read, from the rows they reduce to by
+an exact change of variables: rows 1 and nu (the least non-residue) for
+Gauss sums, row 1 for Salie sums.  So a modulus costs three FFT rows and
+O(q) memory.  Each table read is ``modular.read_products``; no q x q index
+is formed.
 
 Floating-point policy: scalar direct sums accumulate with numpy's pairwise
 summation, the exhaustive helpers with pocketfft (neither depends on the
@@ -30,7 +19,6 @@ thread count), and identity checks budget IDENTITY_BUDGET * sqrt(q) of error.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,18 +37,15 @@ from .modular import (
     table_cache,
 )
 
-# Direct summation is O(q) per call, and an all-pairs sweep O(q^2 log q)
-# time; refuse instead of silently grinding.  The sweeps' memory is per row
-# block (_BLOCK_BYTES per matrix), so ALL_PAIRS_LIMIT guards time only.
+# Direct summation is O(q) per call; refuse instead of silently grinding.
 DIRECT_SUM_LIMIT = 1 << 24
-ALL_PAIRS_LIMIT = 4096
-# Bytes of one complex128 block.  The sweeps' complex and float workspaces
-# stay resident across blocks, and the one fresh array per block (the FFT
-# output, since np.fft has no out= before numpy 2.0) stays under glibc's
-# trim threshold, so no block is returned to the OS and faulted in again.
-# 512 KiB keeps the peak RSS of ``sums`` at or below that of 1 MiB blocks
-# of fresh arrays.
-_BLOCK_BYTES = 1 << 19
+# Bytes per unit of q that one modulus's all-pairs checks hold at their peak:
+# the unit-root, root-phase, inverse, Legendre and log tables, the two
+# log-ordered buffers the rows read (64 q bytes each) and the rows.  Under
+# tracemalloc with cold caches, gauss_all and salie_all peaked at 209-213 q
+# bytes for q from 997 to 10^6.  ALL_PAIRS_LIMIT keeps a modulus under 64 MiB.
+_PAIR_BYTES_PER_Q = 224
+ALL_PAIRS_LIMIT = (1 << 26) // _PAIR_BYTES_PER_Q
 # Largest error / sqrt(q) that an exact identity evaluated in floats may show.
 IDENTITY_BUDGET = 1e-9
 
@@ -174,56 +159,12 @@ def incomplete_sqrt_max(a: int, h: int, q: int) -> float:
 
 
 def check_all_pairs(q: int) -> None:
-    """Raise SizeGuardError if an all-pairs sweep of q is above ALL_PAIRS_LIMIT."""
+    """Raise SizeGuardError if an all-pairs check of q is above ALL_PAIRS_LIMIT."""
     if q > ALL_PAIRS_LIMIT:
         raise SizeGuardError(f"all-pairs evaluation refused for q={q} > {ALL_PAIRS_LIMIT}")
 
 
-def _block_rows(width: int) -> int:
-    """Rows per block: a complex128 block of ``width`` columns holds about
-    ``_BLOCK_BYTES`` (at least one row)."""
-    return max(1, _BLOCK_BYTES // (16 * width))
-
-
-def _row_blocks(rows: np.ndarray, width: int):
-    """Consecutive slices of ``rows`` of ``_block_rows(width)`` rows each."""
-    step = _block_rows(width)
-    for start in range(0, len(rows), step):
-        yield rows[start : start + step]
-
-
-def _grid(work: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """The first rows*width entries of a flat workspace as a C-contiguous matrix."""
-    return work[: rows * width].reshape(rows, width)
-
-
-class _Workspace(NamedTuple):
-    """One modulus's constants and buffers, and the block arrays refilled for every read."""
-
-    squares: np.ndarray  # x * x for every x in [0, q)
-    units: np.ndarray  # every n in [1, q)
-    chi: np.ndarray  # the Legendre symbols (x/q) as float64
-    exp_buf: np.ndarray  # log_ordered(exp_table(q))
-    phase_buf: np.ndarray | None  # log_ordered(sqrt_phase_table(q)); Salie sweeps only
-    grid: np.ndarray  # flat complex128: the FFT input, then the closed form
-    modulus: np.ndarray  # flat float64: the moduli of a block
-
-
-# The complex and float parts are one allocation, sized for reads of ``rows``
-# rows.  It is larger than what a block adds on top (the FFT output and the
-# read's small chunks), so glibc's trim threshold, twice the largest block it
-# has freed, covers the lot and the heap is not given back to the OS after
-# each modulus.  Only the Salie closed form reads the root-phase table, so a
-# Gauss workspace builds neither it nor its buffer.
-def _workspace(q: int, rows: int, phase: bool = False) -> _Workspace:
-    x = np.arange(q, dtype=np.int64)
-    buffers = (log_ordered(exp_table(q)), log_ordered(sqrt_phase_table(q)) if phase else None)
-    floats = np.empty(3 * rows * q)
-    grid, modulus = floats[: 2 * rows * q].view(np.complex128), floats[2 * rows * q :]
-    return _Workspace(x * x, x[1:], legendre_table(q).astype(np.float64), *buffers, grid, modulus)
-
-
-def gauss_rows(q: int, a: np.ndarray, work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gauss_rows(q: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct and closed-form Gauss sums for the rows a (each in [1, q)) and every b in [0, q).
 
     Returns (direct, closed), each of shape (len(a), q) indexed by [i, b].
@@ -231,37 +172,36 @@ def gauss_rows(q: int, a: np.ndarray, work: _Workspace | None = None) -> tuple[n
     rows from one inverse FFT with norm="forward", which returns
     sum_x f(x) e_q(b*x) unscaled: O(q log q) per row.  Each row is
     transformed on its own, so a row is bit for bit the same in any row set.
-    A sweep passes its ``_workspace``, built once per modulus (without one,
-    one for these rows is built); the FFT input and then, once the FFT has
-    consumed it, ``closed`` are written at the start of its grid.
+    Both matrices are gathered by ``read_products`` from an uncached
+    log-ordered buffer of the unit roots, dropped on return.
     """
-    work = _workspace(q, len(a)) if work is None else work
-    grid = _grid(work.grid, len(a), q)
-    direct = np.fft.ifft(read_products(work.exp_buf, a, work.squares, grid), axis=1, norm="forward")
+    x = np.arange(q, dtype=np.int64)
+    squares, buf = x * x, log_ordered(exp_table(q))
+    direct = np.fft.ifft(read_products(buf, a, squares), axis=1, norm="forward")
 
-    closed = read_products(work.exp_buf, -inverse_table(q)[4 * a % q], work.squares, grid)
+    closed = read_products(buf, -inverse_table(q)[4 * a % q], squares)
     closed *= eps_q(q) * math.sqrt(q)
-    closed *= work.chi[a][:, None]
+    closed *= legendre_table(q)[a][:, None]
     return direct, closed
 
 
-def salie_rows(q: int, m: np.ndarray, work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def salie_rows(q: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct and closed-form Salie sums for the rows m (each in [1, q)) and every n in [1, q).
 
     Returns (direct, closed), each of shape (len(m), q-1) indexed by [i, n-1].
     Substituting y = xbar, row m of ``direct`` is the DFT of
     y -> (y/q) e_q(m*ybar) read at n = 1..q-1; y = 0 contributes 0 because
     the inverse and Legendre tables both hold 0 there.  As in gauss_rows, one
-    inverse FFT with norm="forward" sums every row, and the workspace holds
-    the FFT input and then ``closed``.  The closed form reads T_2(mn) = T[4mn].
+    inverse FFT with norm="forward" sums every row, and the buffers are
+    uncached.  The closed form reads T_2(mn) = T[4mn].
     """
-    work = _workspace(q, len(m), phase=True) if work is None else work
-    direct = read_products(work.exp_buf, m, inverse_table(q), _grid(work.grid, len(m), q))
-    direct *= work.chi
+    chi = legendre_table(q)
+    direct = read_products(log_ordered(exp_table(q)), m, inverse_table(q))
+    direct *= chi
     direct = np.fft.ifft(direct, axis=1, norm="forward")[:, 1:]
 
-    closed = read_products(work.phase_buf, 4 * m, work.units, _grid(work.grid, len(m), q - 1))
-    closed *= work.chi[1:]
+    closed = read_products(log_ordered(sqrt_phase_table(q)), 4 * m, np.arange(1, q))
+    closed *= chi[1:]
     closed *= eps_q(q) * math.sqrt(q)
     return direct, closed
 
@@ -269,44 +209,32 @@ def salie_rows(q: int, m: np.ndarray, work: _Workspace | None = None) -> tuple[n
 def gauss_all(q: int) -> tuple[float, float]:
     """(max |direct - closed|, max ||direct| - sqrt(q)|) over all a in [1, q), b in [0, q).
 
-    The rows of ``gauss_rows`` are swept in blocks, so no (q-1) x q matrix is held.
+    Exhaustive by exact substitution: x -> t*x gives G(a, b) = G(a t^2, b t),
+    and t with a t^2 = r in {1, nu} (nu the least non-residue) maps row a onto
+    a permutation of row r.  The closed form maps the same way: (a/q) = (r/q)
+    and (4r)^{-1} (bt)^2 = (4a)^{-1} b^2, so it reads the same unit root with
+    the same sign.  The maxima over every pair are those of rows 1 and nu.
     """
     check_all_pairs(q)
-    work = _workspace(q, min(q - 1, _block_rows(q)))
-    err = modulus_err = 0.0
-    for a in _row_blocks(work.units, q):
-        block_modulus = _grid(work.modulus, len(a), q)
-        direct, closed = gauss_rows(q, a, work)
-        closed -= direct
-        err = max(err, float(np.max(np.abs(closed, out=block_modulus))))
-        np.abs(direct, out=block_modulus)
-        block_modulus -= math.sqrt(q)
-        modulus_err = max(modulus_err, float(np.max(np.abs(block_modulus, out=block_modulus))))
-    return err, modulus_err
+    nu = int(np.argmax(legendre_table(q) == -1))
+    direct, closed = gauss_rows(q, np.array([1, nu]))
+    closed -= direct
+    return float(np.max(np.abs(closed))), float(np.max(np.abs(np.abs(direct) - math.sqrt(q))))
 
 
 def salie_all(q: int) -> tuple[float, float]:
     """(max |direct - closed|, max |direct| where (mn/q) = -1) over all m, n in [1, q).
 
-    The rows of ``salie_rows`` are swept in blocks, the m with (m/q) = +1
-    first, then those with (m/q) = -1.  A block's non-residue pairs mn are
-    then whole columns, those n with (n/q) = -(m/q), where the closed form is
-    exactly 0, so one column max of |closed - direct| gives both maxima.
+    Exhaustive by exact substitution: x -> x/m gives S(m, n) = (m/q) S(1, mn),
+    and the closed form is (m/q) times its value at (1, mn) too, a sign flip
+    that is exact in floats.  So every pair is a signed pair of row 1, and
+    (mn/q) = -1 are its non-residue columns n, where the closed form is
+    exactly 0.
     """
     check_all_pairs(q)
-    chi = legendre_table(q)[1:]
-    work = _workspace(q, min((q - 1) // 2, _block_rows(q)), phase=True)  # m of one Legendre class
-    err = vanish = 0.0
-    for sign in (1, -1):
-        column_max = np.zeros(q - 1)
-        for rows in _row_blocks(work.units[chi == sign], q):
-            direct, closed = salie_rows(q, rows, work)
-            closed -= direct
-            block_modulus = np.abs(closed, out=_grid(work.modulus, len(rows), q - 1))
-            np.maximum(column_max, np.max(block_modulus, axis=0), out=column_max)
-        err = max(err, float(np.max(column_max)))
-        vanish = max(vanish, float(np.max(column_max[chi == -sign])))
-    return err, vanish
+    direct, closed = salie_rows(q, np.array([1]))
+    err = np.abs(closed[0] - direct[0])
+    return float(np.max(err)), float(np.max(err[legendre_table(q)[1:] == -1]))
 
 
 def incomplete_sqrt_sweep(q_max: int = 2003, pairs_per_q: int = 3, seed: int = 1) -> list[dict]:

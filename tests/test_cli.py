@@ -55,7 +55,7 @@ class TestSums:
         assert all(float(r["max_salie_err"]) < 1e-9 for r in rows)
 
     def test_size_guard_exit_code(self, capsys):
-        assert run(["sums", "--qmin", "4099", "--qmax", "4099"]) == 3
+        assert run(["sums", "--qmin", "299603", "--qmax", "299603"]) == 3
         assert "refused" in capsys.readouterr().err
 
     def test_refuses_before_the_first_row(self, monkeypatch, capsys):
@@ -67,9 +67,9 @@ class TestSums:
 
         monkeypatch.setattr(rootsums.expsums, "gauss_all", never)
         monkeypatch.setattr(rootsums.expsums, "salie_all", never)
-        assert run(["sums", "--qmin", "3", "--qmax", "5000"]) == 3
+        assert run(["sums", "--qmin", "3", "--qmax", "300000"]) == 3
         captured = capsys.readouterr()
-        assert "refused: all-pairs evaluation refused for q=4999 > 4096" in captured.err
+        assert "refused: all-pairs evaluation refused for q=299993 > 299593" in captured.err
         assert captured.out == ""
 
     def test_summary_names_the_worst_error(self, tmp_path, capsys):
@@ -141,7 +141,7 @@ class TestBilinear:
     def test_csv_identical_across_blas_thread_counts(self, tmp_path):
         """No cell of the bilinear sweep depends on how many threads BLAS runs: neither the
         group-read cells of q <= 1009, of every weight class, nor a 1024 x 1024 cell,
-        streamed in four column blocks."""
+        streamed in eight column blocks of 128."""
         argv = ["bilinear", "sweep", "--qset", "101,499,1009", "--weights", "indicator,pm1,phase",
                 "--instances", "2", "--seed", "42"]
         outputs = outputs_at_blas_thread_counts(argv, tmp_path)
@@ -153,8 +153,9 @@ class TestBilinear:
         assert outputs[0] == outputs[1]
 
     def test_streamed_cells_match_the_benchmark_reference(self, tmp_path):
-        """The largest cells of the benchmark's weyl-large sweep, each streamed in 4 or 16
-        column blocks, give the reference's rows: the same digest for each (q, M, N) group."""
+        """The largest cells of the benchmark's weyl-large sweep, each streamed in 8 or 32
+        column blocks (of 128 or 64 columns), give the reference's rows: the same digest for
+        each (q, M, N) group."""
         reference = json.loads(WEYL_REFERENCE.read_text())
         got = {}
         for qset, start in (("4001,8009", "1024"), ("8009", "2048")):

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from rootsums import calibration
 from rootsums.errors import SizeGuardError
 from rootsums.expsums import (
-    _row_blocks,
+    _PAIR_BYTES_PER_Q,
+    ALL_PAIRS_LIMIT,
+    IDENTITY_BUDGET,
     exp_table,
     gauss_all,
     gauss_closed_form,
@@ -26,10 +28,25 @@ from rootsums.expsums import (
     sqrt_phase_buffer,
     sqrt_phase_table,
 )
-from rootsums.modular import eps_q, inverse_table, kronecker, legendre_table, root_table
+from rootsums.modular import eps_q, inverse_table, kronecker, legendre_table, log_tables, root_table
 from rootsums.primes import sieve_primes
 
 PRIMES = [int(q) for q in sieve_primes(200) if q >= 5]
+
+
+def _gauss_representatives(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every a in [1, q): the row r in {1, nu} (nu the least non-residue) and the t with
+    a t^2 = r (mod q), so that x -> t x gives G(a, b) = G(r, b t)."""
+    chi = legendre_table(q)
+    a = np.arange(1, q)
+    r = np.where(chi[a] == 1, 1, int(np.argmax(chi == -1)))
+    return r, root_table(q)[r * inverse_table(q)[a] % q]
+
+
+def _clear_tables() -> None:
+    """Empty the caches of every table the identity checks read."""
+    for table in (exp_table, sqrt_phase_table, legendre_table, inverse_table, log_tables):
+        table.cache_clear()
 
 
 class TestGauss:
@@ -109,8 +126,10 @@ class TestSalie:
         assert abs(salie_sum(m, n, q)) <= 2 * math.sqrt(q) + 1e-9
 
     def test_all_pairs_guard(self):
-        with pytest.raises(SizeGuardError):
-            salie_all(4099)
+        assert ALL_PAIRS_LIMIT == 299593
+        for sweep in (salie_all, gauss_all):
+            with pytest.raises(SizeGuardError):
+                sweep(299603)  # the least prime above the limit
 
 
 class TestIdentitiesInZZeta:
@@ -173,6 +192,28 @@ class TestIdentitiesInZZeta:
         for q in self.MODULI:
             bad = self.mismatches(*vectors(q))
             assert bad.size == 0, (q, bad[:3].tolist())
+
+    @pytest.mark.parametrize("mutated", [False, True], ids=["exact", "mutated"])
+    def test_substitutions_hold_exactly_below_100(self, mutated):
+        """x -> t x maps the Gauss vectors of (a, b) onto those of (r, b t), r in {1, nu},
+        a t^2 = r; x -> x/m maps the Salie vectors of (m, n) onto (m/q) times those of
+        (1, mn).  Both hold entry for entry, for direct and closed vectors alike.  The
+        mutations, t^2 = a instead of r/a and no sign (m/q), fail at every modulus (the first
+        but at q = 3, where both t in {1, -1} also satisfy a t^2 = r)."""
+        for q in self.MODULI:
+            a, b = np.arange(1, q), np.arange(q)
+            r, t = _gauss_representatives(q)
+            sign = legendre_table(q)[a].astype(np.int64)[:, None, None]
+            if mutated:
+                t = root_table(q)[a]  # t^2 = a; -1, a multiplier too, where a is a non-residue
+                sign = np.ones_like(sign)
+            mn = np.multiply.outer(a, a) % q
+            holds = [
+                np.array_equal(g, g[(r - 1)[:, None], np.multiply.outer(t, b) % q])
+                for g in self.gauss_vectors(q)
+            ] + [np.array_equal(s, sign * s[0, mn - 1]) for s in self.salie_vectors(q)]
+            gauss_holds = not mutated or q == 3  # at q = 3 the mutated t, 1 and -1, has a t^2 = r
+            assert holds == [gauss_holds, gauss_holds, not mutated, not mutated], q
 
     @pytest.mark.parametrize("q", [3, 23, 97])
     def test_vectors_evaluate_to_the_sums(self, q):
@@ -291,18 +332,64 @@ def test_identity_matrices_equal_their_index_product_reads(q):
     )
 
 
+@pytest.mark.parametrize("q", [int(p) for p in sieve_primes(101) if p > 2])
+def test_every_entry_is_its_representatives(q):
+    """Pair by pair over the full matrices: each closed entry equals (==) its representative's,
+    G at (r, b t) and (m/q) S at (1, mn), and each direct entry is within 1e-12 of it."""
+    a, b = np.arange(1, q), np.arange(q)
+    r, t = _gauss_representatives(q)
+    direct, closed = gauss_rows(q, a)
+    at = ((r - 1)[:, None], np.multiply.outer(t, b) % q)
+    assert np.array_equal(closed, closed[at])
+    assert np.max(np.abs(direct - direct[at])) <= 1e-12
+    direct, closed = salie_rows(q, a)
+    sign = legendre_table(q)[a][:, None]
+    mn = np.multiply.outer(a, a) % q
+    assert np.array_equal(closed, sign * closed[0, mn - 1])
+    assert np.max(np.abs(direct - sign * direct[0, mn - 1])) <= 1e-12
+
+
 @pytest.mark.parametrize("q", [3, 5, 101, 499, 997])
 def test_sweeps_return_the_maxima_of_the_full_matrices(q):
-    """The row-block sweeps equal (==) the maxima read off the full matrices.
+    """Each maximum of the substituted checks is at most the full matrices' (exactly: its
+    rows are rows of the full matrices, bit for bit) and within 1e-12 of it (every entry is
+    its representative's to 1e-12); both lie within IDENTITY_BUDGET * sqrt(q)."""
+    checks = [*gauss_all(q), *salie_all(q)]
+    oracle = [maximum for pair in _full_matrix_maxima(q) for maximum in pair]
+    budget = IDENTITY_BUDGET * math.sqrt(q)
+    for got, full in zip(checks, oracle):
+        assert got <= full <= got + 1e-12
+        assert full <= budget
 
-    q = 3 and 5 fit in one block; 499 and 997 take several per Legendre class.
-    """
-    one_class = np.arange(1, (q + 1) // 2)  # as many rows as each Legendre class of m
-    assert (len(list(_row_blocks(one_class, q))) > 1) == (q >= 499)
-    assert (gauss_all(q), salie_all(q)) == _full_matrix_maxima(q)
+
+@pytest.mark.parametrize("q", [3, 5, 7, 97, 997])  # least non-residue 2, 2, 3, 5, 2
+def test_checks_read_one_row_per_legendre_class(q, monkeypatch):
+    """gauss_all reads one residue and one non-residue row (the substitution reaches every
+    row from one of each), salie_all the one row m = 1, and each returns those rows' maxima:
+    the Salie vanishing maximum is |direct| at the non-residue n, where closed is 0."""
+    import rootsums.expsums
+
+    read = []
+    for name in ("gauss_rows", "salie_rows"):
+        def spy(q, rows, rows_of=getattr(rootsums.expsums, name)):
+            read.append(rows.tolist())
+            return rows_of(q, rows)
+        monkeypatch.setattr(rootsums.expsums, name, spy)
+    gauss, salie = gauss_all(q), salie_all(q)
+    assert [sorted(legendre_table(q)[rows].tolist()) for rows in read] == [[-1, 1], [1]]
+    assert read[1] == [1]
+    monkeypatch.undo()
+    direct, closed = gauss_rows(q, np.array(read[0]))
+    modulus_err = np.abs(np.abs(direct) - math.sqrt(q))
+    assert gauss == (float(np.max(np.abs(closed - direct))), float(np.max(modulus_err)))
+    (direct,), (closed,) = salie_rows(q, np.array([1]))
+    nonresidues = legendre_table(q)[1:] == -1
+    assert not np.any(closed[nonresidues])
+    assert salie == (float(np.max(np.abs(closed - direct))), float(np.max(np.abs(direct[nonresidues]))))
 
 
 def _full_matrix_maxima(q: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The brute-force oracle: the four maxima read off the full (q - 1) x q matrices."""
     a = np.arange(1, q, dtype=np.int64)  # also every m
     direct_g, closed_g = gauss_rows(q, a)
     direct_s, closed_s = salie_rows(q, a)
@@ -315,18 +402,21 @@ def _full_matrix_maxima(q: int) -> tuple[tuple[float, float], tuple[float, float
     )
 
 
-def test_workspace_reuse_leaks_nothing():
-    """Sweeps run back to back over shrinking and growing moduli, with a partial last
-    block at q = 997, each equal (==) the maxima of their own full matrices."""
+def test_sweeps_do_not_depend_on_call_order():
+    """Checks run back to back over shrinking and growing moduli equal (==) fresh calls,
+    each made from empty table caches."""
     order = [997, 5, 499, 3, 101]
     got = [(gauss_all(q), salie_all(q)) for q in order]
-    assert (997 - 1) % len(next(_row_blocks(np.arange(1, 997), 997))) != 0
-    assert got == [_full_matrix_maxima(q) for q in order]
+    fresh = []
+    for q in order:
+        _clear_tables()
+        fresh.append((gauss_all(q), salie_all(q)))
+    assert got == fresh
 
 
 def test_sweeps_leave_the_cached_phase_buffer_alone():
-    """The identity sweeps and their rows read buffers of their own workspace, built once per
-    modulus and freed with it: the cached buffer of the Weyl cells is neither built nor read."""
+    """The identity checks and their rows read uncached buffers of their own, built per call
+    and freed with it: the cached buffer of the Weyl cells is neither built nor read."""
     before = sqrt_phase_buffer.cache_info()
     for q in (3, 101, 997):
         gauss_all(q)
@@ -350,11 +440,27 @@ def test_gauss_sums_build_no_root_phase_table():
 
 @pytest.mark.parametrize("sweep", [gauss_all, salie_all], ids=["gauss", "salie"])
 def test_sweeps_hold_no_full_matrix(sweep):
-    """At q = 997 one (q-1) x q complex128 matrix is 15.2 MiB; a sweep peaks under 4 MiB."""
+    """At q = 997 one (q-1) x q complex128 matrix is 15.2 MiB; a check peaks under 512 KiB."""
     tracemalloc.start()
     try:
         sweep(997)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 512 * 2**10
+
+
+def test_all_pairs_limit_is_the_memory_of_one_modulus():
+    """ALL_PAIRS_LIMIT is 64 MiB over _PAIR_BYTES_PER_Q: from empty table caches, the two
+    checks of one modulus together peak under _PAIR_BYTES_PER_Q * q bytes."""
+    assert ALL_PAIRS_LIMIT * _PAIR_BYTES_PER_Q <= 1 << 26
+    q = 10007
+    _clear_tables()
+    tracemalloc.start()
+    try:
+        gauss_all(q)
+        salie_all(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _PAIR_BYTES_PER_Q * q
