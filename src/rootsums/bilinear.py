@@ -69,9 +69,10 @@ _CURVE_SUM_LIMIT = 2048
 # contractions per cell.
 _KERNEL_BLOCK_BYTES = 3 << 20
 _ENTRY_BYTES = 24
-# Bytes of the selected kernel that ``rj_sum`` reads whole: 64 MiB, the whole
-# kernel of a 2048 x 2048 cell, so every cell with M * N <= 2^22 is read.
-_RJ_KERNEL_BYTES = 1 << 26
+# Bytes of the selected kernel that ``rj_sum`` reads whole, _ENTRY_BYTES per entry
+# (the complex128 entry and its int64 index): 96 MiB, the whole kernel of a
+# 2048 x 2048 cell, so every cell with M * N <= 2^22 is read.
+_RJ_KERNEL_BYTES = 24 << 22
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def rj_sum(j: int, inst: BilinearInstance) -> float:
     n_sel = n[n_mask]
     if m_sel.size == 0 or n_sel.size == 0:
         return 0.0
-    if 16 * m_sel.size * n_sel.size > _RJ_KERNEL_BYTES:
+    if _ENTRY_BYTES * m_sel.size * n_sel.size > _RJ_KERNEL_BYTES:
         raise SizeGuardError(f"R_j kernel of {m_sel.size} x {n_sel.size} entries refused")
     rows = inst.a * inst.h % q * inst.h % q * (m_sel % q)
     inner = read_products(sqrt_phase_buffer(q), rows, n_sel) @ inst.beta.coeffs[n_mask]
@@ -368,7 +369,8 @@ def _curve_rows(b: tuple[int, int, int, int], h: int, a: int, s: np.ndarray, q: 
     prod = np.ones((len(s), q), dtype=np.complex128)
     for b_i, conjugate in zip(b, (False, False, True, True)):
         vals = read_products(buf, scale, r + b_i)
-        prod *= np.conj(vals) if conjugate else vals
+        prod *= np.conj(vals, out=vals) if conjugate else vals
+        del vals  # the next block is not read beside this one
     return prod.sum(axis=1)
 
 

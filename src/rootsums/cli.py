@@ -95,11 +95,18 @@ def _int_from(low: int):
     return parse
 
 
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not finite and non-negative")
+    return value
+
+
+_non_negative.__name__ = "float"  # so that a non-number reads "invalid float value"
+
+
 def _exponents(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.split(","))
-    if not all(0 <= value < math.inf for value in values):
-        raise argparse.ArgumentTypeError(f"exponents {text} are not all finite and non-negative")
-    return values
+    return tuple(_non_negative(part) for part in text.split(","))
 
 
 def _weight_classes(text: str) -> tuple[str, ...]:
@@ -362,10 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True):
+    def add_common(p, seed=True, seed_help=None):
         p.add_argument("--out", help="output file (CSV for sweeps, JSON for single queries)")
         if seed:
-            p.add_argument("--seed", type=_int_from(0), default=42)
+            p.add_argument("--seed", type=_int_from(0), default=42, help=seed_help)
 
     p = sub.add_parser("sums", help="Gauss/Salie identity deviations per modulus")
     p.add_argument("--qmin", type=int, default=3)
@@ -383,12 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="congruence dichotomy and Minkowski sweep")
     p.add_argument("--qmax", type=int, default=499)
     p.add_argument("--samples", type=_int_from(1), default=1000)
-    add_common(p)
+    add_common(p, seed_help="sampling seed (the calibrated dichotomy_sweep uses 11)")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("bilinear", help="bilinear Weyl-sum envelope sweeps")
     p.add_argument("action", nargs="?", default="sweep", choices=["sweep"])
-    p.add_argument("--qset", type=_qset, default="101,211,499")
+    p.add_argument("--qset", type=_qset, default="101,211,499",
+                   help="moduli (the calibrated weyl_sweep uses 101,211,499,1009,1999)")
     p.add_argument("--weights", type=_weight_classes, default="indicator,pm1,phase")
     p.add_argument("--instances", type=_int_from(1), default=20)
     p.add_argument("--M", type=int, help="restrict to one dyadic M")
@@ -406,15 +414,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="split-prime counting and the effective construction")
     p.add_argument("action", nargs="?", default="thm12", choices=["thm12", "count", "probe"])
     p.add_argument("--q", type=_odd_prime, default=67)
-    p.add_argument("--P", type=float, default=100.0)
+    p.add_argument("--P", type=_non_negative, default=100.0, help="prime cutoff of the count action")
     p.add_argument("--qmin", type=int, default=67)
-    p.add_argument("--qmax", type=int, default=10**4)
+    p.add_argument("--qmax", type=int, default=10**4,
+                   help="largest modulus (the calibrated asymptotic_probe_rows uses 100000)")
     add_common(p, seed=False)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("discrepancy", help="discrepancy of root sequences vs envelopes")
     p.add_argument("action", nargs="?", default="gamma", choices=["gamma", "coverage"])
-    p.add_argument("--qset", type=_qset, default="503,1009")
+    p.add_argument("--qset", type=_qset, default="503,1009",
+                   help="moduli (the calibrated gamma_sweep uses 503,1009,2003,5003)")
     p.add_argument("--p-exponents", default="0.7,0.85,1.0", type=_exponents, dest="p_exponents")
     p.add_argument("--P", type=_int_from(0), default=0, help="fixed prime cutoff (overrides exponents)")
     p.add_argument("--R", type=_int_from(0), default=0)

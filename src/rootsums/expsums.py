@@ -8,8 +8,9 @@ O(q^2).  The exhaustive ``*_all`` checks return the maxima over every pair of
 coefficients that the identity checks read, from the rows they reduce to by
 an exact change of variables: rows 1 and nu (the least non-residue) for
 Gauss sums, row 1 for Salie sums.  So a modulus costs three FFT rows and
-O(q) memory.  Each table read is ``modular.read_products``; no q x q index
-is formed.
+O(q) memory.  Each table read is one ``modular.read_products`` take, whose
+int64 index has an entry per entry read: 2q for the two Gauss rows, q - 1 for
+the Salie row.
 
 Floating-point policy: scalar direct sums accumulate with numpy's pairwise
 summation, the exhaustive helpers with pocketfft (neither depends on the

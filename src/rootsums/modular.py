@@ -6,10 +6,10 @@ stay exact for any odd prime modulus below 2**62.  Four cached tables
 discrete logarithms of the least primitive root) cover q <= TABLE_LIMIT and
 are the one place where residue structure is computed in bulk; the tests
 cross-check them against the scalar routines.  ``read_products`` is the one
-read of a table on a product grid: it gathers from the table's
-``log_ordered`` buffer straight into its destination, with takes that need
-no bounds check because ``log_tables`` checks the range of its logs once,
-when it builds them.  ``log_grid`` is the same read with the logs of the
+read of a table on a product grid: one take from the table's
+``log_ordered`` buffer at an index grid of summed logs, which needs no
+bounds check because ``log_tables`` checks the range of its logs once, when
+it builds them.  ``log_grid`` is the same read with the logs of the
 grid reduced, so one grid serves every row multiplier through a shifted take.
 
 Every memoised table of the package is declared with ``table_cache``, the
@@ -268,46 +268,26 @@ def log_ordered(table: np.ndarray) -> np.ndarray:
     return buf
 
 
-# Entries per take of read_products: the chunk's int64 index stays small, and
-# no grid-sized index is formed.
+# Entries per chunk of log_grid, which bounds the uint64 temporaries of a Weyl column block.
 _READ_CHUNK = 1 << 13
 
 
-def read_products(
-    buf: np.ndarray, rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def read_products(buf: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """table[rows[i] * cols[j] mod q] for every (i, j), read from buf = ``log_ordered(table)``.
 
     q = (len(buf) + 2) // 4 is prime, and a buf of another length than 4q - 2
     (such as a table, whose length is an odd prime) raises ValueError.  In discrete
-    logs a product-grid read is a Hankel matrix: entry (i, j) is
-    buf[lg[rows[i]] + lg[cols[j]]], where lg[0] = 2(q - 1) points into the
-    run of table[0].  No len(rows) x len(cols) index is formed; each entry is
-    the table element, bit for bit.
-
-    The grid is gathered straight into ``out`` (shape (len(rows), len(cols)),
-    buf's dtype), so a sweep can refill one resident block, or into a fresh
-    array when ``out`` is None; either is returned.  The rows are read a few
-    at a time, each chunk with one take(mode="clip"), which writes into its
-    destination where mode="raise" would buffer a copy of it.  Nothing is
-    clipped: ``log_tables`` checks once that lg[0] = 2(q - 1) and every other
-    log lies in [0, q - 2], so every index lg[r] + lg[c] lies in
-    [0, 4(q - 1)] = [0, len(buf) - 2].
+    logs a product-grid read is a Hankel matrix: entry (i, j), bit for bit the table
+    element, is buf[lg[rows[i]] + lg[cols[j]]], with lg[0] = 2(q - 1) in the run of
+    table[0].  The read is one take(mode="clip") of that int64 index grid, 8 B per
+    entry beside the result, and clips nothing: ``log_tables`` checks once that every
+    index lies in [0, 4(q - 1)] = [0, len(buf) - 2].
     """
     q = (len(buf) + 2) // 4
     if len(buf) != 4 * q - 2:
         raise ValueError(f"a log-ordered buffer has 4q - 2 entries, not {len(buf)}")
     _, lg = log_tables(q)
-    if out is None:
-        out = np.empty((len(rows), len(cols)), buf.dtype)
-    elif out.shape != (len(rows), len(cols)) or out.dtype != buf.dtype:
-        raise ValueError(f"out must be {buf.dtype} of shape {(len(rows), len(cols))}")
-    row_logs, col_logs = lg[rows % q], lg[cols % q]
-    step = max(1, _READ_CHUNK // max(1, len(col_logs)))
-    for start in range(0, len(row_logs), step):
-        index = np.add.outer(row_logs[start : start + step], col_logs)
-        buf.take(index, out=out[start : start + step], mode="clip")
-    return out
+    return buf.take(np.add.outer(lg[rows % q], lg[cols % q]), mode="clip")
 
 
 def log_grid(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
@@ -322,9 +302,9 @@ def log_grid(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
     lie in [0, q - 2] or at 2(q - 1), so every index lies in
     [0, 4(q - 1)] = [0, len(buf) - 2] and a take(mode="clip") clips nothing.
 
-    L is built a few rows at a time, as read_products reads: each chunk is the
-    sum of two logs in [0, 2q - 4], reduced as min(s, s - (q - 1)) in uint64,
-    where s - (q - 1) wraps past every log for s < q - 1.
+    L is built about _READ_CHUNK entries at a time: each chunk is the sum of
+    two logs in [0, 2q - 4], reduced as min(s, s - (q - 1)) in uint64, where
+    s - (q - 1) wraps past every log for s < q - 1.
     """
     _, lg = log_tables(q)
     logs = lg.view(np.uint64)

@@ -7,11 +7,14 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import SizeGuardError
+
 # Witness set that makes Miller-Rabin deterministic for n < 3.3 * 10**24,
 # which comfortably covers the 2**62 modulus ceiling used elsewhere.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _BLOCK = 1 << 20  # integers per segment of iter_prime_blocks
+_WINDOW_LIMIT = 1 << 24  # integers per primes_between window: a 16 MiB mask
 
 
 def is_prime(n: int) -> bool:
@@ -62,10 +65,13 @@ def iter_prime_blocks(limit: int) -> Iterator[np.ndarray]:
 
 
 def primes_between(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi] via one sieved segment."""
+    """Primes in [lo, hi] via one sieved segment.  A window of more than _WINDOW_LIMIT
+    integers raises SizeGuardError before its mask is allocated."""
     if hi < 2 or hi < lo:
         return np.empty(0, dtype=np.int64)
     lo = max(lo, 2)
+    if hi - lo + 1 > _WINDOW_LIMIT:
+        raise SizeGuardError(f"prime window [{lo}, {hi}] of more than {_WINDOW_LIMIT} integers refused")
     base = sieve_primes(math.isqrt(hi))
     mask = np.ones(hi - lo + 1, dtype=bool)
     for p in base:

@@ -161,8 +161,8 @@ def chi_at(q: int, n: np.ndarray) -> np.ndarray:
     vals = legendre_table(q)[n % q]
     if q % 4 == 3:
         return vals
-    odd = n // (n & -n).clip(min=1)
-    return np.where(odd % 4 == 3, -vals, vals)
+    # bit v + 1 of n = 2^v * m is bit 1 of m, set exactly when m = 3 (mod 4)
+    return np.where(n & ((n & -n) << 1), -vals, vals)
 
 
 def chi_values(q: int, limit: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from rootsums.bilinear import (
     _KERNEL_BLOCK_BYTES,
     BilinearInstance,
     _column_width,
+    _curve_rows,
     a_sum,
     a_sum_all,
     balanced_curve_parameters,
@@ -450,16 +451,16 @@ class TestRjDecomposition:
         m, n = np.arange(16, 32), np.arange(16, 32)
         entries = int(np.sum(leg[3 * m % q] == 1)) * int(np.sum(leg[n % q] == 1))
         expected = rj_sum(1, inst)
-        monkeypatch.setattr(bilinear, "_RJ_KERNEL_BYTES", 16 * entries)
+        monkeypatch.setattr(bilinear, "_RJ_KERNEL_BYTES", 24 * entries)
         assert rj_sum(1, inst) == expected
-        monkeypatch.setattr(bilinear, "_RJ_KERNEL_BYTES", 16 * entries - 1)
+        monkeypatch.setattr(bilinear, "_RJ_KERNEL_BYTES", 24 * entries - 1)
         with pytest.raises(SizeGuardError, match="R_j kernel"):
             rj_sum(1, inst)
 
     def test_largest_weyl_large_cell_passes_and_a_larger_one_is_refused(self, rng):
         """The budget admits every cell with M * N <= 2^22; a 2^16 x 2^16 cell is refused
         before its 16 GiB selected kernel is read."""
-        assert bilinear._RJ_KERNEL_BYTES == 16 * (1 << 22)
+        assert bilinear._RJ_KERNEL_BYTES == 24 * (1 << 22)
         q = 8009
         inst = BilinearInstance(
             q, 5, 7, WeightVector.indicator(q, 2048), WeightVector.random_pm1(q, 2048, rng)
@@ -581,6 +582,20 @@ class TestCurveSums:
         vals = curve_sum_sigma_all_t(b, 2, 3, q)
         for t in (0, 4, 9):
             assert vals[t] == pytest.approx(curve_sum_sigma_t(b, t, 2, 3, q), abs=1e-8)
+
+    def test_rows_read_one_block_at_a_time(self):
+        """Over all q rows at q = 1009 the rows peak at 40 B per entry: the complex product,
+        one complex block and its int64 index.  The block before is dropped before the next
+        read, and a conjugated block is conjugated in place."""
+        q = 1009
+        sqrt_phase_buffer(q)  # the modulus's tables are built first
+        tracemalloc.start()
+        try:
+            _curve_rows((1, 2, 3, 5), 2, 3, np.arange(q, dtype=np.int64), q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 42 * q * q
 
     def test_diagonal_detection(self):
         assert is_diagonal_quadruple((3, 3, 5, 5))

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import rootsums
-from rootsums import bilinear
+from rootsums import bilinear, equidist, lattice, splitprimes
 from rootsums.cli import build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -71,6 +72,19 @@ class TestSums:
         captured = capsys.readouterr()
         assert "refused: all-pairs evaluation refused for q=299993 > 299593" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["sums", "--qmax", "100000000000"],
+                                      ["lattice", "--qmax", "100000000000", "--samples", "1"]])
+    def test_huge_qmax_is_refused_before_its_sieve(self, argv, capsys):
+        """A prime window of 10^11 integers is refused before its 93 GiB mask is allocated."""
+        tracemalloc.start()
+        try:
+            assert run(argv) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.startswith("refused: prime window [")
+        assert peak < 1 << 20
 
     def test_summary_names_the_worst_error(self, tmp_path, capsys):
         """One stderr line: moduli, the worst max_*_err/sqrt(q) with its q and column, and
@@ -268,9 +282,17 @@ class TestSplit:
         assert capsys.readouterr().err == "refused: legendre_table refused for 16777259 > 16777216\n"
         assert peak < 1 << 20  # the table alone would be 16 MiB of int8
 
+    @pytest.mark.parametrize("cutoff", ["-1", "-0.5", "nan", "inf", "-inf", "1e400"])
+    def test_count_cutoff_is_finite_and_non_negative(self, cutoff, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["split", "count", "--q", "23", f"--P={cutoff}"])
+        assert exc.value.code == 2
+        assert "not finite and non-negative" in capsys.readouterr().err
+
     def test_count_json(self, tmp_path):
         out = tmp_path / "count.json"
         assert run(["split", "count", "--q", "23", "--P", "5", "--out", str(out)]) == 0
+        assert '"P": 5.0,' in out.read_text()  # the cutoff stays a float
         payload = json.loads(out.read_text())
         assert payload["split_count"] == 2
         assert payload["least_split_prime"] == 2
@@ -284,6 +306,22 @@ class TestSplit:
 
 
 class TestOthers:
+    @pytest.mark.parametrize("command,sweep,parameter", [
+        ("lattice", lattice.dichotomy_sweep, "seed"),
+        ("bilinear", bilinear.weyl_sweep, "q_values"),
+        ("discrepancy", equidist.gamma_sweep, "q_values"),
+        ("split", splitprimes.asymptotic_probe_rows, "q_max"),
+    ])
+    def test_help_names_the_calibrated_default(self, command, sweep, parameter, monkeypatch, capsys):
+        """Where a CLI default differs from the sweep that calibration.json freezes, --help
+        states the sweep's default, as its signature reads."""
+        default = inspect.signature(sweep).parameters[parameter].default
+        value = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        assert f"the calibrated {sweep.__name__} uses {value}" in " ".join(capsys.readouterr().out.split())
+
     def test_energy_columns(self, tmp_path):
         out = tmp_path / "energy.csv"
         assert run(["energy", "--qset", "31", "--out", str(out)]) == 0

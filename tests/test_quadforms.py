@@ -130,7 +130,7 @@ class TestChi:
         assert chi(2, 7) == 1  # -7 = 1 (mod 8)
         assert chi(2, 67) == -1  # -67 = 5 (mod 8)
 
-    @pytest.mark.parametrize("q", [7, 11, 13, 23, 1009, 1013, 10007])
+    @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 23, 101, 1009, 1013, 10007, 10009])
     def test_table_matches_direct(self, q, monkeypatch):
         # both classes of q mod 4 and both signs of chi(2)
         calls = []
