@@ -43,7 +43,6 @@ from .modular import (
     legendre_table,
     log_grid,
     log_tables,
-    read_products,
     residue_roots,
 )
 from .weights import (
@@ -222,7 +221,7 @@ def rj_sum(j: int, inst: BilinearInstance) -> float:
     if _ENTRY_BYTES * m_sel.size * n_sel.size > _RJ_KERNEL_BYTES:
         raise SizeGuardError(f"R_j kernel of {m_sel.size} x {n_sel.size} entries refused")
     rows = inst.a * inst.h % q * inst.h % q * (m_sel % q)
-    inner = read_products(sqrt_phase_buffer(q), rows, n_sel) @ inst.beta.coeffs[n_mask]
+    inner = sqrt_phase_buffer(q).take(log_grid(rows, n_sel, q), mode="clip") @ inst.beta.coeffs[n_mask]
     return float(np.sum(np.abs(inner) ** 2))
 
 
@@ -368,7 +367,7 @@ def _curve_rows(b: tuple[int, int, int, int], h: int, a: int, s: np.ndarray, q: 
     r = np.arange(q, dtype=np.int64)
     prod = np.ones((len(s), q), dtype=np.complex128)
     for b_i, conjugate in zip(b, (False, False, True, True)):
-        vals = read_products(buf, scale, r + b_i)
+        vals = buf.take(log_grid(scale, r + b_i, q), mode="clip")
         prod *= np.conj(vals, out=vals) if conjugate else vals
         del vals  # the next block is not read beside this one
     return prod.sum(axis=1)
@@ -466,7 +465,7 @@ def variety_multiplicity(b: tuple[int, int, int, int], q: int) -> int:
 def _index_matrix(an: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
     """The residues an * m mod q as an N x M int64 matrix.
 
-    For the Salie correlation only.  ``read_products`` would serve it too (a
+    For the Salie correlation only.  A ``log_grid`` take would serve it too (a
     factor 0 mod q reads table[0]); it stays while ``perfbench`` names it.
     """
     return an[:, None] * (m[None, :] % q) % q

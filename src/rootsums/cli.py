@@ -288,7 +288,8 @@ def cmd_split(args) -> int:
             _summary(f"{len(reports)} moduli, min margin {margin:.3f} at q={worst.q}")
         return 0
     if args.action == "count":
-        from .splitprimes import count_split, least_nonresidue, least_split_prime
+        from .modular import least_nonresidue
+        from .splitprimes import count_split, least_split_prime
 
         payload = {
             "q": args.q,

@@ -8,9 +8,9 @@ O(q^2).  The exhaustive ``*_all`` checks return the maxima over every pair of
 coefficients that the identity checks read, from the rows they reduce to by
 an exact change of variables: rows 1 and nu (the least non-residue) for
 Gauss sums, row 1 for Salie sums.  So a modulus costs three FFT rows and
-O(q) memory.  Each table read is one ``modular.read_products`` take, whose
-int64 index has an entry per entry read: 2q for the two Gauss rows, q - 1 for
-the Salie row.
+O(q) memory.  Each row reads its table directly at the int64 index products
+rows[i] * cols[j] mod q: 2q entries for the two Gauss rows, q - 1 for the
+Salie row.
 
 Floating-point policy: scalar direct sums accumulate with numpy's pairwise
 summation, the exhaustive helpers with pocketfft (neither depends on the
@@ -31,9 +31,9 @@ from .modular import (
     inv_mod,
     inverse_table,
     kronecker,
+    least_nonresidue,
     legendre_table,
     log_ordered,
-    read_products,
     sqrt_mod,
     table_cache,
 )
@@ -41,10 +41,10 @@ from .modular import (
 # Direct summation is O(q) per call; refuse instead of silently grinding.
 DIRECT_SUM_LIMIT = 1 << 24
 # Bytes per unit of q that one modulus's all-pairs checks hold at their peak:
-# the unit-root, root-phase, inverse, Legendre and log tables, the two
-# log-ordered buffers the rows read (64 q bytes each) and the rows.  Under
-# tracemalloc with cold caches, gauss_all and salie_all peaked at 209-213 q
-# bytes for q from 997 to 10^6.  ALL_PAIRS_LIMIT keeps a modulus under 64 MiB.
+# the unit-root, root-phase, inverse, Legendre and log tables, the int64 index
+# of each table read and the rows.  Under tracemalloc with cold caches,
+# gauss_all and salie_all peaked at 137-151 q bytes for q from 10^4 to 10^5;
+# 224 is kept as the bound.  ALL_PAIRS_LIMIT keeps a modulus under 64 MiB.
 _PAIR_BYTES_PER_Q = 224
 ALL_PAIRS_LIMIT = (1 << 26) // _PAIR_BYTES_PER_Q
 # Largest error / sqrt(q) that an exact identity evaluated in floats may show.
@@ -80,7 +80,7 @@ def sqrt_phase_table(q: int) -> np.ndarray:
 
 @table_cache(TABLE_LIMIT)
 def sqrt_phase_buffer(q: int) -> np.ndarray:
-    """log_ordered(sqrt_phase_table(q)), which every Weyl cell reads."""
+    """log_ordered(sqrt_phase_table(q)), which every kernel read takes (Weyl cells, R_j, curve rows)."""
     return log_ordered(sqrt_phase_table(q))
 
 
@@ -173,14 +173,13 @@ def gauss_rows(q: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows from one inverse FFT with norm="forward", which returns
     sum_x f(x) e_q(b*x) unscaled: O(q log q) per row.  Each row is
     transformed on its own, so a row is bit for bit the same in any row set.
-    Both matrices are gathered by ``read_products`` from an uncached
-    log-ordered buffer of the unit roots, dropped on return.
+    Both matrices read the unit roots at the int64 index products mod q.
     """
     x = np.arange(q, dtype=np.int64)
-    squares, buf = x * x, log_ordered(exp_table(q))
-    direct = np.fft.ifft(read_products(buf, a, squares), axis=1, norm="forward")
+    squares, roots = x * x % q, exp_table(q)
+    direct = np.fft.ifft(roots[np.multiply.outer(a % q, squares) % q], axis=1, norm="forward")
 
-    closed = read_products(buf, -inverse_table(q)[4 * a % q], squares)
+    closed = roots[np.multiply.outer(-inverse_table(q)[4 * a % q] % q, squares) % q]
     closed *= eps_q(q) * math.sqrt(q)
     closed *= legendre_table(q)[a][:, None]
     return direct, closed
@@ -193,15 +192,15 @@ def salie_rows(q: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Substituting y = xbar, row m of ``direct`` is the DFT of
     y -> (y/q) e_q(m*ybar) read at n = 1..q-1; y = 0 contributes 0 because
     the inverse and Legendre tables both hold 0 there.  As in gauss_rows, one
-    inverse FFT with norm="forward" sums every row, and the buffers are
-    uncached.  The closed form reads T_2(mn) = T[4mn].
+    inverse FFT with norm="forward" sums every row, and each table is read at
+    the int64 index products mod q.  The closed form reads T_2(mn) = T[4mn].
     """
     chi = legendre_table(q)
-    direct = read_products(log_ordered(exp_table(q)), m, inverse_table(q))
+    direct = exp_table(q)[np.multiply.outer(m % q, inverse_table(q)) % q]
     direct *= chi
     direct = np.fft.ifft(direct, axis=1, norm="forward")[:, 1:]
 
-    closed = read_products(log_ordered(sqrt_phase_table(q)), 4 * m, np.arange(1, q))
+    closed = sqrt_phase_table(q)[np.multiply.outer(4 * m % q, np.arange(1, q)) % q]
     closed *= chi[1:]
     closed *= eps_q(q) * math.sqrt(q)
     return direct, closed
@@ -217,8 +216,7 @@ def gauss_all(q: int) -> tuple[float, float]:
     the same sign.  The maxima over every pair are those of rows 1 and nu.
     """
     check_all_pairs(q)
-    nu = int(np.argmax(legendre_table(q) == -1))
-    direct, closed = gauss_rows(q, np.array([1, nu]))
+    direct, closed = gauss_rows(q, np.array([1, least_nonresidue(q)]))
     closed -= direct
     return float(np.max(np.abs(closed))), float(np.max(np.abs(np.abs(direct) - math.sqrt(q))))
 

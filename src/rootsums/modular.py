@@ -5,12 +5,12 @@ stay exact for any odd prime modulus below 2**62.  Four cached tables
 (Legendre values, inverses, smallest square roots, and the powers and
 discrete logarithms of the least primitive root) cover q <= TABLE_LIMIT and
 are the one place where residue structure is computed in bulk; the tests
-cross-check them against the scalar routines.  ``read_products`` is the one
-read of a table on a product grid: one take from the table's
-``log_ordered`` buffer at an index grid of summed logs, which needs no
-bounds check because ``log_tables`` checks the range of its logs once, when
-it builds them.  ``log_grid`` is the same read with the logs of the
-grid reduced, so one grid serves every row multiplier through a shifted take.
+cross-check them against the scalar routines.  ``log_grid`` is the one index
+of a product grid: the logs of rows[i] * cols[j], reduced mod q - 1, which a
+take from a table's ``log_ordered`` buffer, shifted by the log of a row
+multiplier, reads with no bounds check, because ``log_tables`` checks the
+range of its logs once, when it builds them.  So one grid serves every row
+multiplier.
 
 Every memoised table of the package is declared with ``table_cache``, the
 one cache policy: TABLE_CACHE_SIZE entries, read-only results and a size
@@ -200,6 +200,16 @@ def legendre_table(q: int) -> np.ndarray:
     return table
 
 
+def least_nonresidue(q: int) -> int:
+    """The least quadratic non-residue modulo the odd prime q, read off ``legendre_table``.
+
+    It is prime (a product of residues is a residue) and below q.
+    """
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"need an odd prime q, got {q}")
+    return int(np.argmax(legendre_table(q) == -1))
+
+
 @table_cache(TABLE_LIMIT)
 def root_table(q: int) -> np.ndarray:
     """int64 array mapping residue -> smallest square root, -1 for non-residues."""
@@ -226,10 +236,10 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
 
     g is ``primitive_root(q)``, so pw is a permutation of [1, q-1] and every
     nonzero residue has a discrete logarithm.  0 has none: lg[0] = 2(q-1)
-    points past the two periods in the buffer of ``read_products``, into its
-    run of table[0].  pw is built in O(log q) doubling steps, pw[k:2k] = pw[:k] * g^k.
-    lg passes ``_check_log_range`` once, when it is built, and so every read
-    of ``read_products`` is in range.
+    points past the two periods of a ``log_ordered`` buffer, into its run of
+    table[0].  pw is built in O(log q) doubling steps, pw[k:2k] = pw[:k] * g^k.
+    lg passes ``_check_log_range`` once, when it is built, and so every
+    shifted take at a ``log_grid`` is in range.
     """
     g = primitive_root(q)
     pw = np.empty(q - 1, dtype=np.int64)
@@ -248,8 +258,8 @@ def log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_log_range(lg: np.ndarray) -> None:
     """Raise unless lg[0] = 2(q - 1) and every other entry lies in [0, q - 2], q = len(lg).
 
-    Then every sum lg[r] + lg[c] lies in [0, 4(q - 1)], inside the index range
-    of a buffer of 4q - 2 entries, which is what ``read_products`` relies on.
+    Then every sum lg[c] + L of a shift and a ``log_grid`` entry lies in
+    [0, 4(q - 1)], the index range of a ``log_ordered`` buffer of 4q - 3 entries.
     """
     q = len(lg)
     if lg[0] != 2 * (q - 1) or lg[1:].min() < 0 or lg[1:].max() > q - 2:
@@ -257,13 +267,12 @@ def _check_log_range(lg: np.ndarray) -> None:
 
 
 def log_ordered(table: np.ndarray) -> np.ndarray:
-    """The read-only buffer of ``read_products`` for a table of prime length q: table[g^k]
-    for two periods of k, then 2q copies of table[0] (4q - 2 entries).  The last copy is
-    never read; it makes the length even, so no table of odd prime length passes for a
-    buffer.  Its readers are the complex phase tables; residue counts take the log order
-    pw alone (``log_tables``)."""
+    """The read-only buffer of ``log_grid`` takes for a table of prime length q: table[g^k]
+    for two periods of k, then 2q - 1 copies of table[0] (4q - 3 entries), so a shift of
+    lg[0] = 2(q - 1) at a grid entry of 2(q - 1) still reads table[0].  Its readers are the
+    complex phase tables; residue counts take the log order pw alone (``log_tables``)."""
     pw, _ = log_tables(len(table))
-    buf = np.concatenate([table[pw], table[pw], np.full(2 * len(table), table[0])])
+    buf = np.concatenate([table[pw], table[pw], np.full(2 * len(table) - 1, table[0])])
     buf.flags.writeable = False
     return buf
 
@@ -272,35 +281,18 @@ def log_ordered(table: np.ndarray) -> np.ndarray:
 _READ_CHUNK = 1 << 13
 
 
-def read_products(buf: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """table[rows[i] * cols[j] mod q] for every (i, j), read from buf = ``log_ordered(table)``.
-
-    q = (len(buf) + 2) // 4 is prime, and a buf of another length than 4q - 2
-    (such as a table, whose length is an odd prime) raises ValueError.  In discrete
-    logs a product-grid read is a Hankel matrix: entry (i, j), bit for bit the table
-    element, is buf[lg[rows[i]] + lg[cols[j]]], with lg[0] = 2(q - 1) in the run of
-    table[0].  The read is one take(mode="clip") of that int64 index grid, 8 B per
-    entry beside the result, and clips nothing: ``log_tables`` checks once that every
-    index lies in [0, 4(q - 1)] = [0, len(buf) - 2].
-    """
-    q = (len(buf) + 2) // 4
-    if len(buf) != 4 * q - 2:
-        raise ValueError(f"a log-ordered buffer has 4q - 2 entries, not {len(buf)}")
-    _, lg = log_tables(q)
-    return buf.take(np.add.outer(lg[rows % q], lg[cols % q]), mode="clip")
-
-
 def log_grid(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
     """The int64 grid L of the logs of rows[i] * cols[j], reduced mod q - 1, with
     L = 2(q - 1) where rows[i] or cols[j] is 0 (mod q).
 
-    A product-grid read shifted by the log of a multiplier c: for buf =
-    ``log_ordered(table)``, buf[lg[c]:].take(L) is read_products(buf, c * rows % q,
-    cols), entry for entry, since lg[c] + L is the log of c * rows[i] * cols[j]
-    within the first two periods, or a point in the run of table[0] when the
-    product is 0.  So cells that differ only in c share one L.  lg[c] and L both
-    lie in [0, q - 2] or at 2(q - 1), so every index lies in
-    [0, 4(q - 1)] = [0, len(buf) - 2] and a take(mode="clip") clips nothing.
+    The package's one product-grid index, shifted by the log of a multiplier c:
+    for buf = ``log_ordered(table)``, buf[lg[c]:].take(L) is
+    table[c * rows[i] * cols[j] mod q] for every (i, j), bit for bit, since
+    lg[c] + L is the log of that product within the first two periods, or a
+    point in the run of table[0] when the product is 0.  So cells that differ
+    only in c share one L, and c = 1 (lg[1] = 0) is the plain read.  lg[c] and
+    L both lie in [0, q - 2] or at 2(q - 1), so every index lies in
+    [0, 4(q - 1)] = [0, len(buf) - 1] and a take(mode="clip") clips nothing.
 
     L is built about _READ_CHUNK entries at a time: each chunk is the sum of
     two logs in [0, 2q - 4], reduced as min(s, s - (q - 1)) in uint64, where

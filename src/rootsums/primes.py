@@ -21,7 +21,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -43,15 +43,9 @@ def is_prime(n: int) -> bool:
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (empty array for limit < 2)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    """All primes <= limit as an int64 array (empty for limit < 2): primes_between(2, limit),
+    so a limit past _WINDOW_LIMIT raises SizeGuardError."""
+    return primes_between(2, limit)
 
 
 def iter_prime_blocks(limit: int) -> Iterator[np.ndarray]:
@@ -66,13 +60,14 @@ def iter_prime_blocks(limit: int) -> Iterator[np.ndarray]:
 
 def primes_between(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi] via one sieved segment.  A window of more than _WINDOW_LIMIT
-    integers raises SizeGuardError before its mask is allocated."""
+    integers raises SizeGuardError before its mask is allocated, and so does the window
+    [2, isqrt(hi)] of its base primes, which are sieved the same way."""
     if hi < 2 or hi < lo:
         return np.empty(0, dtype=np.int64)
     lo = max(lo, 2)
     if hi - lo + 1 > _WINDOW_LIMIT:
         raise SizeGuardError(f"prime window [{lo}, {hi}] of more than {_WINDOW_LIMIT} integers refused")
-    base = sieve_primes(math.isqrt(hi))
+    base = primes_between(2, math.isqrt(hi))
     mask = np.ones(hi - lo + 1, dtype=bool)
     for p in base:
         start = max(p * p, ((lo + p - 1) // p) * p)

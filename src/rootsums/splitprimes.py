@@ -1,4 +1,4 @@
-"""Split primes in Q(sqrt(-q)), least (non-)residues, and the effective counting construction.
+"""Split primes in Q(sqrt(-q)), the least split prime, and the effective counting construction.
 
 The quantitative centrepiece: for q = 3 (mod 16) the values of
 P(n) = n^2 + n + (q+1)/4 satisfy 4*P(n) = (2n+1)^2 + q, so every odd prime
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modular import inv_mod, kronecker, legendre_table, sqrt_mod
+from .modular import inv_mod, kronecker, sqrt_mod
 from .primes import factorize, is_prime, iter_prime_blocks, primes_between, sieve_primes, valuation
 from .quadforms import chi_at
 
@@ -88,26 +88,13 @@ def split_census(limit: float, q: int) -> dict[str, int]:
     return census
 
 
-def _first_prime(limit: int, hit) -> int:
-    """The least prime p <= limit at which the boolean array hit(block) holds."""
-    for block in iter_prime_blocks(limit):
-        where = np.flatnonzero(hit(block))
-        if where.size:
-            return int(block[where[0]])
-    raise RuntimeError(f"no such prime below {limit}")
-
-
 def least_split_prime(q: int) -> int:
     """Smallest prime that splits in Q(sqrt(-q)), q an odd prime."""
-    return _first_prime(4 * q * q, lambda block: splitting_types(block, q) == 1)
-
-
-def least_nonresidue(q: int) -> int:
-    """Smallest prime quadratic non-residue modulo the odd prime q (prime by multiplicativity)."""
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"need an odd prime q, got {q}")
-    leg = legendre_table(q)
-    return _first_prime(4 * q * q, lambda block: leg[block % q] == -1)
+    for block in iter_prime_blocks(4 * q * q):
+        where = np.flatnonzero(splitting_types(block, q) == 1)
+        if where.size:
+            return int(block[where[0]])
+    raise RuntimeError(f"no split prime below {4 * q * q}")
 
 
 def principal_form_value(n: int, q: int) -> int:

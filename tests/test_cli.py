@@ -74,9 +74,11 @@ class TestSums:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [["sums", "--qmax", "100000000000"],
-                                      ["lattice", "--qmax", "100000000000", "--samples", "1"]])
+                                      ["lattice", "--qmax", "100000000000", "--samples", "1"],
+                                      ["sums", "--qmin", str(10**20), "--qmax", str(10**20 + 10)]])
     def test_huge_qmax_is_refused_before_its_sieve(self, argv, capsys):
-        """A prime window of 10^11 integers is refused before its 93 GiB mask is allocated."""
+        """A prime window of 10^11 integers is refused before its 93 GiB mask is allocated,
+        and a window of 11 at 10^20 before the 10^10-entry mask of its base primes."""
         tracemalloc.start()
         try:
             assert run(argv) == 3

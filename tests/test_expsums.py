@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootsums import calibration
+from rootsums import calibration, expsums
 from rootsums.errors import SizeGuardError
 from rootsums.expsums import (
     _PAIR_BYTES_PER_Q,
@@ -414,9 +414,11 @@ def test_sweeps_do_not_depend_on_call_order():
     assert got == fresh
 
 
-def test_sweeps_leave_the_cached_phase_buffer_alone():
-    """The identity checks and their rows read uncached buffers of their own, built per call
-    and freed with it: the cached buffer of the Weyl cells is neither built nor read."""
+def test_sweeps_leave_the_cached_phase_buffer_alone(monkeypatch):
+    """The identity checks and their rows read their tables directly: the cached buffer of
+    the kernel reads is neither built nor read, and no log-ordered buffer is built."""
+    built = []
+    monkeypatch.setattr(expsums, "log_ordered", lambda table: built.append(len(table)))
     before = sqrt_phase_buffer.cache_info()
     for q in (3, 101, 997):
         gauss_all(q)
@@ -424,6 +426,7 @@ def test_sweeps_leave_the_cached_phase_buffer_alone():
         gauss_rows(q, np.arange(1, min(q, 5)))
         salie_rows(q, np.arange(1, min(q, 5)))
     assert sqrt_phase_buffer.cache_info() == before
+    assert built == []
 
 
 def test_gauss_sums_build_no_root_phase_table():
@@ -464,3 +467,4 @@ def test_all_pairs_limit_is_the_memory_of_one_modulus():
     finally:
         tracemalloc.stop()
     assert peak < _PAIR_BYTES_PER_Q * q
+    assert peak < 170 * q  # no log-ordered buffer (64 q bytes each) is built

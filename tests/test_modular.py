@@ -4,6 +4,7 @@ import cmath
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from rootsums.modular import (
     log_ordered,
     log_tables,
     primitive_root,
-    read_products,
     reduced_residue,
     residue_roots,
     root_table,
@@ -47,7 +47,7 @@ ODD_PRIMES_3000 = [int(q) for q in sieve_primes(3000) if q % 2 == 1]
 def product_reads(draw):
     """(table, rows, cols) for an odd prime q < 3000: a complex or int64 table of length q
     and int64 factors with 0, negatives and multiples of q among them.  The column count is
-    small or near _READ_CHUNK, so some reads are wide."""
+    small or near _READ_CHUNK, so some grids are built in chunks."""
     q = draw(st.sampled_from(ODD_PRIMES_3000))
     table = draw(st.sampled_from([exp_table(q), sqrt_phase_table(q), root_table(q), np.arange(q) * 3 - q]))
     factor = st.one_of(st.integers(-3 * q, 3 * q), st.integers(-3, 3).map(lambda k: k * q))
@@ -240,10 +240,10 @@ class TestTables:
         assert all(len({pow(c, k, q) for k in range(q - 1)}) < q - 1 for c in range(2, min(g, 50)))
 
     @pytest.mark.parametrize("q", [3, 5, 101, 4001])
-    def test_read_products_is_the_index_product_read(self, q):
-        """Each entry read from log_ordered(table) is the table read at the int64 index
-        product, bit for bit, whatever the factors: for the unit-root, root-phase and root
-        tables and for tables built by hand."""
+    def test_log_grid_take_is_the_index_product_read(self, q):
+        """Each entry taken from log_ordered(table) at log_grid(rows, cols) is the table read
+        at the int64 index product, bit for bit, whatever the factors: for the unit-root,
+        root-phase and root tables and for tables built by hand."""
         # 0, units, multiples of q, negatives and values past q, as rows and as columns
         factors = np.array([0, 1, 2, q - 1, q, 2 * q, 3 * q + 1, -1, -q, -(q + 2), 7 * q - 3])
         every = np.arange(-q, 2 * q + 1) if q < 1000 else np.arange(-3, q + 3)
@@ -252,28 +252,31 @@ class TestTables:
         by_hand = sqrt_phase_table(q) * (1 + 2j)
         for table in (exp_table(q), sqrt_phase_table(q), root_table(q), by_hand, np.arange(q) - 5):
             buf = log_ordered(table)
-            assert buf.shape == (4 * q - 2,) and buf.dtype == table.dtype and not buf.flags.writeable
+            assert buf.shape == (4 * q - 3,) and buf.dtype == table.dtype and not buf.flags.writeable
             for rows, cols in grids:
-                got = read_products(buf, rows, cols)
+                got = buf.take(log_grid(rows, cols, q), mode="clip")
                 assert got.shape == (len(rows), len(cols))
                 assert np.array_equal(got, table[np.multiply.outer(rows, cols) % q])
 
     @settings(max_examples=80, deadline=None)
     @given(product_reads())
-    def test_read_products_property(self, read):
-        """The read equals the int64 index product read of the table, in its dtype."""
+    def test_log_grid_take_property(self, read):
+        """The take equals the int64 index product read of the table, in its dtype."""
         table, rows, cols = read
+        q = len(table)
         buf = log_ordered(table)
-        expected = table[np.multiply.outer(rows, cols) % len(table)]
-        got = read_products(buf, rows, cols)
+        assert len(buf) == 4 * q - 3
+        expected = table[np.multiply.outer(rows, cols) % q]
+        got = buf.take(log_grid(rows, cols, q), mode="clip")
         assert got.dtype == table.dtype and np.array_equal(got, expected)
 
     @settings(max_examples=80, deadline=None)
     @given(shifted_grids())
     def test_log_grid_is_a_shifted_product_read(self, grid_read):
         """For every shift c, the take of the buffer shifted by lg[c] at log_grid(rows, cols)
-        is read_products(buf, c * rows % q, cols) byte for byte, and its largest index
-        lg[c] + max(L) is at most len(buf) - 2, so mode="clip" clips nothing."""
+        is the table read at the int64 index products c * rows * cols mod q, byte for byte,
+        and its largest index lg[c] + max(L) is at most len(buf) - 1, so mode="clip" clips
+        nothing."""
         q, rows, cols, shifts = grid_read
         grid = log_grid(rows, cols, q)
         assert grid.dtype == np.int64 and grid.shape == (len(rows), len(cols))
@@ -282,14 +285,14 @@ class TestTables:
             buf = log_ordered(table)
             for c in shifts:
                 got = buf[lg[c % q] :].take(grid, mode="clip")
-                assert got.tobytes() == read_products(buf, c * rows % q, cols).tobytes()
+                assert got.tobytes() == table[np.multiply.outer(c * rows % q, cols) % q].tobytes()
                 if grid.size:
-                    assert 0 <= grid.min() and lg[c % q] + grid.max() <= len(buf) - 2
+                    assert 0 <= grid.min() and lg[c % q] + grid.max() <= len(buf) - 1
 
     @pytest.mark.parametrize("q", [3, 5, 101, 4001, 8009])
     def test_log_range_is_checked_when_built(self, q, monkeypatch):
-        """log_tables checks lg's range, so a sum of two logs indexes a buffer of 4q - 2;
-        each way a copy of lg can leave that range raises."""
+        """log_tables checks lg's range, so a shift plus a log_grid entry indexes a buffer of
+        4q - 3; each way a copy of lg can leave that range raises."""
         checked = []
         monkeypatch.setattr(modular, "_check_log_range", lambda lg: checked.append(lg.copy()))
         _, lg = log_tables.__wrapped__(q)  # the uncached build
@@ -302,36 +305,24 @@ class TestTables:
             with pytest.raises(ValueError, match="out of range"):
                 _check_log_range(bad)
 
-    @pytest.mark.parametrize("q", [3, 7, 211, 4003])
-    def test_a_table_is_not_a_buffer(self, q):
-        """A table of prime length q = 3 (mod 4) has no length 4q' - 2, so reading it raises."""
-        assert q % 4 == 3
-        rows = cols = np.arange(4)
-        with pytest.raises(ValueError, match="4q - 2 entries"):
-            read_products(sqrt_phase_table(q), rows, cols)
-        assert np.array_equal(read_products(log_ordered(sqrt_phase_table(q)), rows, cols),
-                              sqrt_phase_table(q)[np.multiply.outer(rows, cols) % q])
-
-    def test_no_odd_prime_table_is_a_buffer(self, odd_primes_1000):
-        """A buffer has 4q - 2 entries, an even number, so no raw table of odd prime length
-        passes for one, whatever q mod 4; (41 + 3)/4 = 11 once let a table of 41 through."""
-        rows = cols = np.arange(3)
-        for q in odd_primes_1000:
-            for table in (exp_table(q), sqrt_phase_table(q)):
-                with pytest.raises(ValueError, match="4q - 2 entries"):
-                    read_products(table, rows, cols)
-
     @pytest.mark.parametrize("q", [3, 5, 101, 4001])
     def test_log_of_zero_points_into_the_run_of_table_zero(self, q):
-        """lg[0] = 2(q-1): past both periods, so a factor 0 reads table[0] against every log."""
+        """lg[0] = 2(q-1): past both periods, so a factor 0 reads table[0] against every log,
+        and so does the shift lg[0] at the last index of the 4q - 3 entries."""
         _, lg = log_tables(q)
         assert lg[0] == 2 * (q - 1)
         assert lg[1:].max() == q - 2
-        table = log_ordered(np.arange(q) + 7)  # every entry distinct, table[0] = 7
-        units = np.arange(1, q)
-        assert np.array_equal(read_products(table, np.array([0]), units), np.full((1, q - 1), 7))
-        assert np.array_equal(read_products(table, units, np.array([0, q])), np.full((q - 1, 2), 7))
-        assert np.array_equal(read_products(table, np.array([0]), np.array([0])), [[7]])
+        buf = log_ordered(np.arange(q) + 7)  # every entry distinct, table[0] = 7
+        assert len(buf) == 4 * q - 3
+        units, zero = np.arange(1, q), np.array([0])
+
+        def read(rows, cols, shift=0):
+            return buf[shift:].take(log_grid(rows, cols, q), mode="clip")
+
+        assert np.array_equal(read(zero, units), np.full((1, q - 1), 7))
+        assert np.array_equal(read(units, np.array([0, q])), np.full((q - 1, 2), 7))
+        assert np.array_equal(read(zero, zero), [[7]])
+        assert np.array_equal(read(units, zero, shift=lg[0]), np.full((q - 1, 1), 7))
 
     def test_primitive_root_rejects_bad_moduli(self):
         for bad in (2, 9, 15):
@@ -423,3 +414,15 @@ class TestPrimes:
         assert primes_between(0, 20).tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
         assert primes_between(14, 16).size == 0
         assert primes_between(5, 3).size == 0
+
+    def test_narrow_window_refuses_its_base_primes_past_the_window_limit(self):
+        """The base primes of [10^15, 10^15 + 10] are those up to 3.2 * 10^7: their window is
+        refused like any other, before a mask is allocated."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match=r"prime window \[2, 31622776\]"):
+                primes_between(10**15, 10**15 + 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

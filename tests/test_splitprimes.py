@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsums import modular, quadforms, splitprimes
-from rootsums.modular import kronecker
+from rootsums.modular import kronecker, least_nonresidue
 from rootsums.primes import factorize, sieve_primes, valuation
 from rootsums.splitprimes import (
     EFFECTIVE_CONSTANT,
@@ -18,7 +18,6 @@ from rootsums.splitprimes import (
     effective_sweep,
     hensel_sqrt,
     is_split,
-    least_nonresidue,
     least_split_prime,
     ordp_identity_check,
     principal_form_value,
