@@ -134,16 +134,16 @@ def check_weyl_envelopes(**grid) -> CriterionResult:
     """|W| stays below both frozen envelope multiples over the seeded grid."""
     from .bilinear import weyl_sweep
 
-    rows = weyl_sweep(**grid)
-    worst1 = calibration.worst(rows, "weyl_envelope1")
-    worst2 = calibration.worst(rows, "weyl_envelope2")
+    # one pass over the sweep's iterator: one (q, M, N) group of rows is held at a time
+    cells, worst = calibration.scan(weyl_sweep(**grid), ("weyl_envelope1", "weyl_envelope2"))
+    worst1, worst2 = worst["weyl_envelope1"], worst["weyl_envelope2"]
     lim1 = calibration.frozen("weyl_envelope1")
     lim2 = calibration.frozen("weyl_envelope2")
     return CriterionResult(
         "bilinear weyl-sum envelopes",
         worst1 <= lim1 and worst2 <= lim2,
         {
-            "cells": len(rows),
+            "cells": cells,
             "max_ratio1": f"{worst1:.4f}",
             "frozen1": lim1,
             "max_ratio2": f"{worst2:.4f}",

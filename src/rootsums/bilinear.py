@@ -17,7 +17,9 @@ cost CPU without saving wall time.  A large kernel is streamed in column
 blocks of 3 MiB with their grid, never held whole.  A cell costs O(M*N)
 time.  ``bilinear_weyl_sum`` is the one-cell case, and ``weyl_sweep`` runs
 the seeded grid one group at a time: seed states, weight stacks and their
-norms for the whole group, then one group read.
+norms for the whole group, then one group read.  It returns an iterator
+that computes a group's rows only when they are reached, so its readers
+hold one group of rows, not the grid's.
 
 Around W sit the pieces the bound analysis decomposes it into: the
 character-restricted sums R_j, the root correlation sums A_{h,lambda,a},
@@ -31,6 +33,7 @@ import contextlib
 import functools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,7 @@ import numpy as np
 from .errors import SizeGuardError
 from .expsums import sqrt_phase_buffer, sqrt_phase_table
 from .modular import (
+    TABLE_LIMIT,
     eps_q,
     inv_mod,
     legendre_table,
@@ -508,8 +512,13 @@ def weyl_sweep(
     seed: int = 42,
     only_m: int | None = None,
     only_n: int | None = None,
-) -> list[dict]:
+) -> Iterator[dict]:
     """|W| against both envelopes over dyadic (M, N) grids and seeded weights.
+
+    The arguments are checked at the call: a non-positive ``instances``, a
+    negative seed or a modulus above TABLE_LIMIT raises here.  The rows then
+    come from an iterator that computes each (q, M, N) group only when it is
+    reached, so a reader holds one group's rows at a time.
 
     ``only_m``/``only_n`` restrict the grid to one dyadic start, so only the
     selected cells are computed; each cell's seed stream depends on the cell
@@ -517,13 +526,14 @@ def weyl_sweep(
     """
     if instances < 1:
         raise ValueError(f"instances must be positive, not {instances}")
-    rows = []
+    entropy_words((seed,))  # a negative seed raises ValueError here
+    groups = []
     for q in q_values:
+        if q > TABLE_LIMIT:
+            raise SizeGuardError(f"Weyl sweep refused for q={q} > {TABLE_LIMIT}")
         starts = dyadic_starts(q)
-        for m_start in [s for s in starts if only_m in (None, s)]:
-            for n_start in [s for s in starts if only_n in (None, s)]:
-                rows += _weyl_group(q, m_start, n_start, kinds, instances, seed)
-    return rows
+        groups += [(q, m, n) for m in starts if only_m in (None, m) for n in starts if only_n in (None, n)]
+    return (row for group in groups for row in _weyl_group(*group, kinds, instances, seed))
 
 
 def _weyl_group(

@@ -7,7 +7,8 @@ package.  Tests then rerun the identical deterministic grid and assert the
 measured maximum never exceeds the frozen constant.
 
 Each family's grid is the default arguments of its sweep in ``FAMILIES``;
-nothing else restates it.
+nothing else restates it.  A sweep's rows are read once, as a list or an
+iterator (``scan``), so a streamed sweep is never held whole.
 
 The fixture is only ever rewritten explicitly, via
 ``rootsums verify --recalibrate`` or :func:`recalibrate`.
@@ -19,6 +20,7 @@ import functools
 import importlib
 import json
 import math
+from collections.abc import Iterable
 from importlib import resources
 from pathlib import Path
 
@@ -51,13 +53,28 @@ FAMILIES = {
     "r_mean_power": ("quadforms.r_mean_sweep", ("ratio_power",)),
 }
 
-def worst(rows: list[dict], name: str) -> float:
+def scan(rows: Iterable[dict], names: Iterable[str]) -> tuple[int, dict[str, float]]:
+    """The number of ``rows`` and the worst ratio of each family in ``names``,
+    in one pass: ``rows`` may be any iterable, a sweep's iterator included.
+    No rows raise ValueError, since no worst ratio was measured."""
+    pairs = [(name, key) for name in names for key in FAMILIES[name][1]]
+    maxima = {name: -math.inf for name, _ in pairs}
+    count = 0
+    for count, row in enumerate(rows, 1):
+        for name, key in pairs:
+            if row[key] > maxima[name]:
+                maxima[name] = row[key]
+    if not count:
+        raise ValueError("no rows to scan")
+    return count, maxima
+
+
+def worst(rows: Iterable[dict], name: str) -> float:
     """The measured value of family ``name`` over sweep rows: its worst ratio."""
-    keys = FAMILIES[name][1]
-    return max(r[k] for r in rows for k in keys)
+    return scan(rows, (name,))[1][name]
 
 
-def _run_sweep(sweep: str) -> list[dict]:
+def _run_sweep(sweep: str) -> Iterable[dict]:
     module, function = sweep.split(".")
     return getattr(importlib.import_module(f".{module}", __package__), function)()
 
@@ -104,9 +121,8 @@ def recalibrate(out_path: str | Path | None = None) -> dict:
     for name, (sweep, _) in FAMILIES.items():
         by_sweep.setdefault(sweep, []).append(name)
     for sweep, names in by_sweep.items():
-        rows = _run_sweep(sweep)
-        for name in names:
-            measured = float(worst(rows, name))
+        _, maxima = scan(_run_sweep(sweep), names)  # one pass serves every family of the sweep
+        for name, measured in maxima.items():
             constants[name] = {
                 "frozen": _round_up(measured * HEADROOM),
                 "measured": float(f"{measured:.12g}"),

@@ -7,10 +7,12 @@ computes it.  The ``bilinear sweep`` contraction runs on one BLAS thread
 whatever OPENBLAS_NUM_THREADS says, where numpy's bundled OpenBLAS is found
 (``bilinear.weyl_group_sums``), and gives the bits of a 2-thread run.
 Rows are emitted in sorted key order with a fixed column set, '.' decimals
-and no locale dependence.  ``sums``, ``bilinear sweep``, ``split thm12``,
-``forms`` and ``discrepancy`` also print a short summary of their rows
-(worst ratios, least margin, mean window fraction) to stderr, so stdout and
-the --out file hold the rows alone.
+and no locale dependence.  ``bilinear sweep`` writes each (q, M, N) group's
+rows as the group is computed, once every modulus has passed its size guard,
+so a refused --qset leaves no partial file.  ``sums``, ``bilinear sweep``,
+``split thm12``, ``forms`` and ``discrepancy`` also print a short summary of
+their rows (worst ratios, least margin, mean window fraction) to stderr, so
+stdout and the --out file hold the rows alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
 3 refused by a size guard.
@@ -23,6 +25,7 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 from .errors import SizeGuardError
 from .weights import WEIGHT_CLASSES, dyadic_starts
@@ -39,17 +42,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(rows: list[dict], columns: list[str], out: str | None) -> None:
+def _write_rows(rows: Iterable[dict], columns: list[str], out: str | None) -> None:
+    """Write ``rows``, any iterable read once, as they arrive; count them for the --out line."""
     handle = open(out, "w", newline="") if out else sys.stdout
+    count = 0
     try:
         writer = csv.writer(handle)
         writer.writerow(columns)
-        for row in rows:
+        for count, row in enumerate(rows, 1):
             writer.writerow([_fmt(row.get(c, "")) for c in columns])
     finally:
         if out:
             handle.close()
-            print(f"wrote {len(rows)} rows to {out}")
+            print(f"wrote {count} rows to {out}")
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -221,20 +226,28 @@ def cmd_bilinear(args) -> int:
         only_m=args.M,
         only_n=args.N,
     )
-    cells: dict[tuple, list[dict]] = {}
-    for row in rows:
-        row["master_seed"] = args.seed
-        cells.setdefault((row["q"], row["kind"]), []).append(row)
+    # (q, kind) -> [cells, worst row by ratio1, worst row by ratio2]; a tie keeps the first row
+    worst: dict[tuple, list] = {}
+
+    def tally(rows):
+        for row in rows:
+            row["master_seed"] = args.seed
+            entry = worst.setdefault((row["q"], row["kind"]), [0, row, row])
+            entry[0] += 1
+            if row["ratio1"] > entry[1]["ratio1"]:
+                entry[1] = row
+            if row["ratio2"] > entry[2]["ratio2"]:
+                entry[2] = row
+            yield row
+
     _write_rows(
-        rows,
+        tally(rows),
         ["q", "M", "N", "kind", "seed", "a", "h", "measured", "envelope1", "envelope2", "ratio1", "ratio2", "master_seed"],
         args.out,
     )
-    for (q, kind), group in sorted(cells.items()):
-        worst1 = max(group, key=lambda r: r["ratio1"])
-        worst2 = max(group, key=lambda r: r["ratio2"])
+    for (q, kind), (cells, worst1, worst2) in sorted(worst.items()):
         _summary(
-            f"q={q} kind={kind} cells={len(group)} "
+            f"q={q} kind={kind} cells={cells} "
             f"max_ratio1={worst1['ratio1']:.6g} max_ratio2={worst2['ratio2']:.6g} "
             f"worst1={worst1['M']},{worst1['N']},{worst1['seed']} "
             f"worst2={worst2['M']},{worst2['N']},{worst2['seed']}"
@@ -249,20 +262,21 @@ def cmd_forms(args) -> int:
         class_number_tail_bound,
         form_moduli,
         heegner_fraction,
-        l_value_direct,
         l_value_exact,
+        l_values,
     )
 
+    moduli = form_moduli(args.qmin, args.count)
     rows = [
         {
             "q": q,
             "h": class_number(q),
-            "l_direct": l_value_direct(q, args.truncation),
+            "l_direct": l_direct,
             "l_exact": l_value_exact(q),
             "tail_bound": class_number_tail_bound(q, args.truncation),
             "heegner_fraction": heegner_fraction(q),
         }
-        for q in form_moduli(args.qmin, args.count)
+        for q, l_direct in zip(moduli, l_values(moduli, args.truncation))
     ]
     _write_rows(rows, ["q", "h", "l_direct", "l_exact", "tail_bound", "heegner_fraction"], args.out)
     if rows:

@@ -7,7 +7,8 @@ in integers, and by h = sqrt(q) * L(1, chi) / pi with L a series truncated at
 T.  The series is a certificate, not a rounding: by Abel summation its
 h-value is within q^{3/2} / (pi (T+1)) of h, so below 0.5 the rounding is
 provable.  Since chi(n) = (n/q) has period q there, L_T is summed as q
-residue-class totals of 1/n against the Legendre table.
+residue-class totals of 1/n against the Legendre table.  ``l_values`` sums
+the series of many moduli from shared pieces of 1/n, never a whole table.
 
 Heegner points of the reduced forms feed the box-fraction statistic whose
 limit is 27/(10*pi).
@@ -16,18 +17,25 @@ limit is 27/(10*pi).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SizeGuardError
 from .modular import TABLE_LIMIT, kronecker, legendre_table, table_cache
 from .primes import divisors, factorize, is_prime, primes_between
 
 DUKE_LIMIT_FRACTION = 27.0 / (10.0 * math.pi)
 # The heights y_min <= y <= y_max of the Heegner window |x| <= 1/2.
 WINDOW_HEIGHTS = (1.0, 10.0)
-# Largest truncation T of the cached 1/n table: 2**27 float64 values are 1 GiB.
+# Largest truncation T of the L-series: every modulus reads 2**27 terms, so this
+# bounds the time of ``l_values``; its memory is one piece whatever T is.
 _RECIPROCALS_LIMIT = 1 << 27
+# Entries of 1/n in one piece of ``l_values``: 2 MiB of float64.
+_PIECE = 1 << 18
+# Entries of chi that ``l_values`` holds at once, one period per modulus: 1 MiB of int8.
+_CHI_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -259,15 +267,6 @@ def r_mean_value(x: float, q: int) -> int:
     return int(np.sum(vals * (cutoff // d)))
 
 
-@table_cache(_RECIPROCALS_LIMIT)
-def _reciprocals(truncation: int) -> np.ndarray:
-    """1/n for n = 0..T, with 0 at n = 0; shared by every modulus at one truncation."""
-    recips = np.arange(truncation + 1, dtype=np.float64)
-    recips[0] = np.inf
-    np.divide(1.0, recips, out=recips)  # in place: one T-sized array at the peak
-    return recips
-
-
 def _class_totals(x: np.ndarray, period: int) -> np.ndarray:
     """totals[c] = sum of x[i] over i = c (mod period), through a reshaped view of x."""
     full = len(x) // period * period
@@ -276,27 +275,111 @@ def _class_totals(x: np.ndarray, period: int) -> np.ndarray:
     return totals
 
 
-def l_value_direct(q: int, truncation: int = 10**6) -> float:
-    """Truncated series sum_{n <= T} chi(n)/n, summed by residue class.
+class _Series:
+    """sum_{n <= T} chi(n)/n for one odd prime q, read from pieces of 1/n in order.
 
-    For q = 3 (mod 4) chi(n) = (n/q) has period q, so 1/n is summed into q
-    class totals and weighted by one period of chi once.  For q = 1 (mod 4)
-    chi has no period; writing n = 2^v m with m odd, chi(n) = chi(2)^v psi(m)
-    where psi, chi on odd m, has period 4q, so each v sums 1/m over odd
-    m <= T/2^v into 2q class totals.  No BLAS call is made, so the value does
-    not depend on the thread count.
+    The terms read are every n >= 0 (stride 1) for q = 3 (mod 4), where chi
+    has period q, and the odd n = m >= 1 (stride 2) for q = 1 (mod 4), where
+    chi(2^v m) = chi(2)^v psi(m) and psi has period 4q on odd m.  ``weights``
+    is chi over one period of the terms read.  Each mark (X, c) adds c times
+    the sum of the terms with n <= X: one mark (T, 1) for q = 3 (mod 4), and
+    (T >> v, (chi(2)/2)^v) for every v for q = 1 (mod 4).  ``run`` holds the
+    sum of the terms below ``cursor``, which stays on a period boundary, so a
+    piece is read in whole rows of a period and no partial row is carried.
     """
-    recips = _reciprocals(truncation)
-    if q % 4 == 3:
-        return float(np.sum(chi_at(q, np.arange(q, dtype=np.int64)) * _class_totals(recips, q)))
-    chi = chi_at(q, np.arange(4 * q, dtype=np.int64))
-    psi = chi[1::2]  # odd m over one period
-    total, v = 0.0, 0
-    while truncation >> v:
-        inner = float(np.sum(psi * _class_totals(recips[1 : (truncation >> v) + 1 : 2], 2 * q)))
-        total += int(chi[2]) ** v * inner / 2**v
-        v += 1
-    return total
+
+    def __init__(self, q: int, truncation: int):
+        _require_odd_prime(q)
+        if q % 4 == 3:
+            self.stride, self.cursor = 1, 0
+            self.weights = chi_at(q, np.arange(q, dtype=np.int64))
+            self.marks = [(truncation, 1.0)]
+        else:
+            self.stride, self.cursor = 2, 1
+            self.weights = chi_at(q, np.arange(1, 4 * q, 2, dtype=np.int64))
+            half = chi(2, q) / 2
+            self.marks = [(truncation >> v, half**v) for v in range(truncation.bit_length())]
+        self.span = self.stride * len(self.weights)  # one period, in n
+        self.sums = [0.0] * len(self.marks)
+        self.run = 0.0
+
+    def read(self, x: np.ndarray, lo: int, final: bool) -> None:
+        """Sum the terms of ``x`` = 1/n for n = lo, lo + 1, ... from the cursor on: the
+        whole periods, and on the ``final`` piece every term left."""
+        hi = lo + len(x)
+        end = hi if final else self.cursor + (hi - self.cursor) // self.span * self.span
+        for i, (limit, _) in enumerate(self.marks):
+            if self.cursor <= limit < end:
+                self.sums[i] = self.run + self._dot(x[self.cursor - lo : limit + 1 - lo : self.stride])
+        if not final:
+            self.run += self._dot(x[self.cursor - lo : end - lo : self.stride])
+            self.cursor = end
+
+    def _dot(self, terms: np.ndarray) -> float:
+        """sum of chi(n)/n over ``terms``, which start on a period boundary."""
+        return float(np.sum(self.weights * _class_totals(terms, len(self.weights))))
+
+    @property
+    def total(self) -> float:
+        total = 0.0
+        for (_, coefficient), value in zip(self.marks, self.sums):
+            total += coefficient * value
+        return total
+
+
+def l_values(moduli: Iterable[int], truncation: int = 10**6) -> list[float]:
+    """The truncated series sum_{n <= T} chi(n)/n of every modulus, read from shared pieces of 1/n.
+
+    The moduli are taken in batches whose periods of chi (``_Series``) hold
+    up to _CHI_ENTRIES entries, and each batch makes one pass over 1/n in
+    pieces of _PIECE entries that every modulus of the batch reads in turn.
+    No 1/n table is held, so the memory is one piece and one batch whatever T
+    is.  No BLAS call is made, so the values do not depend on the thread
+    count.  T above _RECIPROCALS_LIMIT is refused.
+    """
+    if truncation > _RECIPROCALS_LIMIT:
+        raise SizeGuardError(f"L-series truncation refused for {truncation} > {_RECIPROCALS_LIMIT}")
+    values: list[float] = []
+    batch: list[_Series] = []
+    held = 0
+    for q in moduli:
+        batch.append(_Series(q, truncation))
+        held += len(batch[-1].weights)
+        if held >= _CHI_ENTRIES:
+            values += _read_pieces(batch, truncation)
+            batch, held = [], 0
+    return values + _read_pieces(batch, truncation)
+
+
+def _read_pieces(series: list[_Series], truncation: int) -> list[float]:
+    """One pass over 1/n for n = 0..T (1/0 read as 0) in pieces that every series reads.
+
+    Consecutive pieces overlap by the longest period in n, so each series
+    reads whole periods from its cursor, and only the last piece ends a row
+    part-way.
+    """
+    overlap = max((s.span for s in series), default=0)
+    length = max(_PIECE, 2 * overlap)
+    stop = truncation + 1
+    lo = 0
+    while series:
+        hi = min(lo + length, stop)
+        x = np.arange(lo, hi, dtype=np.float64)
+        if lo == 0:
+            x[0] = np.inf  # the n = 0 term reads 1/inf = 0
+        np.divide(1.0, x, out=x)
+        for s in series:
+            s.read(x, lo, hi == stop)
+        if hi == stop:
+            break
+        lo = hi - overlap
+        del x  # the next piece is not built beside this one
+    return [s.total for s in series]
+
+
+def l_value_direct(q: int, truncation: int = 10**6) -> float:
+    """Truncated series sum_{n <= T} chi(n)/n: the one-modulus case of ``l_values``."""
+    return l_values([q], truncation)[0]
 
 
 def class_number_finite(q: int) -> int:
@@ -330,13 +413,11 @@ def class_number_consistency_sweep(q_max: int = 10**4, truncation: int = 10**6) 
     ``agrees`` holds only when all three give the same h and ``tail_bound``
     < 0.5 makes the rounding of ``h_implied`` provable.
     """
+    moduli = [q for q in primes_between(5, q_max).tolist() if q % 4 == 3]
     rows = []
-    for q in primes_between(5, q_max).tolist():
-        if q % 4 != 3:
-            continue
+    for q, direct in zip(moduli, l_values(moduli, truncation)):
         h = class_number(q)
         h_finite = class_number_finite(q)
-        direct = l_value_direct(q, truncation)
         implied = math.sqrt(q) * direct / math.pi
         tail = class_number_tail_bound(q, truncation)
         rows.append(
@@ -356,8 +437,7 @@ def class_number_consistency_sweep(q_max: int = 10**4, truncation: int = 10**6) 
 def r_mean_sweep(q_values: tuple[int, ...] = (1009, 5003, 10007), points: int = 8) -> list[dict]:
     """|sum_{n<=x} r(n) - L x| / x^0.9 over a geometric grid of x up to q."""
     rows = []
-    for q in q_values:
-        l_val = l_value_direct(q)
+    for q, l_val in zip(q_values, l_values(q_values)):
         x_lo = max(8, int(q ** (0.25 + 0.05)))
         for i in range(points):
             x = int(round(x_lo * (q / x_lo) ** (i / (points - 1)))) if points > 1 else q

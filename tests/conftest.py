@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,21 @@ def weyl_sweep_oracle():
         return rows
 
     return per_cell_sweep
+
+
+@pytest.fixture(scope="session")
+def heap_peak():
+    """heap_peak(fn, *args) -> (fn(*args), the tracemalloc peak of the call in bytes)."""
+
+    def traced(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return traced
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,6 @@ import cmath
 import contextlib
 import glob
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,7 +156,7 @@ class TestWeylSum:
                 expected = float(np.sum(np.abs(inner) ** 2)) if rows.any() and cols.any() else 0.0
                 assert rj_sum(j, inst) == expected
 
-    def test_large_cell_holds_no_kernel(self, rng):
+    def test_large_cell_holds_no_kernel(self, rng, heap_peak):
         """At q = 8009, M = N = 2048 the kernel is 64 MiB; the streamed cell peaks under two
         blocks.  The modulus's tables are built first, so the peak is the cell's alone."""
         q = 8009
@@ -166,15 +165,10 @@ class TestWeylSum:
         )
         sqrt_phase_buffer(q)
         log_tables(q)
-        tracemalloc.start()
-        try:
-            bilinear_weyl_sum(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = heap_peak(bilinear_weyl_sum, inst)
         assert peak < 2 * _KERNEL_BLOCK_BYTES
 
-    def test_large_group_holds_no_kernel(self, rng):
+    def test_large_group_holds_no_kernel(self, rng, heap_peak):
         """A group of 8 cells at q = 8009, M = N = 2048 (512 MiB of kernels) peaks under two
         blocks, and each W is its cell's W computed alone, ==."""
         q, start = 8009, 2048
@@ -189,12 +183,7 @@ class TestWeylSum:
         alpha = np.stack([inst.alpha.coeffs for inst in cells])
         beta = np.stack([inst.beta.coeffs for inst in cells])
         expected = [bilinear_weyl_sum(inst) for inst in cells]
-        tracemalloc.start()
-        try:
-            sums = weyl_group_sums(q, c, start, start, alpha, beta)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        sums, peak = heap_peak(weyl_group_sums, q, c, start, start, alpha, beta)
         assert peak < 2 * _KERNEL_BLOCK_BYTES
         assert sums.tolist() == expected
 
@@ -233,22 +222,58 @@ class TestWeylSum:
 
 
 class TestWeylSweepGroups:
-    """weyl_sweep reads and contracts a (q, M, N) group at once; every row is the
-    per-cell oracle's, ==."""
+    """weyl_sweep reads and contracts a (q, M, N) group at once, and yields its rows when
+    the group is reached; every row is the per-cell oracle's, ==."""
 
     def test_quick_grid_is_the_per_cell_sweep(self, weyl_sweep_oracle):
         grid = {"q_values": (101, 211), "instances": 5}  # verify --quick's grid
-        assert weyl_sweep(**grid) == weyl_sweep_oracle(**grid)
+        assert list(weyl_sweep(**grid)) == weyl_sweep_oracle(**grid)
 
     @pytest.mark.parametrize("seed", [2**32, 2**64 + 5])
     def test_seeds_past_one_word(self, seed, weyl_sweep_oracle):
         """A seed of two or three uint32 words seeds each cell as default_rng does."""
         grid = {"q_values": (101,), "instances": 2, "seed": seed}
-        assert weyl_sweep(**grid) == weyl_sweep_oracle(**grid)
+        assert list(weyl_sweep(**grid)) == weyl_sweep_oracle(**grid)
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError):
             weyl_sweep(q_values=(11,), instances=1, seed=-1)
+
+    def test_groups_are_computed_when_reached(self, monkeypatch):
+        """The call checks its arguments and computes nothing; the first row reads one
+        group; a modulus above TABLE_LIMIT is refused at the call, before any group."""
+        calls = []
+        group_sums = bilinear.weyl_group_sums
+
+        def spy(q, *args):
+            calls.append(q)
+            return group_sums(q, *args)
+
+        monkeypatch.setattr(bilinear, "weyl_group_sums", spy)
+        rows = weyl_sweep(q_values=(101, 211))
+        assert calls == []
+        next(iter(rows))
+        assert calls == [101]
+        with pytest.raises(SizeGuardError, match="16777259"):
+            weyl_sweep(q_values=(101, 16777259), instances=1)
+        assert calls == [101]
+
+    def test_streamed_grid_holds_one_group(self, heap_peak):
+        """Read once with running maxima, the q = 1009 grid (4,860 rows) peaks under
+        3.5 MiB; held as one list its rows alone take 5.3 MiB."""
+        sqrt_phase_buffer(1009)  # the modulus's tables are built first
+        log_tables(1009)
+
+        def running_maxima():
+            worst1 = worst2 = 0.0
+            for row in weyl_sweep(q_values=(1009,)):
+                worst1, worst2 = max(worst1, row["ratio1"]), max(worst2, row["ratio2"])
+            return worst1, worst2
+
+        (worst1, worst2), peak = heap_peak(running_maxima)
+        assert peak < 3.5 * 2**20
+        assert 0 < worst1 <= calibration.frozen("weyl_envelope1")
+        assert 0 < worst2 <= calibration.frozen("weyl_envelope2")
 
     def test_small_blocks_run_every_read_path(self, weyl_sweep_oracle, monkeypatch):
         """With blocks of 64 or 256 entries the q = 211 grid reads small kernels whole
@@ -269,7 +294,7 @@ class TestWeylSweepGroups:
         for entries in (64, 256):
             monkeypatch.setattr(bilinear, "_KERNEL_BLOCK_BYTES", entries * bilinear._ENTRY_BYTES)
             grids.clear()
-            assert weyl_sweep(**grid) == expected
+            assert list(weyl_sweep(**grid)) == expected
             assert len(grids) == sum(n // _column_width(m, n) for m in starts for n in starts)
         for (m_start, n_start), shapes in (
             ((4, 8), [(4, 8)]),
@@ -277,7 +302,7 @@ class TestWeylSweepGroups:
             ((64, 64), [(64, 4)] * 16),
         ):
             grids.clear()
-            weyl_sweep(**grid, only_m=m_start, only_n=n_start)
+            list(weyl_sweep(**grid, only_m=m_start, only_n=n_start))
             assert grids == shapes
 
 
@@ -339,9 +364,9 @@ class TestOneBlasThread:
         column blocks per cell) gives the same rows, ==, pinned and unpinned."""
         grid = {"q_values": (4001,), "instances": 2, "only_m": 1024, "only_n": 1024}
         with blas_threads(2):
-            pinned = weyl_sweep(**grid)
+            pinned = list(weyl_sweep(**grid))
             monkeypatch.setattr(bilinear, "_one_blas_thread", contextlib.nullcontext)
-            assert weyl_sweep(**grid) == pinned
+            assert list(weyl_sweep(**grid)) == pinned
         assert len(pinned) == 6 and _column_width(1024, 1024) == 128
 
     def test_no_library_found_leaves_w_unchanged(self, rng, monkeypatch):
@@ -457,7 +482,7 @@ class TestRjDecomposition:
         with pytest.raises(SizeGuardError, match="R_j kernel"):
             rj_sum(1, inst)
 
-    def test_largest_weyl_large_cell_passes_and_a_larger_one_is_refused(self, rng):
+    def test_largest_weyl_large_cell_passes_and_a_larger_one_is_refused(self, rng, heap_peak):
         """The budget admits every cell with M * N <= 2^22; a 2^16 x 2^16 cell is refused
         before its 16 GiB selected kernel is read."""
         assert bilinear._RJ_KERNEL_BYTES == 24 * (1 << 22)
@@ -470,13 +495,12 @@ class TestRjDecomposition:
         big = BilinearInstance(
             q, 5, 7, WeightVector.indicator(q, 1 << 16), WeightVector.indicator(q, 1 << 16)
         )
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(SizeGuardError, match="R_j kernel"):
                 rj_sum(1, big)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = heap_peak(refused)
         assert peak < 1 << 22
 
 
@@ -583,18 +607,13 @@ class TestCurveSums:
         for t in (0, 4, 9):
             assert vals[t] == pytest.approx(curve_sum_sigma_t(b, t, 2, 3, q), abs=1e-8)
 
-    def test_rows_read_one_block_at_a_time(self):
+    def test_rows_read_one_block_at_a_time(self, heap_peak):
         """Over all q rows at q = 1009 the rows peak at 40 B per entry: the complex product,
         one complex block and its int64 index.  The block before is dropped before the next
         read, and a conjugated block is conjugated in place."""
         q = 1009
         sqrt_phase_buffer(q)  # the modulus's tables are built first
-        tracemalloc.start()
-        try:
-            _curve_rows((1, 2, 3, 5), 2, 3, np.arange(q, dtype=np.int64), q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = heap_peak(_curve_rows, (1, 2, 3, 5), 2, 3, np.arange(q, dtype=np.int64), q)
         assert peak <= 42 * q * q
 
     def test_diagonal_detection(self):

@@ -11,7 +11,6 @@ import re
 import shlex
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -76,15 +75,11 @@ class TestSums:
     @pytest.mark.parametrize("argv", [["sums", "--qmax", "100000000000"],
                                       ["lattice", "--qmax", "100000000000", "--samples", "1"],
                                       ["sums", "--qmin", str(10**20), "--qmax", str(10**20 + 10)]])
-    def test_huge_qmax_is_refused_before_its_sieve(self, argv, capsys):
+    def test_huge_qmax_is_refused_before_its_sieve(self, argv, capsys, heap_peak):
         """A prime window of 10^11 integers is refused before its 93 GiB mask is allocated,
         and a window of 11 at 10^20 before the 10^10-entry mask of its base primes."""
-        tracemalloc.start()
-        try:
-            assert run(argv) == 3
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = heap_peak(run, argv)
+        assert code == 3
         assert capsys.readouterr().err.startswith("refused: prime window [")
         assert peak < 1 << 20
 
@@ -204,6 +199,17 @@ class TestBilinear:
         assert exc.value.code == 2
         assert "is unknown or repeated" in capsys.readouterr().err
 
+    def test_refused_modulus_leaves_no_partial_csv(self, tmp_path, capsys):
+        """The rows are written as the groups are reached, so every --qset modulus is checked
+        at the start: 16777259 > TABLE_LIMIT is refused before q = 101's first row."""
+        out = tmp_path / "f.csv"
+        argv = ["bilinear", "sweep", "--qset", "101,16777259", "--instances", "1", "--out", str(out)]
+        assert run(argv) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err == "refused: Weyl sweep refused for q=16777259 > 16777216\n"
+        assert captured.out == ""
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["bilinear", "sweep", "--qset", "101", "--weights", "pm1", "--seed", "42",
@@ -273,14 +279,10 @@ class TestSplit:
         assert exc.value.code == 2
         assert "not an odd prime" in capsys.readouterr().err
 
-    def test_count_refuses_a_modulus_above_the_table_limit(self, capsys):
+    def test_count_refuses_a_modulus_above_the_table_limit(self, capsys, heap_peak):
         """16777259 is the least prime above 2^24: its Legendre table is refused, before it is built."""
-        tracemalloc.start()
-        try:
-            assert run(["split", "count", "--q", "16777259", "--P", "100"]) == 3
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = heap_peak(run, ["split", "count", "--q", "16777259", "--P", "100"])
+        assert code == 3
         assert capsys.readouterr().err == "refused: legendre_table refused for 16777259 > 16777216\n"
         assert peak < 1 << 20  # the table alone would be 16 MiB of int8
 
@@ -485,6 +487,16 @@ class TestOthers:
         assert len(rows) == 3
         for r in rows:
             assert abs(float(r["l_direct"]) - float(r["l_exact"])) < 1e-3
+
+    def test_forms_truncation_above_the_limit_is_refused(self, tmp_path, capsys, heap_peak):
+        """T = 2^27 + 1 is refused before any term is summed or any row written."""
+        out = tmp_path / "forms.csv"
+        code, peak = heap_peak(run, ["forms", "--qmin", "1000", "--count", "2",
+                                     "--truncation", "134217729", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "refused: L-series truncation refused for 134217729 > 134217728\n"
+        assert not out.exists()
+        assert peak < 1 << 20
 
     def test_forms_summary_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "forms.csv"

@@ -1,7 +1,6 @@
 """Gauss and Salie sums: direct summation versus closed forms."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,29 +441,23 @@ def test_gauss_sums_build_no_root_phase_table():
 
 
 @pytest.mark.parametrize("sweep", [gauss_all, salie_all], ids=["gauss", "salie"])
-def test_sweeps_hold_no_full_matrix(sweep):
+def test_sweeps_hold_no_full_matrix(sweep, heap_peak):
     """At q = 997 one (q-1) x q complex128 matrix is 15.2 MiB; a check peaks under 512 KiB."""
-    tracemalloc.start()
-    try:
-        sweep(997)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = heap_peak(sweep, 997)
     assert peak < 512 * 2**10
 
 
-def test_all_pairs_limit_is_the_memory_of_one_modulus():
+def test_all_pairs_limit_is_the_memory_of_one_modulus(heap_peak):
     """ALL_PAIRS_LIMIT is 64 MiB over _PAIR_BYTES_PER_Q: from empty table caches, the two
     checks of one modulus together peak under _PAIR_BYTES_PER_Q * q bytes."""
     assert ALL_PAIRS_LIMIT * _PAIR_BYTES_PER_Q <= 1 << 26
     q = 10007
     _clear_tables()
-    tracemalloc.start()
-    try:
+
+    def both_checks():
         gauss_all(q)
         salie_all(q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = heap_peak(both_checks)
     assert peak < _PAIR_BYTES_PER_Q * q
     assert peak < 170 * q  # no log-ordered buffer (64 q bytes each) is built

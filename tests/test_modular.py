@@ -4,7 +4,6 @@ import cmath
 import importlib
 import math
 import pkgutil
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from rootsums.modular import (
     table_cache,
     tonelli_shanks,
 )
-from rootsums import modular, primes, quadforms
+from rootsums import modular, primes
 from rootsums.primes import is_prime, iter_prime_blocks, primes_between, sieve_primes
 
 SMALL_PRIMES = [int(q) for q in sieve_primes(500) if q % 2 == 1]
@@ -345,9 +344,8 @@ def _package_caches() -> dict:
 # Every other cache follows the policy.
 NOT_TABLES = {"calibration.load", "bilinear._openblas_threads"}
 TABLE_CACHES = {name: fn for name, fn in _package_caches().items() if name not in NOT_TABLES}
-# Each cache's limit (TABLE_LIMIT unless named) and a key it accepts (101 unless named).
-LIMITS = {"quadforms._reciprocals": 1 << 27}
-SMALL_KEYS = {"quadforms.enumerate_reduced_forms": 23, "quadforms._reciprocals": 1000}
+# A key each cache accepts (101 unless named); every cache's limit is TABLE_LIMIT.
+SMALL_KEYS = {"quadforms.enumerate_reduced_forms": 23}
 
 
 def _arrays(result) -> list:
@@ -360,10 +358,10 @@ class TestTableCache:
         assert TABLE_CACHES.keys() == {
             "modular.inverse_table", "modular.legendre_table", "modular.root_table",
             "modular.log_tables", "expsums.exp_table", "expsums.sqrt_phase_table",
-            "expsums.sqrt_phase_buffer", "quadforms.enumerate_reduced_forms", "quadforms._reciprocals",
+            "expsums.sqrt_phase_buffer", "quadforms.enumerate_reduced_forms",
         }
         assert NOT_TABLES <= _package_caches().keys()
-        assert TABLE_LIMIT == 1 << 24 and quadforms._RECIPROCALS_LIMIT == LIMITS["quadforms._reciprocals"]
+        assert TABLE_LIMIT == 1 << 24
 
     @pytest.mark.parametrize("name", sorted(TABLE_CACHES))
     def test_cache_follows_the_policy(self, name):
@@ -374,7 +372,7 @@ class TestTableCache:
             with pytest.raises(ValueError):
                 array[0] = 0
         with pytest.raises(SizeGuardError):
-            cached(LIMITS.get(name, TABLE_LIMIT) + 1)
+            cached(TABLE_LIMIT + 1)
 
     def test_refusal_comes_before_the_build(self):
         built = []
@@ -415,14 +413,13 @@ class TestPrimes:
         assert primes_between(14, 16).size == 0
         assert primes_between(5, 3).size == 0
 
-    def test_narrow_window_refuses_its_base_primes_past_the_window_limit(self):
+    def test_narrow_window_refuses_its_base_primes_past_the_window_limit(self, heap_peak):
         """The base primes of [10^15, 10^15 + 10] are those up to 3.2 * 10^7: their window is
         refused like any other, before a mask is allocated."""
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(SizeGuardError, match=r"prime window \[2, 31622776\]"):
                 primes_between(10**15, 10**15 + 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = heap_peak(refused)
         assert peak < 1 << 20

@@ -2,17 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsums import quadforms
+from rootsums.errors import SizeGuardError
 from rootsums.modular import kronecker
 from rootsums.primes import factorize, sieve_primes
 from rootsums.quadforms import (
     DUKE_LIMIT_FRACTION,
     BinaryQuadraticForm,
     chi,
+    chi_at,
     chi_values,
     class_number,
     class_number_consistency_sweep,
@@ -25,12 +28,37 @@ from rootsums.quadforms import (
     is_represented,
     l_value_direct,
     l_value_exact,
+    l_values,
     r_function,
     r_mean_value,
     representation_count,
 )
 
 FORM_PRIMES = [int(q) for q in sieve_primes(1000) if q % 4 == 3 and q > 3]
+
+
+def full_table_l_value(q, truncation):
+    """sum_{n <= T} chi(n)/n from one table of 1/n for n = 0..T, summed into residue-class
+    totals of the whole table: for q = 1 (mod 4), per v, over odd m <= T >> v."""
+
+    def class_totals(x, period):
+        full = len(x) // period * period
+        totals = x[:full].reshape(-1, period).sum(axis=0)
+        totals[: len(x) - full] += x[full:]
+        return totals
+
+    recips = np.arange(truncation + 1, dtype=np.float64)
+    recips[0] = np.inf
+    recips = 1.0 / recips
+    if q % 4 == 3:
+        return float(np.sum(chi_at(q, np.arange(q, dtype=np.int64)) * class_totals(recips, q)))
+    chi_period = chi_at(q, np.arange(4 * q, dtype=np.int64))
+    total, v = 0.0, 0
+    while truncation >> v:
+        inner = float(np.sum(chi_period[1::2] * class_totals(recips[1 : (truncation >> v) + 1 : 2], 2 * q)))
+        total += int(chi_period[2]) ** v * inner / 2**v
+        v += 1
+    return total
 
 
 class TestEnumeration:
@@ -231,6 +259,39 @@ class TestLValues:
         assert l_value_direct(q, 500) == pytest.approx(
             math.fsum(int(vals[n]) / n for n in range(1, 501)), abs=1e-14
         )
+
+    @pytest.mark.parametrize("q", [7, 13, 1009, 1013, 10007, 10009])
+    @pytest.mark.parametrize("truncation", [
+        500, (1 << 18) - 2, (1 << 18) - 1, 1 << 18, 300_001,
+    ], ids=["q-above-T", "one-below-a-piece", "one-piece", "one-past-a-piece", "across-pieces"])
+    def test_pieces_match_the_full_table(self, q, truncation):
+        """Within 1e-13 relative of the full-table class totals, for q = 1 and 3 (mod 4), at T
+        below, at and past the end of a piece, T no multiple of q, and q > T."""
+        expected = full_table_l_value(q, truncation)
+        assert abs(l_value_direct(q, truncation) - expected) <= 1e-13 * abs(expected)
+
+    @pytest.mark.parametrize("piece", [16, 40, 1 << 18])
+    def test_short_pieces_and_batches_match_the_full_table(self, piece, monkeypatch):
+        """Short pieces (16 or 40 entries, or twice the batch's longest period in n where that
+        is longer) and batches of one modulus give every value within 1e-13 relative."""
+        moduli, truncation = [3, 5, 7, 13, 19, 101, 103], 2_999
+        expected = [full_table_l_value(q, truncation) for q in moduli]
+        monkeypatch.setattr(quadforms, "_PIECE", piece)
+        together = l_values(moduli, truncation)
+        monkeypatch.setattr(quadforms, "_CHI_ENTRIES", 1)
+        for got in (together, l_values(moduli, truncation)):
+            assert all(abs(g - e) <= 1e-13 * abs(e) for g, e in zip(got, expected, strict=True))
+
+    def test_memory_is_one_piece_whatever_the_truncation(self, heap_peak):
+        """T = 10^7 reads 38 pieces of 2 MiB; a table of 1/n would be 76 MiB."""
+        value, peak = heap_peak(l_value_direct, 10007, 10**7)
+        assert peak < 4 << 20
+        assert abs(value - l_value_exact(10007)) <= 10007 / 10**7
+
+    def test_truncation_above_the_limit_is_refused(self):
+        assert quadforms._RECIPROCALS_LIMIT == 1 << 27
+        with pytest.raises(SizeGuardError, match="134217729 > 134217728"):
+            l_values([7], (1 << 27) + 1)
 
     def test_finite_formula_matches_enumeration(self):
         for q in FORM_PRIMES:
