@@ -16,10 +16,10 @@ single-threaded takes, so a second OpenBLAS thread woke for every zgemv and
 cost CPU without saving wall time.  A large kernel is streamed in column
 blocks of 3 MiB with their grid, never held whole.  A cell costs O(M*N)
 time.  ``bilinear_weyl_sum`` is the one-cell case, and ``weyl_sweep`` runs
-the seeded grid one group at a time: seed states, weight stacks and their
-norms for the whole group, then one group read.  It returns an iterator
-that computes a group's rows only when they are reached, so its readers
-hold one group of rows, not the grid's.
+the seeded grid one group at a time: seed states hashed once per modulus,
+then weight stacks and their norms for the whole group, then one group
+read.  It returns an iterator that computes a group's rows only when they
+are reached, so its readers hold one group of rows, not the grid's.
 
 Around W sit the pieces the bound analysis decomposes it into: the
 character-restricted sums R_j, the root correlation sums A_{h,lambda,a},
@@ -527,44 +527,66 @@ def weyl_sweep(
     if instances < 1:
         raise ValueError(f"instances must be positive, not {instances}")
     entropy_words((seed,))  # a negative seed raises ValueError here
-    groups = []
+    grids = []
     for q in q_values:
         if q > TABLE_LIMIT:
             raise SizeGuardError(f"Weyl sweep refused for q={q} > {TABLE_LIMIT}")
         starts = dyadic_starts(q)
-        groups += [(q, m, n) for m in starts if only_m in (None, m) for n in starts if only_n in (None, n)]
-    return (row for group in groups for row in _weyl_group(*group, kinds, instances, seed))
+        groups = [(m, n) for m in starts if only_m in (None, m) for n in starts if only_n in (None, n)]
+        if groups:  # a restriction to a start past q // 2 selects none
+            grids.append((q, groups))
+    return (row for q, groups in grids for row in _weyl_modulus(q, groups, kinds, instances, seed))
+
+
+def _weyl_modulus(
+    q: int, groups: list[tuple[int, int]], kinds: tuple[str, ...], instances: int, seed: int
+) -> Iterator[dict]:
+    """The rows of one modulus's (M, N) groups, in order, each group computed when reached.
+
+    Cell (kind_idx, k) of group (M, N) is seeded as default_rng([seed, q, M, N,
+    kind_idx, k]) would be; ``seed_states`` hashes the entropy of every cell of
+    the modulus in one call, when its first group is reached.
+    """
+    cells = len(kinds) * instances
+    # every word of (q, M, N, kind_idx, k) is below 2^32, so each row of the modulus has one length
+    prefix = entropy_words((seed, q))
+    words = np.empty((len(groups), cells, len(prefix) + 4), dtype=np.uint32)
+    words[:, :, : len(prefix)] = prefix
+    words[:, :, len(prefix) : len(prefix) + 2] = np.array(groups, dtype=np.uint32)[:, None, :]
+    words[:, :, -2] = np.repeat(np.arange(len(kinds)), instances)
+    words[:, :, -1] = np.tile(np.arange(instances), len(kinds))
+    states = seed_states(words.reshape(-1, words.shape[-1])).reshape(len(groups), cells, -1)
+    for (m_start, n_start), group_states in zip(groups, states):
+        yield from _weyl_group(q, m_start, n_start, kinds, instances, group_states)
 
 
 def _weyl_group(
-    q: int, m_start: int, n_start: int, kinds: tuple[str, ...], instances: int, seed: int
+    q: int, m_start: int, n_start: int, kinds: tuple[str, ...], instances: int, states: np.ndarray
 ) -> list[dict]:
     """The sweep's rows of one (q, M, N): ``instances`` cells of each weight class.
 
-    Cell (kind_idx, k) draws a, h, alpha and beta, in that order, from
-    default_rng([seed, q, M, N, kind_idx, k]); the generators start from
-    ``seed_states`` computed for the whole group at once.  The weights go
-    into one stack per side, which ``weight_norms`` and ``weyl_group_sums``
-    read per group.
+    Cell (kind_idx, k) draws a, h, alpha and beta, in that order, from the
+    generator of its row of ``states`` (``seed_states``, hashed per modulus):
+    the twists by two scalar draws, and alpha and beta by one draw of M + N
+    weights split in two, which leaves the values and the generator as two
+    draws would.  The weights go into one stack per side, which
+    ``weight_norms`` and ``weyl_group_sums`` read per group.
     """
-    cells = [(kind, kind_idx, k) for kind_idx, kind in enumerate(kinds) for k in range(instances)]
-    prefix = entropy_words((seed, q, m_start, n_start))
-    words = np.empty((len(cells), len(prefix) + 2), dtype=np.uint32)
-    words[:, : len(prefix)] = prefix
-    words[:, len(prefix) :] = [cell[1:] for cell in cells]  # kind_idx and k: one word each
+    cells = [(kind, k) for kind in kinds for k in range(instances)]
     alpha = np.empty((len(cells), m_start), dtype=np.complex128)
     beta = np.empty((len(cells), n_start), dtype=np.complex128)
     twists = []
-    for i, ((kind, _, _), rng) in enumerate(zip(cells, seeded_rngs(seed_states(words)))):
+    for i, ((kind, _), rng) in enumerate(zip(cells, seeded_rngs(states))):
         twists.append((int(rng.integers(1, q)), int(rng.integers(1, q))))
-        alpha[i] = WEIGHT_CLASSES[kind](rng, m_start)
-        beta[i] = WEIGHT_CLASSES[kind](rng, n_start)
+        weights = WEIGHT_CLASSES[kind](rng, m_start + n_start)
+        alpha[i] = weights[:m_start]
+        beta[i] = weights[m_start:]
     norm2_alpha = weight_norms(alpha)[2].tolist()
     norm_inf_beta, norm1_beta, _ = (norm.tolist() for norm in weight_norms(beta))
     c = [a * h % q * h % q for a, h in twists]
     sums = weyl_group_sums(q, c, m_start, n_start, alpha, beta).tolist()
     rows = []
-    for i, (kind, _, k) in enumerate(cells):
+    for i, (kind, k) in enumerate(cells):
         measured = abs(sums[i])
         env1, env2 = weyl_envelopes(
             norm2_alpha[i], norm_inf_beta[i], norm1_beta[i], m_start, n_start, q

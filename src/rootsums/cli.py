@@ -259,6 +259,7 @@ def cmd_forms(args) -> int:
     from .quadforms import (
         DUKE_LIMIT_FRACTION,
         class_number,
+        class_number_series,
         class_number_tail_bound,
         form_moduli,
         heegner_fraction,
@@ -267,18 +268,23 @@ def cmd_forms(args) -> int:
     )
 
     moduli = form_moduli(args.qmin, args.count)
-    rows = [
-        {
-            "q": q,
-            "h": class_number(q),
-            "l_direct": l_direct,
-            "l_exact": l_value_exact(q),
-            "tail_bound": class_number_tail_bound(q, args.truncation),
-            "heegner_fraction": heegner_fraction(q),
-        }
-        for q, l_direct in zip(moduli, l_values(moduli, args.truncation))
-    ]
-    _write_rows(rows, ["q", "h", "l_direct", "l_exact", "tail_bound", "heegner_fraction"], args.out)
+    rows = []
+    for q, l_direct in zip(moduli, l_values(moduli, args.truncation)):
+        h_series, series_bound = class_number_series(q)
+        rows.append(
+            {
+                "q": q,
+                "h": class_number(q),
+                "l_direct": l_direct,
+                "l_exact": l_value_exact(q),
+                "tail_bound": class_number_tail_bound(q, args.truncation),
+                "heegner_fraction": heegner_fraction(q),
+                "h_series": h_series,
+                "series_bound": series_bound,
+            }
+        )
+    columns = ["q", "h", "l_direct", "l_exact", "tail_bound", "heegner_fraction", "h_series", "series_bound"]
+    _write_rows(rows, columns, args.out)
     if rows:
         mean = sum(r["heegner_fraction"] for r in rows) / len(rows)
         _summary(
@@ -419,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_bilinear)
 
-    p = sub.add_parser("forms", help="class numbers, L(1,chi) both ways, window fractions")
+    p = sub.add_parser("forms", help="class numbers, certified series h, L(1,chi) both ways, window fractions")
     p.add_argument("--qmin", type=int, default=100003)
     p.add_argument("--count", type=_int_from(1), default=50)
     p.add_argument("--truncation", type=_int_from(1), default=10**6)

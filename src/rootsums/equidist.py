@@ -242,11 +242,13 @@ def s_q_sum(h: int, p_limit: float, q: int) -> complex:
     """S_q(h, P) = sum over residue primes p <= P of sum_{x^2 = p} e_q(h x) = sum_s hist[s] T[h^2 s].
 
     T vanishes at non-residues and hist[0] = 0, so the residue histogram of the primes is all it reads.
+    The products are summed by numpy's pairwise reduction, not a BLAS dot, so the value does not
+    depend on the BLAS thread count.
     """
     if h % q == 0:
         raise ValueError("need gcd(h, q) = 1")
     (hist,) = residue_counts(p_limit, (q,))
-    return complex(np.dot(hist, sqrt_phase_table(q)[h * h % q * np.arange(q) % q]))
+    return complex(np.sum(hist * sqrt_phase_table(q)[h * h % q * np.arange(q) % q]))
 
 
 def _lambda_terms(h: int, n: int, q: int) -> tuple[np.ndarray, list[tuple[int, int]]]:

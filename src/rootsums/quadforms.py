@@ -3,12 +3,20 @@
 For a prime q = 3 (mod 4) and q > 3 the discriminant -q is fundamental, the
 reduced forms are enumerated directly, and the class number is cross-checked
 two more ways: by Dirichlet's finite formula h = -(1/q) * sum_{a<q} a (a/q),
-in integers, and by h = sqrt(q) * L(1, chi) / pi with L a series truncated at
-T.  The series is a certificate, not a rounding: by Abel summation its
-h-value is within q^{3/2} / (pi (T+1)) of h, so below 0.5 the rounding is
-provable.  Since chi(n) = (n/q) has period q there, L_T is summed as q
-residue-class totals of 1/n against the Legendre table.  ``l_values`` sums
-the series of many moduli from shared pieces of 1/n, never a whole table.
+in integers, and by the exponentially convergent series
+h = sum_{n>=1} chi(n) [erfc(n sqrt(pi/q)) + sqrt(q)/(pi n) e^{-pi n^2/q}]
+(H. Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+Sec. 5.3), summed to n <= 6 sqrt(q/pi).  The series is a certificate, not a
+rounding: ``class_number_series`` states a bound on its error, its tail plus
+the rounding of its terms, so where that bound leaves the value within 0.5
+of h the rounding is provable.
+
+The truncated Dirichlet series L_T = sum_{n <= T} chi(n)/n stays for ``forms``
+and the mean value of r(n): by Abel summation its h-value is within
+q^{3/2} / (pi (T+1)) of h.  Since chi(n) = (n/q) has period q there, L_T is
+summed as q residue-class totals of 1/n against the Legendre table.
+``l_values`` sums the series of many moduli from shared pieces of 1/n, never
+a whole table.
 
 Heegner points of the reduced forms feed the box-fraction statistic whose
 limit is 27/(10*pi).
@@ -36,6 +44,14 @@ _RECIPROCALS_LIMIT = 1 << 27
 _PIECE = 1 << 18
 # Entries of chi that ``l_values`` holds at once, one period per modulus: 1 MiB of int8.
 _CHI_ENTRIES = 1 << 20
+# The class-number series runs to n <= ceil(_SERIES_SPAN * sqrt(q/pi)), so its first
+# omitted term has x = n sqrt(pi/q) > 6 and is below 2 e^{-36} / (6 sqrt(pi)) < 5e-17.
+_SERIES_SPAN = 6.0
+# Rounding of one series term in units u = 2^-53 of the term, beside the 8 x^2 units that
+# the rounding of its argument x costs (``class_number_series``): its few IEEE operations
+# are correctly rounded, within u each, and libm's erfc and exp are allowed 8 ulps (16 u)
+# each, above the few ulps the glibc manual ("Known Maximum Errors in Math Functions") lists.
+_TERM_ULPS = 32
 
 
 @dataclass(frozen=True)
@@ -397,6 +413,38 @@ def class_number_tail_bound(q: int, truncation: int) -> float:
     return q**1.5 / (math.pi * (truncation + 1))
 
 
+def class_number_series(q: int) -> tuple[float, float]:
+    """(h, bound): h(-q) from the convergent series and a bound on its error (q = 3 mod 4, q > 3).
+
+    h = sum_{n>=1} chi(n) [erfc(x_n) + e^{-x_n^2} / (x_n sqrt(pi))] with
+    x_n = n sqrt(pi/q), the second term being sqrt(q)/(pi n) e^{-pi n^2/q}
+    (Cohen, GTM 138, Sec. 5.3), summed for n <= N = ceil(_SERIES_SPAN sqrt(q/pi))
+    by ``math.fsum``.  The bound is the tail plus the rounding:
+
+    - tail: erfc(x) <= e^{-x^2} / (x sqrt(pi)) for x > 0 bounds each omitted
+      term by 2 e^{-x_n^2} / (x_n sqrt(pi)), and from n = N + 1 on these fall
+      at least geometrically, by e^{-2 pi (N+1)/q} per step;
+    - rounding: the computed x_n is within 3 u of x_n and x_n^2 within 7 u,
+      u = 2^-53; erfc, whose relative condition number is below 2 x^2 + 1 by
+      erfc(x) > 2 e^{-x^2} / (sqrt(pi) (x + sqrt(x^2 + 2))) (Abramowitz and
+      Stegun 7.1.13), and exp turn these into (6 x^2 + 3) u and 7 x^2 u, so
+      with _TERM_ULPS for the operations and libm a term is within
+      (_TERM_ULPS + 8 x_n^2) u of itself; fsum rounds the sum once, within u.
+    """
+    _require_form_modulus(q)
+    count = math.ceil(_SERIES_SPAN * math.sqrt(q / math.pi))
+    n = np.arange(1, count + 1, dtype=np.int64)
+    x = n * math.sqrt(math.pi / q)
+    decay = np.array([math.exp(-v * v) for v in x.tolist()])
+    terms = np.array([math.erfc(v) for v in x.tolist()]) + math.sqrt(q) / (math.pi * n) * decay
+    series = math.fsum((chi_at(q, n) * terms).tolist())
+    first = (count + 1) * math.sqrt(math.pi / q)  # x of the first omitted term
+    ratio = -math.expm1(-2 * math.pi * (count + 1) / q)  # 1 - e^{-2 pi (N+1)/q}
+    tail = 2 * math.exp(-first * first) / (first * math.sqrt(math.pi) * ratio)
+    rounding = 2.0**-53 * (float(np.sum((_TERM_ULPS + 8 * x * x) * terms)) + abs(series))
+    return series, tail + rounding
+
+
 def l_value_exact(q: int) -> float:
     """pi * h(-q) / sqrt(q), from the class number formula (q = 3 mod 4, q > 3)."""
     return math.pi * class_number(q) / math.sqrt(q)
@@ -407,28 +455,29 @@ def l_value_exact(q: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def class_number_consistency_sweep(q_max: int = 10**4, truncation: int = 10**6) -> list[dict]:
-    """Enumeration h against the finite formula and sqrt(q) * L_direct / pi for q = 3 (mod 4).
+def class_number_consistency_sweep(q_max: int = 10**4) -> list[dict]:
+    """Enumeration h against the finite formula and the convergent series for q = 3 (mod 4).
 
-    ``agrees`` holds only when all three give the same h and ``tail_bound``
-    < 0.5 makes the rounding of ``h_implied`` provable.
+    ``agrees`` holds only when all three give the same h and
+    |h_series - h| + ``series_bound`` < 0.5, so the series' rounding to h is
+    proven.  Each modulus's Legendre table is built once: the finite formula
+    and the series read it one after the other.
     """
-    moduli = [q for q in primes_between(5, q_max).tolist() if q % 4 == 3]
     rows = []
-    for q, direct in zip(moduli, l_values(moduli, truncation)):
+    for q in primes_between(5, q_max).tolist():
+        if q % 4 != 3:
+            continue
         h = class_number(q)
         h_finite = class_number_finite(q)
-        implied = math.sqrt(q) * direct / math.pi
-        tail = class_number_tail_bound(q, truncation)
+        series, bound = class_number_series(q)
         rows.append(
             {
                 "q": q,
                 "h": h,
                 "h_finite": h_finite,
-                "l_direct": direct,
-                "h_implied": implied,
-                "tail_bound": tail,
-                "agrees": h_finite == h and round(implied) == h and tail < 0.5,
+                "h_series": series,
+                "series_bound": bound,
+                "agrees": h_finite == h == round(series) and abs(series - h) + bound < 0.5,
             }
         )
     return rows

@@ -1,9 +1,10 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rootsums import equidist
+from rootsums import bilinear, equidist
 from rootsums.bilinear import BilinearInstance, bilinear_weyl_sum, weyl_envelopes
 from rootsums.expsums import exp_table
 from rootsums.primes import sieve_primes
@@ -71,6 +72,27 @@ def heap_peak():
             tracemalloc.stop()
 
     return traced
+
+
+@pytest.fixture(scope="session")
+def blas_threads():
+    """blas_threads(count): a context that runs its body at ``count`` OpenBLAS threads and
+    yields the count getter; it skips the test where numpy's OpenBLAS is not found."""
+
+    @contextlib.contextmanager
+    def at(count):
+        blas = bilinear._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, set_ = blas
+        before = get()
+        set_(count)
+        try:
+            yield get
+        finally:
+            set_(before)
+
+    return at
 
 
 @pytest.fixture(scope="session")

@@ -241,22 +241,35 @@ class TestWeylSweepGroups:
 
     def test_groups_are_computed_when_reached(self, monkeypatch):
         """The call checks its arguments and computes nothing; the first row reads one
-        group; a modulus above TABLE_LIMIT is refused at the call, before any group."""
+        group and hashes the seeds of every cell of its modulus in one ``seed_states``
+        call; a modulus above TABLE_LIMIT is refused at the call, before any group."""
         calls = []
+        hashed = []
         group_sums = bilinear.weyl_group_sums
+        states = bilinear.seed_states
 
         def spy(q, *args):
             calls.append(q)
             return group_sums(q, *args)
 
+        def states_spy(words):
+            hashed.append(len(words))
+            return states(words)
+
         monkeypatch.setattr(bilinear, "weyl_group_sums", spy)
+        monkeypatch.setattr(bilinear, "seed_states", states_spy)
         rows = weyl_sweep(q_values=(101, 211))
-        assert calls == []
+        assert calls == [] and hashed == []
         next(iter(rows))
         assert calls == [101]
+        groups = {q: len(dyadic_starts(q)) ** 2 for q in (101, 211)}  # 36 and 49
+        assert hashed == [groups[101] * 3 * 20]  # every cell of q = 101, 20 of each class
+        list(rows)
+        assert calls == [101] * groups[101] + [211] * groups[211]
+        assert hashed == [groups[101] * 60, groups[211] * 60]
         with pytest.raises(SizeGuardError, match="16777259"):
             weyl_sweep(q_values=(101, 16777259), instances=1)
-        assert calls == [101]
+        assert len(calls) == groups[101] + groups[211] and len(hashed) == 2
 
     def test_streamed_grid_holds_one_group(self, heap_peak):
         """Read once with running maxima, the q = 1009 grid (4,860 rows) peaks under
@@ -306,22 +319,6 @@ class TestWeylSweepGroups:
             assert grids == shapes
 
 
-@contextlib.contextmanager
-def blas_threads(count):
-    """Run the body at ``count`` OpenBLAS threads and yield the count getter; skip where
-    numpy's OpenBLAS is not found."""
-    blas = bilinear._openblas_threads()
-    if blas is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
-    get, set_ = blas
-    before = get()
-    set_(count)
-    try:
-        yield get
-    finally:
-        set_(before)
-
-
 class TestOneBlasThread:
     """``weyl_group_sums`` contracts on one BLAS thread, restores the count it found and
     gives the bits of the unpinned read."""
@@ -333,7 +330,7 @@ class TestOneBlasThread:
         beta = np.exp(2j * np.pi * rng.random((cells, start)))
         return q, c, start, start, alpha, beta
 
-    def test_count_is_one_inside_and_restored_after(self, rng, monkeypatch):
+    def test_count_is_one_inside_and_restored_after(self, rng, monkeypatch, blas_threads):
         """Every zgemv of the read sees one thread; after a return and after an error
         raised inside the read the count is the one found before."""
         args = self.group(rng)
@@ -359,7 +356,7 @@ class TestOneBlasThread:
                 weyl_group_sums(*args)
             assert get() == before
 
-    def test_pinned_read_is_the_unpinned_read(self, monkeypatch):
+    def test_pinned_read_is_the_unpinned_read(self, monkeypatch, blas_threads):
         """At two threads, a q = 4001, M = N = 1024 group of every weight class (eight
         column blocks per cell) gives the same rows, ==, pinned and unpinned."""
         grid = {"q_values": (4001,), "instances": 2, "only_m": 1024, "only_n": 1024}

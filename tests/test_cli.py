@@ -488,6 +488,21 @@ class TestOthers:
         for r in rows:
             assert abs(float(r["l_direct"]) - float(r["l_exact"])) < 1e-3
 
+    def test_forms_certifies_h_at_the_default_qmin(self, tmp_path):
+        """The series columns come after the others, and at --qmin 100003 the series'
+        bound leaves h_series within 0.5 of h, whatever the truncation of l_direct."""
+        out = tmp_path / "forms.csv"
+        assert run(["forms", "--count", "3", "--truncation", "1000", "--out", str(out)]) == 0
+        with out.open() as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["q", "h", "l_direct", "l_exact", "tail_bound",
+                                     "heegner_fraction", "h_series", "series_bound"]
+        assert [int(r["q"]) for r in rows] == [100003, 100019, 100043]
+        for r in rows:
+            assert float(r["tail_bound"]) > 0.5
+            assert abs(float(r["h_series"]) - int(r["h"])) + float(r["series_bound"]) < 0.5
+
     def test_forms_truncation_above_the_limit_is_refused(self, tmp_path, capsys, heap_peak):
         """T = 2^27 + 1 is refused before any term is summed or any row written."""
         out = tmp_path / "forms.csv"

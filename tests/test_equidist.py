@@ -394,7 +394,7 @@ class TestPrimeSums:
     )
     def test_histogram_sum_matches_the_whole_sieve(self, q, p_limit):
         """Both sums add n values of modulus <= 2 (the oracle as a list of n, the histogram
-        through a dot of q products), so each part of each is off by at most gamma_k * 2n,
+        as a sum of q products), so each part of each is off by at most gamma_k * 2n,
         gamma_k = k u / (1 - k u), u = 2^-53, k <= n and k <= q, and the two differ by at
         most 2 sqrt 2 n (gamma_n + gamma_q) <= 3 n (n + q) 2^-53."""
         for h in (1, 2, 5):
@@ -415,6 +415,20 @@ class TestPrimeSums:
         env = dict(os.environ, PYTHONPATH=str(Path(equidist.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert int(out.stdout) < 8
+
+    def test_same_at_one_and_two_blas_threads(self, blas_threads):
+        """S_q(1, 10^6) at q = 10007 has the same bits at one and two OpenBLAS threads; a
+        BLAS dot of the histogram gave -60.17264598252337 at one and -60.172645982524216
+        at two.  The library must be found, so the test cannot pass by pinning nothing."""
+        from rootsums.bilinear import _openblas_threads
+
+        assert _openblas_threads() is not None
+        values = []
+        for count in (1, 2):
+            with blas_threads(count) as get:
+                assert get() == count
+                values.append(s_q_sum(1, 10**6, 10007))
+        assert values[0] == values[1]
 
     def test_small_value(self):
         expected = 2 * math.cos(10 * math.pi / 23) + 2 * math.cos(14 * math.pi / 23)

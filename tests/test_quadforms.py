@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rootsums import quadforms
 from rootsums.errors import SizeGuardError
-from rootsums.modular import kronecker
+from rootsums.modular import kronecker, legendre_table
 from rootsums.primes import factorize, sieve_primes
 from rootsums.quadforms import (
     DUKE_LIMIT_FRACTION,
@@ -20,6 +20,7 @@ from rootsums.quadforms import (
     class_number,
     class_number_consistency_sweep,
     class_number_finite,
+    class_number_series,
     class_number_tail_bound,
     enumerate_reduced_forms,
     form_moduli,
@@ -300,13 +301,34 @@ class TestLValues:
             class_number_finite(13)
 
     def test_tail_bound_covers_the_truncation_error(self):
-        truncation = 10**4
-        rows = class_number_consistency_sweep(2000, truncation)
+        """|h_series - h| <= series_bound for every q = 3 (mod 4) below 2000, and every row
+        agrees with room to spare."""
+        rows = class_number_consistency_sweep(2000)
+        assert [r["q"] for r in rows] == [q for q in sieve_primes(2000).tolist() if q % 4 == 3 and q > 3]
         for row in rows:
-            assert row["tail_bound"] == class_number_tail_bound(row["q"], truncation)
-            assert abs(row["h_implied"] - row["h"]) <= row["tail_bound"]
-            assert row["agrees"] == (row["tail_bound"] < 0.5)
-        assert any(r["agrees"] for r in rows) and not all(r["agrees"] for r in rows)
+            assert (row["h_series"], row["series_bound"]) == class_number_series(row["q"])
+            assert abs(row["h_series"] - row["h"]) <= row["series_bound"] < 1e-12
+            assert row["agrees"]
+
+    def test_l_series_tail_bound_covers_its_truncation(self):
+        """class_number_tail_bound, which ``forms`` reports beside l_direct, covers
+        |sqrt(q) L_T / pi - h| at T = 10^4 for every q = 3 (mod 4) below 2000."""
+        moduli = [q for q in sieve_primes(2000).tolist() if q % 4 == 3 and q > 3]
+        for q, direct in zip(moduli, l_values(moduli, 10**4), strict=True):
+            bound = class_number_tail_bound(q, 10**4)
+            assert bound == q**1.5 / (math.pi * 10_001)
+            assert abs(math.sqrt(q) * direct / math.pi - class_number(q)) <= bound
+
+    def test_series_needs_a_form_modulus(self):
+        for bad in (3, 13, 15):
+            with pytest.raises(ValueError):
+                class_number_series(bad)
+
+    def test_series_reads_each_legendre_table_once(self):
+        """The finite formula and the series of a modulus share one built table."""
+        legendre_table.cache_clear()
+        rows = class_number_consistency_sweep(500)
+        assert legendre_table.cache_info().misses == len(rows)
 
     def test_mean_value_against_direct_sum(self):
         q = 23

@@ -328,13 +328,15 @@ class TestWindowEnergies:
 
     @pytest.mark.parametrize("q", [31, 61, 101])
     def test_quadratic_class_invariance(self, q):
-        """E(N, q, j c^2) = E(N, q, j): one energy row per quadratic class of j."""
+        """E(N, q, j c^2) = E(N, q, j) in both groupings: one energy row per quadratic
+        class of j and sign, the substitution the energy criterion reads."""
         leg = legendre_table(q)
-        rows = {1: window_energies(q, 1, 1)}
-        rows[-1] = window_energies(q, int(np.nonzero(leg == -1)[0][0]), 1)
-        assert rows[1].tolist() != rows[-1].tolist()
-        for j in range(1, q):
-            assert window_energies(q, j, 1).tolist() == rows[int(leg[j])].tolist()
+        for sign in (1, -1):
+            rows = {1: window_energies(q, 1, sign)}
+            rows[-1] = window_energies(q, int(np.nonzero(leg == -1)[0][0]), sign)
+            assert rows[1].tolist() != rows[-1].tolist()
+            for j in range(1, q):
+                assert window_energies(q, j, sign).tolist() == rows[int(leg[j])].tolist()
 
     def test_j_must_be_invertible(self):
         with pytest.raises(ValueError):
