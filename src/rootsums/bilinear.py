@@ -17,9 +17,10 @@ cost CPU without saving wall time.  A large kernel is streamed in column
 blocks of 3 MiB with their grid, never held whole.  A cell costs O(M*N)
 time.  ``bilinear_weyl_sum`` is the one-cell case, and ``weyl_sweep`` runs
 the seeded grid one group at a time: seed states hashed once per modulus,
-then weight stacks and their norms for the whole group, then one group
-read.  It returns an iterator that computes a group's rows only when they
-are reached, so its readers hold one group of rows, not the grid's.
+then the whole group's twists and weight stacks read off one raw PCG64
+block per cell (``weights.seeded_cell_draws``) and their norms, then one
+group read.  It returns an iterator that computes a group's rows only when
+they are reached, so its readers hold one group of rows, not the grid's.
 
 Around W sit the pieces the bound analysis decomposes it into: the
 character-restricted sums R_j, the root correlation sums A_{h,lambda,a},
@@ -50,12 +51,11 @@ from .modular import (
     residue_roots,
 )
 from .weights import (
-    WEIGHT_CLASSES,
     WeightVector,
     dyadic_starts,
     entropy_words,
     seed_states,
-    seeded_rngs,
+    seeded_cell_draws,
     slack_factor,
     weight_norms,
 )
@@ -169,11 +169,13 @@ def weyl_group_sums(
     columns, in the width of ``_column_width``, and builds the group's
     ``log_grid`` of the block once; each cell's block of K_i is then one take
     of the buffer shifted by lg[c[i]], into one workspace, contracted with
-    alpha[i] by the zgemv a lone kernel gets (a batched matmul or einsum would
-    take another BLAS path and other bits).  After the last block the dot with
-    beta[i] runs once.  A kernel above _KERNEL_BLOCK_BYTES is never held
-    whole: it is read in column blocks whose widths are powers of two >= 4
-    dividing N, a power of two.  Every entry of alpha @ K is then the same
+    alpha[i] by the zgemv a lone kernel gets (an einsum takes another path and
+    other bits; a batched (C, 1, M) @ (C, M, N) matmul gives the same bits but
+    holds a workspace per cell, which raised the peak RSS of ``verify``).
+    After the last block the dot with beta[i] runs once.  A kernel above
+    _KERNEL_BLOCK_BYTES is never held whole: it is read in column blocks
+    whose widths are powers of two >= 4 dividing N, a power of two.  Every
+    entry of alpha @ K is then the same
     float as the unblocked product (OpenBLAS's zgemv sums each column alike
     for those widths, but not for widths 1 or 2, nor for other N, which stay
     one block), so W is bit for bit the one-block W.
@@ -566,31 +568,28 @@ def _weyl_group(
     """The sweep's rows of one (q, M, N): ``instances`` cells of each weight class.
 
     Cell (kind_idx, k) draws a, h, alpha and beta, in that order, from the
-    generator of its row of ``states`` (``seed_states``, hashed per modulus):
-    the twists by two scalar draws, and alpha and beta by one draw of M + N
-    weights split in two, which leaves the values and the generator as two
-    draws would.  The weights go into one stack per side, which
-    ``weight_norms`` and ``weyl_group_sums`` read per group.
+    seed of its row of ``states`` (``seed_states``, hashed per modulus), as
+    default_rng would; ``seeded_cell_draws`` derives the whole group's draws
+    from one raw PCG64 block per cell and fills one stack per side, which
+    ``weight_norms`` and ``weyl_group_sums`` read per group.  The envelopes
+    are computed once per distinct norm triple: every indicator cell of the
+    group has the same norms, and so has every pm1 cell.
     """
     cells = [(kind, k) for kind in kinds for k in range(instances)]
-    alpha = np.empty((len(cells), m_start), dtype=np.complex128)
-    beta = np.empty((len(cells), n_start), dtype=np.complex128)
-    twists = []
-    for i, ((kind, _), rng) in enumerate(zip(cells, seeded_rngs(states))):
-        twists.append((int(rng.integers(1, q)), int(rng.integers(1, q))))
-        weights = WEIGHT_CLASSES[kind](rng, m_start + n_start)
-        alpha[i] = weights[:m_start]
-        beta[i] = weights[m_start:]
+    twists, alpha, beta = seeded_cell_draws(q, m_start, n_start, kinds, instances, states)
     norm2_alpha = weight_norms(alpha)[2].tolist()
     norm_inf_beta, norm1_beta, _ = (norm.tolist() for norm in weight_norms(beta))
     c = [a * h % q * h % q for a, h in twists]
     sums = weyl_group_sums(q, c, m_start, n_start, alpha, beta).tolist()
+    envelopes = {}
     rows = []
-    for i, (kind, k) in enumerate(cells):
-        measured = abs(sums[i])
-        env1, env2 = weyl_envelopes(
-            norm2_alpha[i], norm_inf_beta[i], norm1_beta[i], m_start, n_start, q
-        )
+    for (kind, k), (a, h), w, norms in zip(
+        cells, twists, sums, zip(norm2_alpha, norm_inf_beta, norm1_beta)
+    ):
+        if norms not in envelopes:
+            envelopes[norms] = weyl_envelopes(*norms, m_start, n_start, q)
+        env1, env2 = envelopes[norms]
+        measured = abs(w)
         rows.append(
             {
                 "q": q,
@@ -598,8 +597,8 @@ def _weyl_group(
                 "N": n_start,
                 "kind": kind,
                 "seed": k,
-                "a": twists[i][0],
-                "h": twists[i][1],
+                "a": a,
+                "h": h,
                 "measured": measured,
                 "envelope1": env1,
                 "envelope2": env2,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterator
 
@@ -9,19 +10,41 @@ import numpy as np
 
 from .errors import SizeGuardError
 
-# Witness set that makes Miller-Rabin deterministic for n < 3.3 * 10**24,
-# which comfortably covers the 2**62 modulus ceiling used elsewhere.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k, the least odd composite that is a strong pseudoprime to each of the
+# first k primes (Jaeschke, Math. Comp. 61 (1993); psi_12 and psi_13 by
+# Sorenson and Webster, Math. Comp. 86 (2017)): Miller-Rabin with those k
+# witnesses is deterministic below psi_k, and psi_k itself passes all of them.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _BLOCK = 1 << 20  # integers per segment of iter_prime_blocks
 _WINDOW_LIMIT = 1 << 24  # integers per primes_between window: a 16 MiB mask
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < 3.3e24."""
+    """Deterministic Miller-Rabin primality test for n < psi_13 ~ 3.3e24, with the
+    first k primes as witnesses for the least k with n < psi_k: at most 4 below
+    3,215,031,751, 12 below psi_12 ~ 3.2e23.  Raises ValueError at n >= psi_13."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    if n >= _PSI[-1]:
+        raise ValueError(f"no proven witness set for n >= {_PSI[-1]}")
+    witnesses = _MR_WITNESSES[: bisect.bisect_right(_PSI, n) + 1]
+    for p in witnesses:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -29,7 +52,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -188,21 +188,90 @@ class _SeedState:
     __slots__ = ("state",)
 
     def __init__(self, state: np.ndarray):
-        self.state = np.ascontiguousarray(state, dtype=np.uint64)  # PCG64 reads its raw words
+        self.state = state  # a contiguous uint64 row: PCG64 reads its raw words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if (n_words, np.dtype(dtype)) != (_POOL_SIZE, np.dtype(np.uint64)):
+        # PCG64 passes the type np.uint64 itself, which skips the np.dtype call
+        if n_words != _POOL_SIZE or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("a precomputed seed state serves PCG64's generate_state(4, uint64) only")
         return self.state
 
 
 def seeded_rngs(states: np.ndarray) -> list[np.random.Generator]:
     """The generator default_rng(entropy) gives, for each row of ``seed_states``."""
+    return [np.random.Generator(bit_gen) for bit_gen in _seeded_pcg64s(states)]
+
+
+def _seeded_pcg64s(states: np.ndarray) -> list[np.random.PCG64]:
+    """The PCG64 default_rng(entropy) wraps, for each row of ``seed_states``."""
     # PCG64 takes any registered ISeedSequence.  Registering is idempotent, and
     # done here rather than at import, since importing numpy.random costs about
     # 6 MiB that a run drawing no random numbers (``sums``) does not need.
     np.random.bit_generator.ISeedSequence.register(_SeedState)
-    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+    return [np.random.PCG64(_SeedState(state)) for state in np.ascontiguousarray(states, dtype=np.uint64)]
+
+
+# Every weight class's draw of n weights read off raw PCG64 output as numpy's
+# Generator derives it, by name: (raw words the draw takes, weights of a
+# (cells, words) block).  pm1 is integers(0, 2), the top bit of each uint32
+# half, the low half first (Lemire's method never rejects for two values);
+# phase is random(), the top 53 bits of each word times 2^-53.
+_RAW_CLASSES = {
+    "indicator": (lambda n: 0, lambda raw, n: np.ones((len(raw), n))),
+    "pm1": (
+        lambda n: (n + 1) // 2,
+        lambda raw, n: _PM1[np.stack(((raw >> 31) & 1, raw >> 63), axis=-1).reshape(len(raw), -1)[:, :n]],
+    ),
+    "phase": (lambda n: n, lambda raw, n: np.exp(2j * np.pi * ((raw >> 11) * 2.0**-53))),
+}
+
+
+def seeded_cell_draws(
+    q: int, m_start: int, n_start: int, kinds: tuple[str, ...], instances: int, states: np.ndarray
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """The twists and weights of a Weyl group's cells: (a, h) per cell, the alpha
+    stack (cells, M) and the beta stack (cells, N).
+
+    Cell i = kind_idx * instances + k draws, from the generator of row i of
+    ``states``, a = integers(1, q), h = integers(1, q) and then M + N weights of
+    class kinds[kind_idx] (``WEIGHT_CLASSES``), split into alpha and beta.  No
+    Generator is built for that: each cell's PCG64 hands out the raw words its
+    draws take in one ``random_raw`` call, and the draws are derived from them
+    as numpy derives them, for the whole group at once.  The twists are
+    Lemire's bounded integers, 1 + (u * (q - 1) >> 32) for u the low and then
+    the high uint32 half of the first word.  Lemire's method rejects u, and
+    draws again, when u * (q - 1) mod 2^32 < 2^32 mod (q - 1), with
+    probability below (q - 1) / 2^32 per draw; a cell that hits a rejection
+    is drawn again by its Generator (``seeded_rngs``), and so is every cell
+    at q = 2, where integers(1, 2) takes no word.
+    """
+    if q > 1 << 32:
+        raise ValueError(f"twists are drawn below 2^32, not mod {q}")
+    cells = len(kinds) * instances
+    size = m_start + n_start
+    bit_gens = _seeded_pcg64s(states)
+    first = np.empty(cells, dtype=np.uint64)  # the word of each cell's twists
+    alpha = np.empty((cells, m_start), dtype=np.complex128)
+    beta = np.empty((cells, n_start), dtype=np.complex128)
+    for kind_idx, kind in enumerate(kinds):
+        words, derive = _RAW_CLASSES[kind]
+        count = 1 + words(size)
+        rows = slice(kind_idx * instances, (kind_idx + 1) * instances)
+        raw = np.concatenate([bit_gen.random_raw(count) for bit_gen in bit_gens[rows]]).reshape(-1, count)
+        first[rows] = raw[:, 0]
+        weights = derive(raw[:, 1:], size)
+        alpha[rows], beta[rows] = weights[:, :m_start], weights[:, m_start:]
+    # u * (q - 1) < 2^64 for every uint32 u, so the products are exact in uint64
+    low, high = (first & _MASK32) * (q - 1), (first >> 32) * (q - 1)
+    threshold = (1 << 32) % (q - 1)
+    rejected = ((low & _MASK32) < threshold) | ((high & _MASK32) < threshold) | (q == 2)
+    twists = list(zip((1 + (low >> 32)).tolist(), (1 + (high >> 32)).tolist()))
+    for i in np.flatnonzero(rejected).tolist():
+        (rng,) = seeded_rngs(states[i : i + 1])
+        twists[i] = (int(rng.integers(1, q)), int(rng.integers(1, q)))
+        weights = WEIGHT_CLASSES[kinds[i // instances]](rng, size)
+        alpha[i], beta[i] = weights[:m_start], weights[m_start:]
+    return twists, alpha, beta
 
 
 def square_residues(q: int, j: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import glob
+import hashlib
 import math
 
 import numpy as np
@@ -52,6 +53,9 @@ from rootsums.weights import (
     WeightVector,
     admissible_square_members,
     dyadic_starts,
+    entropy_words,
+    seed_states,
+    seeded_rngs,
     slack_factor,
     unweighted_energy,
 )
@@ -228,6 +232,30 @@ class TestWeylSweepGroups:
     def test_quick_grid_is_the_per_cell_sweep(self, weyl_sweep_oracle):
         grid = {"q_values": (101, 211), "instances": 5}  # verify --quick's grid
         assert list(weyl_sweep(**grid)) == weyl_sweep_oracle(**grid)
+
+    def test_quick_grid_rows_keep_their_digest(self):
+        """The sha256 of the quick grid's rows, as recorded before the draws were read
+        off raw PCG64 output: a change in any draw, norm, envelope or |W| shows here.
+        |W| holds the bits of numpy's bundled OpenBLAS zgemv, so another BLAS may
+        read another digest."""
+        rows = list(weyl_sweep(q_values=(101, 211), instances=5))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "4321e5b72d8cb46cd07541923766551c5da4752af56a6408f8bfca0ce2fe3d18"
+
+    def test_sweep_builds_no_generator(self, monkeypatch):
+        """Every draw of the quick grid is read off raw PCG64 output: no Generator is built."""
+        built = []
+        generator = np.random.Generator
+
+        def spy(bit_generator):
+            built.append(bit_generator)
+            return generator(bit_generator)
+
+        monkeypatch.setattr(np.random, "Generator", spy)
+        assert len(list(weyl_sweep(q_values=(101, 211), instances=5))) == 1275
+        assert built == []
+        seeded_rngs(seed_states(np.array([entropy_words([1])])))  # the spy sees a Generator built
+        assert len(built) == 1
 
     @pytest.mark.parametrize("seed", [2**32, 2**64 + 5])
     def test_seeds_past_one_word(self, seed, weyl_sweep_oracle):

@@ -400,6 +400,22 @@ class TestPrimes:
         sieved = set(int(p) for p in sieve_primes(2000))
         assert sieved == {n for n in range(2001) if is_prime(n)}
 
+    def test_every_tier_bound_is_composite(self):
+        """psi_k passes Miller-Rabin for each of the first k primes, so each bound is
+        tested with the next tier's witnesses; psi_12 and psi_13 passed all 12 of the
+        former witness set."""
+        for k, psi in enumerate(primes._PSI[:-1], start=1):
+            assert not is_prime(psi), k
+        with pytest.raises(ValueError):
+            is_prime(primes._PSI[-1])
+        with pytest.raises(ValueError):
+            is_prime(10**30)
+
+    def test_tiers_agree_with_the_sieve(self):
+        """Below 2 * 10^5 every answer, on the one- and two-witness tiers, is the sieve's."""
+        sieved = primes_between(0, 2 * 10**5 - 1).tolist()
+        assert [n for n in range(2 * 10**5) if is_prime(n)] == sieved
+
     @pytest.mark.parametrize("limit", [0, 1, 2, 97, 12345])
     def test_prime_blocks_concatenate_to_the_sieve(self, limit, monkeypatch):
         monkeypatch.setattr(primes, "_BLOCK", 7)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rootsums import calibration, weights
 from rootsums.errors import SizeGuardError
 from rootsums.weights import (
+    WEIGHT_CLASSES,
     WeightVector,
     _pair_histogram,
     admissible_square_members,
@@ -27,6 +28,7 @@ from rootsums.weights import (
     q_table,
     q_table_indicator,
     seed_states,
+    seeded_cell_draws,
     seeded_rngs,
     slack_factor,
     small_interval_energy_envelope,
@@ -118,6 +120,88 @@ class TestSeedStates:
         (rng,) = seeded_rngs(seed_states(np.array([entropy_words([1, 2])])))
         with pytest.raises(ValueError):
             rng.bit_generator.seed_seq.generate_state(8)
+
+
+def generator_draws(q, m_start, n_start, kinds, instances, states):
+    """What ``seeded_cell_draws`` must return, drawn by each cell's Generator as the
+    sweep once drew: two scalar twists, then M + N weights split in two."""
+    twists, alpha, beta = [], [], []
+    for i, rng in enumerate(seeded_rngs(states)):
+        twists.append((int(rng.integers(1, q)), int(rng.integers(1, q))))
+        drawn = WEIGHT_CLASSES[kinds[i // instances]](rng, m_start + n_start)
+        alpha.append(drawn[:m_start])
+        beta.append(drawn[m_start:])
+    return twists, np.array(alpha, dtype=np.complex128), np.array(beta, dtype=np.complex128)
+
+
+def cell_states(seed, q, m_start, n_start, kinds, instances):
+    """The states of a group's cells, entropy [seed, q, M, N, kind_idx, k]."""
+    entropies = [[seed, q, m_start, n_start, i, k] for i in range(len(kinds)) for k in range(instances)]
+    return seed_states(np.array([entropy_words(e) for e in entropies]))
+
+
+class TestSeededCellDraws:
+    """The draws read off one raw PCG64 block per cell are the Generator's, == on every value."""
+
+    @pytest.mark.parametrize("seed", [42, 2**64 + 5])  # seeds of one and three words
+    @pytest.mark.parametrize("q", [101, 8009, 2**31 - 1])
+    @pytest.mark.parametrize("m_start, n_start", [(1, 1), (1, 2), (2, 3), (511, 512), (2048, 2048)])
+    def test_draws_are_the_generators(self, seed, q, m_start, n_start):
+        kinds = ("indicator", "pm1", "phase")
+        states = cell_states(seed, q, m_start, n_start, kinds, 3)
+        got = seeded_cell_draws(q, m_start, n_start, kinds, 3, states)
+        want = generator_draws(q, m_start, n_start, kinds, 3, states)
+        assert got[0] == want[0]
+        assert got[1].shape == (9, m_start) and got[2].shape == (9, n_start)
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    def test_any_order_of_classes(self):
+        kinds = ("phase", "indicator", "pm1")
+        states = cell_states(7, 211, 4, 8, kinds, 2)
+        got = seeded_cell_draws(211, 4, 8, kinds, 2, states)
+        want = generator_draws(211, 4, 8, kinds, 2, states)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize(
+        "kind, kind_idx, k, twists, naive_twists",
+        [
+            # the a draw of u = the low half of the first word is rejected: h would be the high half
+            ("indicator", 0, 40, (12868299, 16025762), (12868299, 11464512)),
+            # a rejected as well: every later uint32 is read one place on, weights included
+            ("pm1", 1, 65, (3451479, 2831796), (1264226, 3451479)),
+        ],
+    )
+    def test_a_rejected_twist_is_drawn_again(self, kind, kind_idx, k, twists, naive_twists):
+        """At q = 16,711,943 these cells hit a Lemire rejection; the helper returns the
+        Generator's draws, not those read off the first word."""
+        q = 16711943
+        states = seed_states(np.array([entropy_words([42, q, 1, 1, kind_idx, k])]))
+        word = int(np.random.PCG64(np.random.SeedSequence([42, q, 1, 1, kind_idx, k])).random_raw())
+        assert (1 + ((word & 0xFFFFFFFF) * (q - 1) >> 32), 1 + ((word >> 32) * (q - 1) >> 32)) == naive_twists
+        got = seeded_cell_draws(q, 1, 1, (kind,), 1, states)
+        want = generator_draws(q, 1, 1, (kind,), 1, states)
+        assert got[0] == want[0] == [twists]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    def test_pm1_rejected_cell_reads_its_weights_one_uint32_on(self):
+        """The pm1 cell above: the naive weights (top bits of the second word's halves)
+        are not the Generator's."""
+        q = 16711943
+        entropy = [42, q, 1, 1, 1, 65]
+        raw = np.random.PCG64(np.random.SeedSequence(entropy)).random_raw(2)
+        naive = [1.0 if int(raw[1]) >> shift & 1 else -1.0 for shift in (31, 63)]
+        states = seed_states(np.array([entropy_words(entropy)]))
+        _, alpha, beta = seeded_cell_draws(q, 1, 1, ("pm1",), 1, states)
+        assert [alpha[0, 0].real, beta[0, 0].real] != naive
+
+    def test_twists_at_q_two_take_no_word(self):
+        """integers(1, 2) draws nothing, so the weights start at the first word."""
+        kinds = ("pm1", "phase")
+        states = cell_states(3, 2, 1, 1, kinds, 2)
+        got = seeded_cell_draws(2, 1, 1, kinds, 2, states)
+        want = generator_draws(2, 1, 1, kinds, 2, states)
+        assert got[0] == want[0] == [(1, 1)] * 4
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 class TestWeightNorms:
