@@ -9,6 +9,7 @@ asymptotic bounds are held against the frozen calibration constants.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import time
@@ -26,8 +27,9 @@ class CriterionResult:
     passed: bool
     detail: dict = field(default_factory=dict)
     seconds: float = 0.0
-    # CPU seconds of the whole process over the criterion, every thread counted
-    # (BLAS threads included); printed by ``line``, not written by ``verify --out``.
+    # CPU seconds, every thread counted (BLAS threads included), of the process
+    # that ran the criterion: under ``run_all`` the Weyl criterion's are its
+    # worker's.  Printed by ``line``, not written by ``verify --out``.
     cpu_seconds: float = 0.0
 
     def line(self) -> str:
@@ -338,30 +340,147 @@ ALL_CRITERIA = (
 )
 
 _QUICK_OVERRIDES = {
-    check_salie_identity: {"q_max": 101},
-    check_gauss_identity: {"q_max": 101},
-    check_energy_identity: {"q_max": 31},
-    check_small_energy_bound: {"q_max": 101},
-    check_weyl_envelopes: {"q_values": (101, 211), "instances": 5},
-    check_effective_split_count: {"q_max": 1000},
-    check_class_numbers: {"q_max": 500},
-    check_heegner_window: {"count": 5},
-    check_discrepancy_engine: {"multisets": 50, "q_max": 211, "h_max": 50},
+    "check_salie_identity": {"q_max": 101},
+    "check_gauss_identity": {"q_max": 101},
+    "check_energy_identity": {"q_max": 31},
+    "check_small_energy_bound": {"q_max": 101},
+    "check_weyl_envelopes": {"q_values": (101, 211), "instances": 5},
+    "check_effective_split_count": {"q_max": 1000},
+    "check_class_numbers": {"q_max": 500},
+    "check_heegner_window": {"count": 5},
+    "check_discrepancy_engine": {"multisets": 50, "q_max": 211, "h_max": 50},
 }
+
+# The criterion run in a forked worker: this module's own function only, so that a
+# wrapper put in its place in ``ALL_CRITERIA`` runs in the calling process and sees
+# all of its work.  Held in a tuple, which a rebinding of module names leaves alone.
+_WORKER_CRITERIA = (check_weyl_envelopes,)
+
+
+@contextlib.contextmanager
+def _worker(check, kwargs: dict):
+    """Run ``check(**kwargs)`` in a forked child; yields a function that waits for
+    its CriterionResult.
+
+    The child prints nothing: it pickles ("ok", result) or ("err", exception)
+    into a pipe and ends with ``os._exit``, so it never returns into its
+    caller's stack.  An exception whose pickle cannot be read back is sent as
+    a RuntimeError carrying its repr.  The function raises the child's
+    exception again, or a RuntimeError naming the criterion and the wait
+    status if the child ended without a result.  On leaving the context a
+    child still running is killed; the child is always reaped.  Where no pipe
+    or no process can be had (``os.pipe`` or ``os.fork`` raises OSError, say
+    under a process limit), the function runs ``check`` in the calling
+    process instead, when it is called.
+
+    The fork copies only the calling thread; numpy's OpenBLAS shuts its
+    thread pool down before a fork (its ``pthread_atfork`` handler) and starts
+    it again when next needed, on each side.
+    """
+    import os
+    import pickle
+    import signal
+
+    fds = ()
+    try:
+        fds = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        yield functools.partial(check, **kwargs)
+        return
+    read_fd, write_fd = fds
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = ("ok", check(**kwargs))
+            except BaseException as exc:  # sent to the parent, which raises it again
+                payload = ("err", exc)
+            try:
+                data = pickle.dumps(payload)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps(("err", RuntimeError(repr(payload[1]))))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    status = None
+
+    def result() -> CriterionResult:
+        nonlocal status
+        with open(read_fd, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        if status or not data:
+            code = os.waitstatus_to_exitcode(status)
+            ended = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+            raise RuntimeError(
+                f"{check.__name__} ended in its worker without a result (wait status {status}, {ended})"
+            )
+        kind, value = pickle.loads(data)
+        if kind == "err":
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        os.close(read_fd)
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:
-    """Run every criterion, printing one line per result.
+    """Run every criterion, printing one line per result, in ``ALL_CRITERIA`` order.
 
     Quick mode shrinks the grids for a fast smoke run; it exercises the same
     code paths but is not the acceptance gate.  The bound criteria compare
     against the same frozen constants either way: their ratios are grid
     maxima, so a sub-grid stays below the limits frozen on the full grid.
+
+    Where ``os.sched_getaffinity`` reports two CPUs or more, the battery runs
+    in two lanes: ``check_weyl_envelopes``, about half of it and reading only
+    ``calibration`` and ``bilinear``, in a forked child (``_worker``), the
+    other criteria here, in order, at the same time.  The lines before the
+    Weyl criterion's print as each criterion ends; its line and the ones after
+    it print together, once both lanes have ended.  Elsewhere every criterion
+    runs here, each line printed as it ends.  The count is the affinity mask's
+    alone: a CPU quota (a cgroup's ``cpu.max``) below two CPUs is not seen, and
+    there the two lanes cost the fork and the worker's CPU for no wall time.
+    A wrapper around the Weyl criterion in ``ALL_CRITERIA`` (a tracer's, say)
+    runs here too, so that it sees all of the criterion's work.  The results and
+    lines are those of a serial run apart from the timings: a result's
+    ``seconds`` and ``cpu_seconds`` are measured in the process that ran its
+    criterion.  An exception in either lane is raised here.
     """
-    results = []
-    for check in ALL_CRITERIA:
-        kwargs = _QUICK_OVERRIDES.get(check, {}) if quick else {}
-        result = check(**kwargs)
-        results.append(result)
-        print(result.line(), flush=True)
+    import os
+
+    import numpy.random  # noqa: F401  (both lanes use it: imported before the fork, it is paid once)
+
+    def kwargs(check) -> dict:
+        return _QUICK_OVERRIDES.get(check.__name__, {}) if quick else {}
+
+    two_lanes = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    forked = next((check for check in ALL_CRITERIA if two_lanes and check in _WORKER_CRITERIA), None)
+    results: list[CriterionResult | None] = []
+    with (_worker(forked, kwargs(forked)) if forked else contextlib.nullcontext()) as worker:
+        for check in ALL_CRITERIA:
+            if check is forked:
+                results.append(None)
+                continue
+            results.append(check(**kwargs(check)))
+            if None not in results:
+                print(results[-1].line(), flush=True)
+        if forked is not None:
+            at = results.index(None)
+            results[at] = worker()
+            for result in results[at:]:
+                print(result.line(), flush=True)
     return results

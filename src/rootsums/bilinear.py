@@ -50,6 +50,7 @@ from .modular import (
     log_tables,
     residue_roots,
 )
+from .primes import is_prime
 from .weights import (
     WeightVector,
     dyadic_starts,
@@ -518,9 +519,10 @@ def weyl_sweep(
     """|W| against both envelopes over dyadic (M, N) grids and seeded weights.
 
     The arguments are checked at the call: a non-positive ``instances``, a
-    negative seed or a modulus above TABLE_LIMIT raises here.  The rows then
-    come from an iterator that computes each (q, M, N) group only when it is
-    reached, so a reader holds one group's rows at a time.
+    negative seed, a modulus above TABLE_LIMIT or one that is not an odd prime
+    raises here.  The rows then come from an iterator that computes each
+    (q, M, N) group only when it is reached, so a reader holds one group's
+    rows at a time.
 
     ``only_m``/``only_n`` restrict the grid to one dyadic start, so only the
     selected cells are computed; each cell's seed stream depends on the cell
@@ -533,6 +535,8 @@ def weyl_sweep(
     for q in q_values:
         if q > TABLE_LIMIT:
             raise SizeGuardError(f"Weyl sweep refused for q={q} > {TABLE_LIMIT}")
+        if q % 2 == 0 or not is_prime(q):
+            raise ValueError(f"modulus must be an odd prime, got {q}")
         starts = dyadic_starts(q)
         groups = [(m, n) for m in starts if only_m in (None, m) for n in starts if only_n in (None, n)]
         if groups:  # a restriction to a start past q // 2 selects none

@@ -1,4 +1,5 @@
 import contextlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,18 @@ from rootsums.bilinear import BilinearInstance, bilinear_weyl_sum, weyl_envelope
 from rootsums.expsums import exp_table
 from rootsums.primes import sieve_primes
 from rootsums.weights import WeightVector, dyadic_starts
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """After each test the process has no child, running or exited: a worker left
+    behind (``acceptance.run_all`` forks one) fails the test that left it."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process: waitpid(-1, WNOHANG) gave {left}")
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,13 @@ runtime budget if it has one, and prints the pass/fail line, so
 ``rootsums verify`` executes the same functions.
 """
 
+import errno
+import functools
 import json
 import math
+import os
+import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -116,3 +121,153 @@ def test_line_reports_cpu_seconds():
     result = acceptance.check_congruence_dichotomy()
     assert result.cpu_seconds > 0
     assert f"({result.seconds:.1f}s, cpu {result.cpu_seconds:.1f}s) " in result.line()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(count): ``os.sched_getaffinity`` reports ``count`` CPUs; returns the list
+    that records each ``os.fork`` call."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        forks.append(os.getpid())
+        return fork()
+
+    def at(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        monkeypatch.setattr(os, "fork", spy)
+        return forks
+
+    return at
+
+
+@pytest.fixture
+def weyl_sweep_does(monkeypatch, cpus):
+    """weyl_sweep_does(action): the Weyl criterion's sweep runs ``action`` in its forked
+    worker, and ``run_all`` reads a short battery with the Weyl criterion in two lanes."""
+    from rootsums import bilinear
+
+    parent = os.getpid()
+
+    def install(action):
+        def sweep(**grid):
+            assert os.getpid() != parent, "the Weyl criterion ran in the calling process"
+            action()
+
+        cpus(2)
+        monkeypatch.setattr(bilinear, "weyl_sweep", sweep)
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", (
+            acceptance.check_energy_identity, acceptance.check_weyl_envelopes, acceptance.check_curve_sum_bound
+        ))
+
+    return install
+
+
+def test_two_lanes_match_one(cpus, capsys):
+    """With two CPUs the Weyl criterion runs in one forked worker; the details and the
+    lines, timings aside, are those of the inline run on one CPU, in ALL_CRITERIA order."""
+    runs = {}
+    for count in (2, 1):
+        forks = cpus(count)
+        results = acceptance.run_all(quick=True)
+        text = re.sub(r"\(\d+\.\ds, cpu \d+\.\ds\)", "(s, cpu s)", capsys.readouterr().out)
+        runs[count] = [(r.name, r.passed, r.detail) for r in results], text
+        assert len(forks) == (count == 2)
+        forks.clear()
+    assert runs[2] == runs[1]
+    results, text = runs[2]
+    names = [name for name, _, _ in results]
+    assert sorted(names) == sorted(VERIFY_REFERENCE)
+    assert names.index("bilinear weyl-sum envelopes") == list(CRITERIA).index("check_weyl_envelopes")
+    lines = text.splitlines()
+    assert len(lines) == len(results)
+    assert all(line.startswith(f"[PASS] {name} (") for line, (name, _, _) in zip(lines, results))
+
+
+def test_worker_exception_is_raised_again(weyl_sweep_does):
+    from rootsums.errors import SizeGuardError
+
+    def refuse():
+        raise SizeGuardError("Weyl sweep refused: injected")
+
+    weyl_sweep_does(refuse)
+    with pytest.raises(SizeGuardError, match="^Weyl sweep refused: injected$"):
+        acceptance.run_all(quick=True)
+
+
+def test_worker_exception_that_cannot_be_pickled(weyl_sweep_does):
+    class Local(Exception):
+        pass
+
+    def fail():
+        raise Local("not importable")
+
+    weyl_sweep_does(fail)
+    with pytest.raises(RuntimeError, match=re.escape(repr(Local("not importable")))):
+        acceptance.run_all(quick=True)
+
+
+def test_worker_ending_without_a_result(weyl_sweep_does):
+    weyl_sweep_does(lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="check_weyl_envelopes .* exit code 3"):
+        acceptance.run_all(quick=True)
+
+
+def test_calling_lane_exception_reaps_the_worker(weyl_sweep_does, monkeypatch):
+    """The worker, still running when the calling process's lane raises, is ended and
+    reaped (the conftest guard checks that no child is left)."""
+    from rootsums import bilinear
+
+    weyl_sweep_does(lambda: time.sleep(60))
+
+    def broken():
+        raise ArithmeticError("curve sweep: injected")
+
+    monkeypatch.setattr(bilinear, "curve_sweep", broken)
+    start = time.monotonic()
+    with pytest.raises(ArithmeticError, match="injected"):
+        acceptance.run_all(quick=True)
+    assert time.monotonic() - start < 30
+
+
+def test_fork_failure_runs_the_worker_criterion_here(cpus, monkeypatch, capsys):
+    """Where no process can be had, the Weyl criterion runs in the calling process after
+    the others: the same details and lines as on one CPU, and no pipe end left open."""
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (
+        acceptance.check_energy_identity, acceptance.check_weyl_envelopes, acceptance.check_curve_sum_bound
+    ))
+    runs = []
+    for count in (1, 2):
+        cpus(count)
+        if count == 2:
+            def refuse():
+                raise OSError(errno.EAGAIN, "no process to be had")
+
+            monkeypatch.setattr(os, "fork", refuse)
+        fds = sorted(os.listdir("/dev/fd"))
+        results = acceptance.run_all(quick=True)
+        assert sorted(os.listdir("/dev/fd")) == fds
+        text = re.sub(r"\(\d+\.\ds, cpu \d+\.\ds\)", "(s, cpu s)", capsys.readouterr().out)
+        runs.append(([(r.name, r.passed, r.detail) for r in results], text))
+    assert runs[0] == runs[1]
+
+
+def test_wrapped_weyl_criterion_runs_in_the_calling_process(cpus, monkeypatch):
+    """A wrapper around the Weyl criterion (a tracer's, say) sees all of its work: the
+    criterion runs here, on its quick grid, and nothing is forked."""
+    calls = []
+    check = acceptance.check_weyl_envelopes
+
+    @functools.wraps(check)
+    def wrapped(**kwargs):
+        calls.append((os.getpid(), kwargs))
+        return check(**kwargs)
+
+    forks = cpus(2)
+    # rebound as a tracer rebinds them: the module's name and the criteria tuple
+    monkeypatch.setattr(acceptance, "check_weyl_envelopes", wrapped)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (acceptance.check_energy_identity, wrapped))
+    results = acceptance.run_all(quick=True)
+    assert forks == [] and calls == [(os.getpid(), acceptance._QUICK_OVERRIDES["check_weyl_envelopes"])]
+    assert [r.passed for r in results] == [True, True]

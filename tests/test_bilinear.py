@@ -267,6 +267,12 @@ class TestWeylSweepGroups:
         with pytest.raises(ValueError):
             weyl_sweep(q_values=(11,), instances=1, seed=-1)
 
+    @pytest.mark.parametrize("q", [2, 9])
+    def test_modulus_not_an_odd_prime_raises_at_the_call(self, q):
+        with pytest.raises(ValueError, match=f"odd prime, got {q}"):
+            weyl_sweep(q_values=(101, q), instances=1)
+        assert len(list(weyl_sweep(q_values=(3,), instances=1))) == 3
+
     def test_groups_are_computed_when_reached(self, monkeypatch):
         """The call checks its arguments and computes nothing; the first row reads one
         group and hashes the seeds of every cell of its modulus in one ``seed_states``

@@ -618,6 +618,20 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert len(payload) == 12
 
+    def test_quick_report_does_not_depend_on_the_cpu_count(self, tmp_path, capsys, monkeypatch):
+        """Two lanes (a forked Weyl worker) and one write the same report and the same
+        lines, in the same order, timings aside."""
+        reports = []
+        for count in (2, 1):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+            out = tmp_path / "report.json"
+            assert run(["verify", "--quick", "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            text = re.sub(r"\(\d+\.\ds, cpu \d+\.\ds\)", "", capsys.readouterr().out)
+            reports.append(([(name, {k: v for k, v in entry.items() if k != "seconds"})
+                             for name, entry in payload.items()], text))
+        assert reports[0] == reports[1]
+
     def test_recalibrate_to_explicit_path(self, tmp_path):
         out = tmp_path / "calib.json"
         from rootsums import calibration
